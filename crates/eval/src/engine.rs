@@ -212,6 +212,37 @@ fn positions_of(schema: &RelSchema) -> HashMap<String, usize> {
         .collect()
 }
 
+/// One input layout's column positions, for callers that apply a
+/// `Select` predicate or an `Extend` scalar to rows one at a time (the
+/// IVM delta rules) with exactly the semantics [`eval`] gives them.
+/// The predicate or scalar must have been checked against that layout
+/// ([`mm_expr::output_schema`] of the enclosing operator), as in `eval`:
+/// a column it names that the layout lacks is a panic, not an error.
+#[derive(Debug, Clone)]
+pub struct RowLayout {
+    positions: HashMap<String, usize>,
+}
+
+impl RowLayout {
+    pub fn new(schema: &RelSchema) -> Self {
+        RowLayout { positions: positions_of(schema) }
+    }
+
+    /// Whether `tuple` satisfies `predicate` (SQL three-valued: NULL
+    /// comparisons are not true).
+    pub fn matches(&self, predicate: &Predicate, tuple: &Tuple, schema: &Schema) -> bool {
+        eval_predicate(predicate, &Row { positions: &self.positions, tuple }, schema)
+    }
+
+    /// `tuple` with the value of `scalar` appended — one `Extend` row.
+    pub fn extend(&self, scalar: &Scalar, tuple: &Tuple, schema: &Schema) -> Tuple {
+        let v = eval_scalar(scalar, &Row { positions: &self.positions, tuple }, schema);
+        let mut vals = tuple.values().to_vec();
+        vals.push(v);
+        Tuple::new(vals)
+    }
+}
+
 /// Evaluate `expr` against `db`, returning a materialized relation.
 ///
 /// The expression is statically checked against `schema` first, so

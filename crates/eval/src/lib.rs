@@ -23,5 +23,5 @@ pub use plan::{
     AtomExplain, AtomRange, CqPlan, ExecOptions, PlanExplain, PlanMatch, SlotTerm, VarTable,
     DP_MAX_ATOMS,
 };
-pub use engine::{eval, eval_governed, EvalError};
+pub use engine::{eval, eval_governed, EvalError, RowLayout};
 pub use view::{materialize_views, materialize_views_governed, unfold_query};

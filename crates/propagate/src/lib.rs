@@ -6,9 +6,10 @@
 //! Clients register continuous queries (a `ViewSet`) over a tracked
 //! instance; every committed repository batch becomes a [`FeedEvent`]
 //! on the [`ChangeFeed`] (the seq-numbered WAL is the cursor space),
-//! and view deltas are computed with the existing IVM machinery
-//! (`MaintenancePlan` monotonicity analysis + delta rules) and queued
-//! per subscriber as typed [`Notification`]s.
+//! and each subscriber's view deltas come from the IVM machinery — a
+//! compiled `MaintenancePlan` run against the pre-event replica and a
+//! maintained copy of the subscriber's views, O(|Δ|) per event — and
+//! are queued as typed [`Notification`]s.
 //!
 //! Robustness discipline (DESIGN.md §14):
 //!

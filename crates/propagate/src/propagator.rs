@@ -7,12 +7,12 @@
 //! check runs *before* any delta computation, so a wedged consumer
 //! costs the commit path a queue-length comparison and nothing more.
 
-use mm_eval::{eval_governed, EvalError};
+use mm_eval::{eval_governed, materialize_views_governed, EvalError};
 use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecError, Governor, Resource};
 use mm_instance::{Database, Tuple};
 use mm_metamodel::Schema;
 use mm_repository::Subscription;
-use mm_runtime::{Delta, MaintenancePlan};
+use mm_runtime::{maintain_insertions_traced, Delta, MaintenancePlan};
 use mm_telemetry::{DegradationSite, Field, Hist, PropagateCounter, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -36,8 +36,12 @@ pub struct PropagateConfig {
     /// How many recent feed events to retain for cursor-resume checks.
     pub retain_events: usize,
     /// Step budget for computing one event's view deltas for one
-    /// subscriber. `None` means unbounded; a trip degrades that
-    /// subscriber to resync rather than failing the commit.
+    /// subscriber — the delta rules over all its views, and the seeding
+    /// of its maintained views when the event is its first after a
+    /// recovery. `None` means unbounded. A view whose delta rules trip
+    /// it is recomputed under a fresh meter of the same size (recorded
+    /// as an `ivm.degraded` event); a trip there, or while seeding,
+    /// degrades that subscriber to resync rather than failing the commit.
     pub delta_steps: Option<u64>,
 }
 
@@ -181,6 +185,14 @@ struct SubState {
     sub: Subscription,
     schema: Schema,
     plan: MaintenancePlan,
+    /// The subscriber's views as the client holds them once it has
+    /// applied everything queued: seeded from each resync snapshot,
+    /// advanced by each pushed delta, and what tells a delta's new rows
+    /// from re-derived ones. `None` whenever the queue was cleared and
+    /// no snapshot has been delivered since, and after
+    /// [`Propagator::attach_recovered`] until the first event (recovery
+    /// evaluates no view).
+    maintained: Option<Database>,
     queue: VecDeque<Notification>,
     mode: Mode,
     lagging: bool,
@@ -244,6 +256,7 @@ impl Propagator {
         for sub in st.subs.values_mut().filter(|s| s.sub.instance == name) {
             sub.queue.clear();
             sub.lagging = false;
+            self.set_maintained(sub, None);
             if matches!(sub.mode, Mode::Streaming) {
                 sub.mode = Mode::ResyncPending { cause: ResyncCause::Load };
             }
@@ -294,43 +307,22 @@ impl Propagator {
                 self.degrade(*id, sub, ResyncCause::Overflow, cause);
                 continue;
             }
-            let budget = match self.cfg.delta_steps {
-                Some(n) => ExecBudget::unbounded().with_steps(n),
-                None => ExecBudget::unbounded(),
-            };
-            let mut gov = Governor::new(&budget);
-            let mut view_inserts = Vec::with_capacity(sub.plan.views().views.len());
-            let mut failure: Option<(ResyncCause, ExecError)> = None;
-            for v in &sub.plan.views().views {
-                match mm_runtime::view_insert_delta_governed(
-                    &v.expr,
-                    &sub.schema,
-                    &inst.base,
-                    delta,
-                    &mut gov,
-                ) {
-                    Ok(rel) => {
-                        view_inserts.push((v.name.clone(), rel.tuples().to_vec()));
-                    }
-                    Err(EvalError::Exec(e @ ExecError::BudgetExhausted { .. })) => {
-                        failure = Some((ResyncCause::Budget, e));
-                        break;
-                    }
-                    Err(EvalError::Exec(e)) => {
-                        failure = Some((ResyncCause::Error, e));
-                        break;
-                    }
-                    Err(e) => {
-                        failure =
-                            Some((ResyncCause::Error, ExecError::internal(e.to_string())));
-                        break;
-                    }
+            let view_inserts = match self.view_inserts(sub, &inst.base, delta) {
+                Ok(view_inserts) => view_inserts,
+                Err(e) => {
+                    let (resync, cause) = match e {
+                        EvalError::Exec(e @ ExecError::BudgetExhausted { .. }) => {
+                            (ResyncCause::Budget, e)
+                        }
+                        EvalError::Exec(e) => (ResyncCause::Error, e),
+                        e @ (EvalError::Static(_) | EvalError::MissingRelation(_)) => {
+                            (ResyncCause::Error, ExecError::internal(e.to_string()))
+                        }
+                    };
+                    self.degrade(*id, sub, resync, cause);
+                    continue;
                 }
-            }
-            if let Some((resync, cause)) = failure {
-                self.degrade(*id, sub, resync, cause);
-                continue;
-            }
+            };
             let delta_rows: usize = view_inserts.iter().map(|(_, t)| t.len()).sum();
             sub.queue.push_back(Notification::Delta { seq, view_inserts });
             self.count(PropagateCounter::DeltasPushed, 1);
@@ -341,8 +333,9 @@ impl Propagator {
             }
         }
         // Advance the replica *after* deltas were computed against the
-        // pre-event state. Skip relations the replica lacks — replay
-        // stays total.
+        // pre-event state (no index handle from that computation is
+        // still alive, so these inserts maintain the join indexes in
+        // place). Skip relations the replica lacks — replay stays total.
         for (rel, tuples) in &delta.inserts {
             if inst.base.relation(rel).is_some() {
                 for t in tuples {
@@ -370,13 +363,14 @@ impl Propagator {
             .get(&sub.instance)
             .ok_or_else(|| PropagateError::UnknownInstance(sub.instance.clone()))?;
         let drained_through = inst.last_event_seq;
-        let plan = MaintenancePlan::compile(&sub.views);
+        let plan = MaintenancePlan::compile(&sub.views, &schema);
         st.subs.insert(
             sub.id,
             SubState {
                 sub,
                 schema,
                 plan,
+                maintained: None,
                 queue: VecDeque::new(),
                 mode: Mode::ResyncPending { cause: ResyncCause::Initial },
                 lagging: false,
@@ -390,7 +384,9 @@ impl Propagator {
     /// The subscriber starts streaming from *now* (the replica is
     /// already at the latest committed state); whether its durable
     /// cursor is still serviceable is decided when the client calls
-    /// [`Propagator::resume`].
+    /// [`Propagator::resume`]. No view is evaluated here: the
+    /// subscriber's maintained views are seeded by the first event
+    /// published to it, so recovery time does not depend on the views.
     pub fn attach_recovered(
         &self,
         sub: Subscription,
@@ -402,13 +398,14 @@ impl Propagator {
             .get(&sub.instance)
             .ok_or_else(|| PropagateError::UnknownInstance(sub.instance.clone()))?;
         let drained_through = inst.last_event_seq;
-        let plan = MaintenancePlan::compile(&sub.views);
+        let plan = MaintenancePlan::compile(&sub.views, &schema);
         st.subs.insert(
             sub.id,
             SubState {
                 sub,
                 schema,
                 plan,
+                maintained: None,
                 queue: VecDeque::new(),
                 mode: Mode::Streaming,
                 lagging: false,
@@ -420,7 +417,13 @@ impl Propagator {
 
     /// Remove a subscriber. Returns false if it was not registered.
     pub fn unsubscribe(&self, id: u64) -> bool {
-        self.state.lock().subs.remove(&id).is_some()
+        match self.state.lock().subs.remove(&id) {
+            Some(mut sub) => {
+                self.set_maintained(&mut sub, None);
+                true
+            }
+            None => false,
+        }
     }
 
     /// A client reconnected claiming it has applied everything up to
@@ -482,6 +485,8 @@ impl Propagator {
                 views.insert_relation(v.name.clone(), rel);
             }
             let seq = inst.last_event_seq;
+            // The snapshot is what the client holds from here on.
+            self.set_maintained(sub, Some(views.clone()));
             sub.mode = Mode::Streaming;
             sub.queue.clear();
             sub.lagging = false;
@@ -540,11 +545,18 @@ impl Propagator {
     fn degrade(&self, id: u64, sub: &mut SubState, resync: ResyncCause, cause: ExecError) {
         sub.queue.clear();
         sub.lagging = false;
+        self.set_maintained(sub, None);
         sub.mode = Mode::ResyncPending { cause: resync };
         let counter = match resync {
             ResyncCause::Overflow => PropagateCounter::ResyncsOverflow,
             ResyncCause::CursorLost => PropagateCounter::ResyncsCursorLost,
-            _ => PropagateCounter::ResyncsBudget,
+            ResyncCause::Budget => PropagateCounter::ResyncsBudget,
+            ResyncCause::Error => PropagateCounter::ResyncsError,
+            // Not degradations: `subscribe` and `publish_load` set these
+            // modes themselves; every caller here names its cause.
+            ResyncCause::Initial | ResyncCause::Load => {
+                unreachable!("{resync} resync is not a degradation")
+            }
         };
         self.count(counter, 1);
         let degradation = Degradation { kind: DegradationKind::PushToResync, cause };
@@ -560,6 +572,68 @@ impl Propagator {
                 Field { key: "resync", value: resync.to_string().into() },
             ],
         );
+    }
+
+    /// One event's inserted rows per view for `sub`: the delta rules
+    /// against the pre-event replica `base`, filtered by (and folded
+    /// into) the subscriber's maintained views.
+    fn view_inserts(
+        &self,
+        sub: &mut SubState,
+        base: &Database,
+        delta: &Delta,
+    ) -> Result<Vec<(String, Vec<Tuple>)>, EvalError> {
+        let mut budget = match self.cfg.delta_steps {
+            Some(n) => ExecBudget::unbounded().with_steps(n),
+            None => ExecBudget::unbounded(),
+        };
+        let views = match &mut sub.maintained {
+            Some(views) => views,
+            // First event after `attach_recovered`: the views over the
+            // pre-event replica are what the resumed client holds. The
+            // seeding draws on this event's budget like the delta work.
+            unseeded => {
+                let mut gov = Governor::new(&budget);
+                let seed =
+                    materialize_views_governed(sub.plan.views(), &sub.schema, base, &mut gov)?;
+                if let Some(n) = self.cfg.delta_steps {
+                    budget = budget.with_steps(n.saturating_sub(gov.steps_consumed()));
+                }
+                self.view_rows(0, seed.total_tuples());
+                unseeded.insert(seed)
+            }
+        };
+        let held = views.total_tuples();
+        let reports = maintain_insertions_traced(
+            &sub.plan,
+            &sub.schema,
+            base,
+            delta,
+            views,
+            &budget,
+            &self.tel,
+        );
+        self.view_rows(held, views.total_tuples());
+        Ok(reports?.into_iter().map(|r| (r.view, r.inserted)).collect())
+    }
+
+    /// Install or drop `sub`'s maintained views.
+    fn set_maintained(&self, sub: &mut SubState, views: Option<Database>) {
+        let rows = |views: &Option<Database>| views.as_ref().map_or(0, Database::total_tuples);
+        self.view_rows(rows(&sub.maintained), rows(&views));
+        sub.maintained = views;
+    }
+
+    /// Move the `propagate.view_rows` gauge — rows held across every
+    /// subscriber's maintained views — by one subscriber's change.
+    fn view_rows(&self, before: usize, after: usize) {
+        if let Some(m) = self.tel.metrics() {
+            if after >= before {
+                m.add_propagate(PropagateCounter::ViewRows, (after - before) as u64);
+            } else {
+                m.sub_propagate(PropagateCounter::ViewRows, (before - after) as u64);
+            }
+        }
     }
 
     fn count(&self, c: PropagateCounter, n: u64) {
@@ -785,6 +859,202 @@ mod tests {
             .filter(|e| e.op == "propagate.degraded")
             .collect();
         assert_eq!(degraded.len(), 1, "1:1 event mirroring");
+    }
+
+    /// Each degradation cause bumps its own `propagate.resyncs_*`
+    /// counter and no other — in particular a view that cannot be
+    /// evaluated reads as `resyncs_error`, not as a budget trip.
+    #[test]
+    fn each_degradation_cause_has_its_own_counter() {
+        const RESYNC_COUNTERS: [(ResyncCause, PropagateCounter); 4] = [
+            (ResyncCause::Overflow, PropagateCounter::ResyncsOverflow),
+            (ResyncCause::CursorLost, PropagateCounter::ResyncsCursorLost),
+            (ResyncCause::Budget, PropagateCounter::ResyncsBudget),
+            (ResyncCause::Error, PropagateCounter::ResyncsError),
+        ];
+        let run = |cfg: PropagateConfig, provoke: &dyn Fn(&Propagator)| {
+            let tel = Telemetry::new(mm_telemetry::RingCollector::with_capacity(64));
+            let p = Propagator::new(cfg, tel.clone());
+            p.track_instance("I", base_db(), 0);
+            provoke(&p);
+            let pending = p.status(1).unwrap().resync_pending;
+            let m = tel.metrics().unwrap();
+            for (cause, counter) in RESYNC_COUNTERS {
+                let want = u64::from(pending == Some(cause));
+                assert_eq!(m.get_propagate(counter), want, "{counter:?} after {pending:?}");
+            }
+            pending
+        };
+        let streaming = |p: &Propagator| {
+            p.subscribe(sub(1), schema()).unwrap();
+            p.poll(1, 16).unwrap();
+        };
+
+        let overflow = run(PropagateConfig { queue_bound: 1, ..Default::default() }, &|p| {
+            streaming(p);
+            p.publish_delta(1, "I", &delta(&[2])).unwrap();
+            p.publish_delta(2, "I", &delta(&[3])).unwrap();
+        });
+        assert_eq!(overflow, Some(ResyncCause::Overflow));
+
+        let cursor_lost = run(PropagateConfig::default(), &|p| {
+            streaming(p);
+            p.publish_delta(1, "I", &delta(&[2])).unwrap();
+            p.poll(1, 16).unwrap();
+            p.resume(1, 0).unwrap();
+        });
+        assert_eq!(cursor_lost, Some(ResyncCause::CursorLost));
+
+        let budget = run(PropagateConfig { delta_steps: Some(1), ..Default::default() }, &|p| {
+            streaming(p);
+            p.publish_delta(1, "I", &delta(&[2, 3, 4])).unwrap();
+        });
+        assert_eq!(budget, Some(ResyncCause::Budget));
+
+        // A view over a column the schema lacks. Only a recovered
+        // subscription can be streaming with one: `subscribe` would fail
+        // its bootstrap poll first.
+        let error = run(PropagateConfig::default(), &|p| {
+            let mut broken = sub(1);
+            broken.views.push(ViewDef::new("Bad", Expr::base("R").project(&["nope"])));
+            p.attach_recovered(broken, schema()).unwrap();
+            p.publish_delta(1, "I", &delta(&[2])).unwrap();
+        });
+        assert_eq!(error, Some(ResyncCause::Error));
+    }
+
+    /// A recovered subscriber evaluates nothing until its first event,
+    /// which seeds its views from the pre-event replica: the delta then
+    /// carries exactly the rows the resumed client does not hold.
+    #[test]
+    fn recovered_subscriber_seeds_on_its_first_event() {
+        let ring = mm_telemetry::RingCollector::with_capacity(64);
+        let tel = Telemetry::new(ring.clone());
+        let p = Propagator::new(PropagateConfig::default(), tel.clone());
+        p.track_instance("I", base_db(), 7);
+        p.attach_recovered(sub(1), schema()).unwrap();
+        let m = tel.metrics().unwrap();
+        assert_eq!(m.get_propagate(PropagateCounter::ViewRows), 0);
+        assert!(ring.events().is_empty(), "attaching evaluates no view: {:?}", ring.events());
+
+        p.publish_delta(8, "I", &delta(&[1, 2])).unwrap(); // 1 is already stored
+        let r = p.poll(1, 16).unwrap();
+        match &r.notifications[..] {
+            [Notification::Delta { seq: 8, view_inserts }] => {
+                assert_eq!(view_inserts[0].1, vec![Tuple::new(vec![Value::Int(2)])]);
+            }
+            other => panic!("expected one delta, got {other:?}"),
+        }
+        assert_eq!(m.get_propagate(PropagateCounter::ViewRows), 2);
+        assert_eq!(ring.events_for("ivm.maintain").len(), 1);
+
+        // The seeding draws on the event's budget: a replica too large
+        // for it degrades to a resync instead of stalling the commit.
+        let tight = propagator(PropagateConfig { delta_steps: Some(3), ..Default::default() });
+        tight.publish_delta(1, "I", &delta(&[2, 3, 4, 5])).unwrap();
+        tight.attach_recovered(sub(1), schema()).unwrap();
+        tight.publish_delta(2, "I", &delta(&[6])).unwrap();
+        assert_eq!(tight.status(1).unwrap().resync_pending, Some(ResyncCause::Budget));
+    }
+
+    /// `propagate.view_rows` is the fill level of the maintained views:
+    /// it follows seed, delta and every way the state is dropped.
+    #[test]
+    fn view_rows_gauge_follows_the_maintained_state() {
+        let tel = Telemetry::new(mm_telemetry::RingCollector::with_capacity(64));
+        let p = Propagator::new(
+            PropagateConfig { queue_bound: 1, ..Default::default() },
+            tel.clone(),
+        );
+        p.track_instance("I", base_db(), 0);
+        let held = || tel.metrics().unwrap().get_propagate(PropagateCounter::ViewRows);
+        p.subscribe(sub(1), schema()).unwrap();
+        p.subscribe(sub(2), schema()).unwrap();
+        assert_eq!(held(), 0, "nothing is held before the bootstrap snapshot");
+        p.poll(1, 16).unwrap();
+        p.poll(2, 16).unwrap();
+        assert_eq!(held(), 2, "one seeded row per subscriber");
+        p.publish_delta(1, "I", &delta(&[1, 2])).unwrap();
+        assert_eq!(held(), 4, "the re-derived row adds nothing");
+        p.poll(2, 16).unwrap();
+        p.publish_delta(2, "I", &delta(&[3])).unwrap(); // overflows subscriber 1
+        assert_eq!(held(), 3, "a degraded subscriber holds nothing");
+        assert!(p.unsubscribe(2));
+        assert_eq!(held(), 0);
+        p.poll(1, 16).unwrap(); // the resync re-seeds: 1, 2, 3
+        assert_eq!(held(), 3);
+        p.publish_load(3, "I", base_db());
+        assert_eq!(held(), 0, "a bulk load voids the maintained views");
+        p.poll(1, 16).unwrap();
+        assert_eq!(held(), 1);
+    }
+
+    /// The silent resync cliff (benchmark/README.md, Finding 3): the
+    /// delta rules used to spend ≈ 6.3 steps per *stored* order, so the
+    /// default 200 000-step budget turned every push into a resync past
+    /// ≈ 31 k orders. A push now costs the same whatever is stored.
+    #[test]
+    fn a_batch_streams_as_a_delta_whatever_the_stored_size() {
+        use mm_expr::{CmpOp, Predicate, Scalar};
+        let orders_schema = SchemaBuilder::new("S")
+            .relation(
+                "Orders",
+                &[("oid", DataType::Int), ("cust", DataType::Int), ("total", DataType::Int)],
+            )
+            .relation("Customers", &[("cid", DataType::Int), ("name", DataType::Text)])
+            .build()
+            .unwrap();
+        let mut big_orders = ViewSet::new("S", "V");
+        big_orders.push(ViewDef::new(
+            "BigOrders",
+            Expr::base("Orders")
+                .select(Predicate::Cmp {
+                    op: CmpOp::Gt,
+                    left: Scalar::col("total"),
+                    right: Scalar::lit(50i64),
+                })
+                .join(Expr::base("Customers"), &[("cust", "cid")])
+                .project(&["oid", "name"]),
+        ));
+        let order = |oid: i64, cust: i64, total: i64| {
+            Tuple::new(vec![Value::Int(oid), Value::Int(cust), Value::Int(total)])
+        };
+        let mut batch = Delta::new();
+        for k in 0..10 {
+            batch.insert("Orders", order(1_000_000 + k, k % 7, 45 + k));
+        }
+        // One subscriber on `stored` orders, bootstrapped, then the batch.
+        let push = |stored: i64, cfg: PropagateConfig| {
+            let ring = mm_telemetry::RingCollector::with_capacity(64);
+            let tel = Telemetry::new(ring.clone());
+            let p = Propagator::new(cfg, tel.clone());
+            let mut db = Database::empty_of(&orders_schema);
+            for c in 0..800 {
+                let name = Value::text(format!("customer-{c}"));
+                db.insert("Customers", Tuple::new(vec![Value::Int(c), name]));
+            }
+            for o in 0..stored {
+                db.insert("Orders", order(o, o % 800, o % 100));
+            }
+            p.track_instance("I", db, 0);
+            let views = big_orders.clone();
+            p.subscribe(Subscription { id: 1, instance: "I".into(), views, cursor: 0 }, orders_schema.clone())
+                .unwrap();
+            p.poll(1, 1).unwrap(); // the bootstrap snapshot seeds the view
+            p.publish_delta(1, "I", &batch).unwrap();
+            let m = tel.metrics().unwrap();
+            assert_eq!(m.get_propagate(PropagateCounter::ResyncsBudget), 0, "at {stored} orders");
+            assert!(ring.events_for("propagate.degraded").is_empty(), "at {stored} orders");
+            match p.poll(1, 16).unwrap().notifications.pop() {
+                Some(Notification::Delta { view_inserts, .. }) => view_inserts,
+                other => panic!("expected a delta at {stored} orders, got {other:?}"),
+            }
+        };
+        let tight = || PropagateConfig { delta_steps: Some(2_000), ..Default::default() };
+        let small = push(1_000, tight());
+        assert_eq!(small[0].1.len(), 4, "totals 51..=54 pass the filter");
+        assert_eq!(push(40_000, tight()), small);
+        assert_eq!(push(40_000, PropagateConfig::default()), small);
     }
 
     #[test]

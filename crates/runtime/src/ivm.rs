@@ -3,22 +3,42 @@
 //! notifications of corresponding actions to data in T. For update
 //! actions, this is the problem of maintaining materialized views."
 //!
-//! Insert-only deltas are propagated with the classical algebraic delta
-//! rules (Δ(A ⋈ B) = ΔA ⋈ Bⁿᵉʷ ∪ Aᵒˡᵈ ⋈ ΔB and friends); operators that
-//! are not insert-monotone (difference, outer join) force a recompute,
-//! which the maintainer reports via [`MaintenanceStrategy`]. EQ5
-//! benchmarks incremental maintenance against recompute to find the
-//! crossover.
+//! Insert-only deltas are propagated with the algebraic delta rules in
+//! the form that needs only the *pre-update* database and the delta
+//! rows — Δ(A ⋈ B) = ΔA ⋈ Bᵒˡᵈ ∪ Aᵒˡᵈ ⋈ ΔB ∪ ΔA ⋈ ΔB, likewise for ×,
+//! unary operators row by row over their child's delta — so a pass
+//! neither copies the instance nor evaluates a view side it does not
+//! need: a join term whose delta side is empty is skipped, and a
+//! non-empty one looks the stored side up by join key. The key equality
+//! is pushed down through `Select`/`Project`/`Rename`/`Extend`/
+//! `Distinct` to a [`mm_instance::RelIndex`] probe on the base relation
+//! (built once on a long-lived database, then kept up by
+//! `Relation::insert`), which makes the pass O(|Δ| · fan-out). A stored
+//! side the push-down cannot serve (a literal, union or nested join, a
+//! key on an `Extend`ed column) is evaluated in full once per delta that
+//! reaches it — correct, but O(instance); [`MaintenancePlan::explain`]
+//! says `probed` or `scanned` per join side.
+//!
+//! The rules can re-derive rows the view already holds. The maintained
+//! path ([`maintain_insertions_with_plan`]) answers "already derivable"
+//! from the materialized view itself and reports the genuinely new rows;
+//! the stateless [`view_insert_delta`] has no view to ask and evaluates
+//! a before-image, so it stays O(instance) whatever the delta. Operators
+//! that are not insert-monotone (difference, outer join, aggregation)
+//! force a recompute, which the maintainer reports via
+//! [`MaintenanceStrategy`]. EQ5 benchmarks maintenance against recompute.
 
-use mm_eval::{eval_governed, EvalError};
-use mm_expr::{Expr, ViewSet};
+use mm_eval::{eval_governed, EvalError, RowLayout};
+use mm_expr::{output_schema, Expr, Predicate, Scalar, ViewSet};
 use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecError, Governor};
-use mm_instance::{Database, Relation, Tuple};
-use mm_metamodel::Schema;
-use std::collections::BTreeMap;
+use mm_instance::{Database, RelSchema, Relation, Tuple, Value};
+use mm_metamodel::{Attribute, Schema};
+use std::collections::{BTreeMap, HashMap};
 
-fn malformed_col(col: &str, context: &str) -> EvalError {
-    EvalError::Exec(ExecError::malformed(format!("column '{col}' missing in {context}")))
+fn position(attrs: &[Attribute], col: &str, context: &str) -> Result<usize, EvalError> {
+    attrs.iter().position(|a| a.name == col).ok_or_else(|| {
+        EvalError::Exec(ExecError::malformed(format!("column '{col}' missing in {context}")))
+    })
 }
 
 /// A set-semantics delta: tuples inserted per relation. (Deletions force
@@ -53,26 +73,15 @@ impl Delta {
             }
         }
     }
-
-    /// A database holding only the delta tuples, with the schema's
-    /// layouts (relations absent from the delta are empty).
-    pub fn as_database(&self, schema: &Schema) -> Database {
-        let mut db = Database::empty_of(schema);
-        for (rel, tuples) in &self.inserts {
-            if db.relation(rel).is_some() {
-                for t in tuples {
-                    db.insert(rel, t.clone());
-                }
-            }
-        }
-        db
-    }
 }
 
 /// How a view was (or must be) maintained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceStrategy {
-    /// Delta rules applied; cost proportional to the delta.
+    /// Delta rules applied. Cost is proportional to the delta and its
+    /// join fan-out — except for a join side the plan reports as
+    /// `scanned` ([`MaintenancePlan::explain`]), which is evaluated in
+    /// full whenever the other side's delta is non-empty.
     Incremental,
     /// The view contains a non-monotone operator; full recompute.
     Recompute,
@@ -95,235 +104,354 @@ fn monotone(expr: &Expr) -> bool {
     }
 }
 
-/// Compute the inserted tuples of `expr` under an insert-only base delta:
-/// `old_db` is the pre-update database, `new_db` the post-update one,
-/// `delta_db` holds only the inserted tuples.
-fn delta_eval(
-    expr: &Expr,
-    schema: &Schema,
-    old_db: &Database,
-    new_db: &Database,
-    delta_db: &Database,
-    gov: &mut Governor,
-) -> Result<Relation, EvalError> {
-    match expr {
-        Expr::Base(_) | Expr::Literal { .. } => {
-            // Δ(R) = delta tuples of R; literals never change
-            match expr {
-                Expr::Base(_) => eval_governed(expr, schema, delta_db, gov),
-                _ => {
-                    let r = eval_governed(expr, schema, new_db, gov)?;
-                    Ok(Relation::new(r.schema))
-                }
+/// One row-wise operator, resolved against its input layout.
+#[derive(Debug, Clone)]
+enum RowOp {
+    Select { layout: RowLayout, predicate: Predicate },
+    Project { positions: Vec<usize> },
+    /// Appends its column at position `at` (the input arity).
+    Extend { layout: RowLayout, scalar: Scalar, at: usize },
+}
+
+impl RowOp {
+    /// The operator's output for `t`; `None` when a selection drops it.
+    fn apply(&self, t: Tuple, schema: &Schema) -> Option<Tuple> {
+        match self {
+            RowOp::Select { layout, predicate } => {
+                layout.matches(predicate, &t, schema).then_some(t)
             }
-        }
-        Expr::Select { .. }
-        | Expr::Project { .. }
-        | Expr::Rename { .. }
-        | Expr::Extend { .. }
-        | Expr::Distinct { .. }
-        | Expr::Union { .. }
-        | Expr::Join { .. }
-        | Expr::Product { .. } => delta_structural(expr, schema, old_db, new_db, delta_db, gov),
-        Expr::Diff { .. } | Expr::LeftJoin { .. } | Expr::Aggregate { .. } => {
-            Err(EvalError::Exec(ExecError::internal(
-                "non-monotone operator reached the delta rules; recompute routing failed",
-            )))
+            RowOp::Project { positions } => Some(t.project(positions)),
+            RowOp::Extend { layout, scalar, .. } => Some(layout.extend(scalar, &t, schema)),
         }
     }
 }
 
-/// Structural delta rules, implemented by re-evaluating the operator over
-/// materialized child deltas.
-fn delta_structural(
-    expr: &Expr,
+/// Peel one row-wise operator off `expr`: its resolved form and its
+/// input. The form is `None` for `Rename` and `Distinct`, which leave
+/// rows as they are (a delta is deduplicated where it lands). `Ok(None)`
+/// for every other operator.
+fn peel<'e>(
+    expr: &'e Expr,
     schema: &Schema,
-    old_db: &Database,
-    new_db: &Database,
-    delta_db: &Database,
-    gov: &mut Governor,
-) -> Result<Relation, EvalError> {
-    match expr {
+) -> Result<Option<(Option<RowOp>, &'e Expr)>, EvalError> {
+    Ok(Some(match expr {
+        Expr::Rename { input, .. } | Expr::Distinct { input } => (None, input),
+        Expr::Select { input, predicate } => {
+            let layout = RowLayout::new(&RelSchema::new(output_schema(input, schema)?));
+            (Some(RowOp::Select { layout, predicate: predicate.clone() }), input)
+        }
         Expr::Project { input, columns } => {
-            let d = delta_eval(input, schema, old_db, new_db, delta_db, gov)?;
-            let positions: Vec<usize> = columns
+            let attrs = output_schema(input, schema)?;
+            let positions = columns
                 .iter()
-                .map(|c| {
-                    d.schema.position(c).ok_or_else(|| malformed_col(c, "projection delta"))
-                })
+                .map(|c| position(&attrs, c, "projection delta"))
                 .collect::<Result<_, _>>()?;
-            let out_attrs: Vec<_> =
-                positions.iter().map(|&i| d.schema.attributes[i].clone()).collect();
-            let mut out = Relation::new(mm_instance::RelSchema::new(out_attrs));
-            for t in d.iter() {
-                gov.row()?;
-                out.insert(t.project(&positions));
-            }
-            Ok(out)
+            (Some(RowOp::Project { positions }), input)
         }
-        Expr::Rename { input, renames } => {
-            let d = delta_eval(input, schema, old_db, new_db, delta_db, gov)?;
-            let mut attrs = d.schema.attributes.clone();
-            for (old, new) in renames {
-                if let Some(a) = attrs.iter_mut().find(|a| &a.name == old) {
-                    a.name = new.clone();
+        Expr::Extend { input, scalar, .. } => {
+            let in_schema = RelSchema::new(output_schema(input, schema)?);
+            let (layout, at) = (RowLayout::new(&in_schema), in_schema.arity());
+            (Some(RowOp::Extend { layout, scalar: scalar.clone(), at }), input)
+        }
+        _ => return Ok(None),
+    }))
+}
+
+/// What one delta evaluation reads: the pre-update database, the delta
+/// rows, and the meter all of it accrues against.
+struct DeltaCx<'a> {
+    schema: &'a Schema,
+    db: &'a Database,
+    delta: &'a Delta,
+    gov: &'a mut Governor,
+}
+
+/// How a join reaches its *stored* (pre-update) side for the delta rows
+/// arriving on the other side.
+#[derive(Debug, Clone)]
+struct StoredSide {
+    /// The join-key columns: positions in the base relation when
+    /// `Probed`, in the side's own output when `Scanned`.
+    keys: Vec<usize>,
+    access: Access,
+}
+
+#[derive(Debug, Clone)]
+enum Access {
+    /// The key equality is pushed down to an index probe on `relation`;
+    /// `ops` rebuilds the side's row from each hit.
+    Probed { relation: String, ops: Vec<RowOp> },
+    /// The side is evaluated in full, once per delta that reaches it.
+    Scanned(Expr),
+}
+
+impl StoredSide {
+    /// Push the equality on `keys` (positions in `side`'s output) down
+    /// to a base relation if only row-wise operators are in the way.
+    fn plan(side: &Expr, keys: &[usize], schema: &Schema) -> Result<StoredSide, EvalError> {
+        let mut base_keys = keys.to_vec();
+        let mut ops = Vec::new();
+        let mut expr = side;
+        loop {
+            if let Expr::Base(relation) = expr {
+                ops.reverse();
+                let access = Access::Probed { relation: relation.clone(), ops };
+                return Ok(StoredSide { keys: base_keys, access });
+            }
+            let Some((op, input)) = peel(expr, schema)? else { break };
+            match &op {
+                Some(RowOp::Project { positions }) => {
+                    for k in &mut base_keys {
+                        *k = positions[*k];
+                    }
+                }
+                // a key on the computed column has no base column to probe
+                Some(RowOp::Extend { at, .. }) if base_keys.contains(at) => break,
+                Some(RowOp::Extend { .. } | RowOp::Select { .. }) | None => {}
+            }
+            ops.extend(op);
+            expr = input;
+        }
+        Ok(StoredSide { keys: keys.to_vec(), access: Access::Scanned(side.clone()) })
+    }
+
+    /// For every row of `delta` (its key at `delta_keys`), every stored
+    /// row with an equal key, as `emit(delta_row, stored_row)`: batch
+    /// order, then the stored side's insertion order. NULL keys match
+    /// nothing (SQL join semantics, as in `eval`).
+    fn matches(
+        &self,
+        delta: &[Tuple],
+        delta_keys: &[usize],
+        cx: &mut DeltaCx<'_>,
+        mut emit: impl FnMut(&Tuple, &Tuple),
+    ) -> Result<(), EvalError> {
+        let db = cx.db;
+        let scanned;
+        let (rel, ops): (&Relation, &[RowOp]) = match &self.access {
+            Access::Probed { relation, ops } => {
+                let rel = db
+                    .relation(relation)
+                    .ok_or_else(|| EvalError::MissingRelation(relation.clone()))?;
+                (rel, ops)
+            }
+            Access::Scanned(expr) => {
+                scanned = eval_governed(expr, cx.schema, db, cx.gov)?;
+                (&scanned, &[])
+            }
+        };
+        // This handle is dropped on return, so a caller that inserts
+        // into `db` afterwards updates the cached index in place
+        // instead of copying it (`Arc::make_mut` in `Relation::insert`).
+        let index = rel.index(&self.keys);
+        let mut key = Vec::with_capacity(delta_keys.len());
+        for d in delta {
+            cx.gov.step()?;
+            key.clear();
+            key.extend(delta_keys.iter().map(|&i| d.get(i).cloned().unwrap_or(Value::Null)));
+            if key.iter().any(Value::is_null) {
+                continue;
+            }
+            for &pos in index.probe(&key) {
+                let hit = rel.tuples()[pos as usize].clone();
+                if let Some(row) = ops.iter().try_fold(hit, |t, op| op.apply(t, cx.schema)) {
+                    cx.gov.row()?;
+                    emit(d, &row);
                 }
             }
-            let mut out = Relation::new(mm_instance::RelSchema::new(attrs));
-            for t in d.iter() {
-                gov.row()?;
-                out.insert(t.clone());
+        }
+        Ok(())
+    }
+
+    fn describe(&self, schema: &Schema) -> String {
+        match &self.access {
+            Access::Probed { relation, .. } => {
+                let layout = schema.instance_layout(relation).unwrap_or_default();
+                let cols: Vec<&str> = self
+                    .keys
+                    .iter()
+                    .map(|&k| layout.get(k).map_or("?", |a| a.name.as_str()))
+                    .collect();
+                format!("probed {relation}({})", cols.join(","))
             }
-            Ok(out)
+            Access::Scanned(_) => "scanned".to_string(),
         }
-        Expr::Distinct { input } => delta_eval(input, schema, old_db, new_db, delta_db, gov),
-        Expr::Union { left, right, .. } => {
-            let mut l = delta_eval(left, schema, old_db, new_db, delta_db, gov)?;
-            let r = delta_eval(right, schema, old_db, new_db, delta_db, gov)?;
-            for t in r.iter() {
-                gov.row()?;
-                l.insert(t.clone());
-            }
-            Ok(l)
-        }
-        Expr::Select { .. } | Expr::Extend { .. } => {
-            // re-express: materialize child delta into a scratch relation
-            // and run the unary operator over it via the main evaluator
-            let (input, rebuild): (&Expr, Box<dyn Fn(Expr) -> Expr>) = match expr {
-                Expr::Select { input, predicate } => {
-                    let p = predicate.clone();
-                    (input, Box::new(move |e| e.select(p.clone())))
-                }
-                Expr::Extend { input, column, scalar } => {
-                    let c = column.clone();
-                    let s = scalar.clone();
-                    (input, Box::new(move |e| e.extend(&c, s.clone())))
-                }
-                _ => unreachable!(),
-            };
-            let d = delta_eval(input, schema, old_db, new_db, delta_db, gov)?;
-            run_over_scratch(schema, d, rebuild, gov)
-        }
-        Expr::Join { left, right, on } => {
-            // Δ(A ⋈ B) = ΔA ⋈ Bⁿᵉʷ  ∪  Aᵒˡᵈ ⋈ ΔB
-            let da = delta_eval(left, schema, old_db, new_db, delta_db, gov)?;
-            let db_ = delta_eval(right, schema, old_db, new_db, delta_db, gov)?;
-            let b_new = eval_governed(right, schema, new_db, gov)?;
-            let a_old = eval_governed(left, schema, old_db, gov)?;
-            let part1 = join_materialized(&da, &b_new, on, gov)?;
-            let part2 = join_materialized(&a_old, &db_, on, gov)?;
-            let mut out = part1;
-            for t in part2.iter() {
-                gov.row()?;
-                out.insert(t.clone());
-            }
-            Ok(out)
-        }
-        Expr::Product { left, right } => {
-            let da = delta_eval(left, schema, old_db, new_db, delta_db, gov)?;
-            let db_ = delta_eval(right, schema, old_db, new_db, delta_db, gov)?;
-            let b_new = eval_governed(right, schema, new_db, gov)?;
-            let a_old = eval_governed(left, schema, old_db, gov)?;
-            let mut out = product_materialized(&da, &b_new, gov)?;
-            for t in product_materialized(&a_old, &db_, gov)?.iter() {
-                gov.row()?;
-                out.insert(t.clone());
-            }
-            Ok(out)
-        }
-        _ => unreachable!("handled elsewhere"),
     }
 }
 
-/// Run a unary operator over a materialized relation by staging it as a
-/// scratch base relation.
-fn run_over_scratch(
-    schema: &Schema,
-    input: Relation,
-    rebuild: Box<dyn Fn(Expr) -> Expr>,
-    gov: &mut Governor,
-) -> Result<Relation, EvalError> {
-    use mm_metamodel::{Element, ElementKind};
-    let mut scratch_schema = schema.clone();
-    let _ = scratch_schema.add_element(Element {
-        name: "$scratch".into(),
-        kind: ElementKind::Relation,
-        attributes: input.schema.attributes.clone(),
-    });
-    let mut scratch_db = Database::new("$scratch");
-    scratch_db.insert_relation("$scratch", input);
-    let e = rebuild(Expr::base("$scratch"));
-    eval_governed(&e, &scratch_schema, &scratch_db, gov)
+/// Δ(A ⋈ B) = ΔA ⋈ Bᵒˡᵈ ∪ Aᵒˡᵈ ⋈ ΔB ∪ ΔA ⋈ ΔB. A product is the join on
+/// no columns: every key is the empty tuple, so each side matches whole.
+#[derive(Debug, Clone)]
+struct JoinDelta {
+    left: DeltaNode,
+    right: DeltaNode,
+    l_keys: Vec<usize>,
+    r_keys: Vec<usize>,
+    /// Right-side columns that survive (its join columns are dropped).
+    keep_right: Vec<usize>,
+    stored_left: StoredSide,
+    stored_right: StoredSide,
 }
 
-fn join_materialized(
-    left: &Relation,
-    right: &Relation,
-    on: &[(String, String)],
-    gov: &mut Governor,
-) -> Result<Relation, EvalError> {
-    use std::collections::HashMap;
-    let l_keys: Vec<usize> = on
-        .iter()
-        .map(|(a, _)| left.schema.position(a).ok_or_else(|| malformed_col(a, "join delta (left)")))
-        .collect::<Result<_, _>>()?;
-    let r_keys: Vec<usize> = on
-        .iter()
-        .map(|(_, b)| {
-            right.schema.position(b).ok_or_else(|| malformed_col(b, "join delta (right)"))
-        })
-        .collect::<Result<_, _>>()?;
-    let keep_right: Vec<usize> =
-        (0..right.schema.arity()).filter(|i| !r_keys.contains(i)).collect();
-    let mut out_attrs = left.schema.attributes.clone();
-    for &i in &keep_right {
-        out_attrs.push(right.schema.attributes[i].clone());
+impl JoinDelta {
+    fn compile(
+        left: &Expr,
+        right: &Expr,
+        on: &[(String, String)],
+        schema: &Schema,
+    ) -> Result<DeltaNode, EvalError> {
+        let l_attrs = output_schema(left, schema)?;
+        let r_attrs = output_schema(right, schema)?;
+        let l_keys: Vec<usize> = on
+            .iter()
+            .map(|(a, _)| position(&l_attrs, a, "join delta (left)"))
+            .collect::<Result<_, _>>()?;
+        let r_keys: Vec<usize> = on
+            .iter()
+            .map(|(_, b)| position(&r_attrs, b, "join delta (right)"))
+            .collect::<Result<_, _>>()?;
+        Ok(DeltaNode::Join(Box::new(JoinDelta {
+            left: compile_delta(left, schema)?,
+            right: compile_delta(right, schema)?,
+            keep_right: (0..r_attrs.len()).filter(|i| !r_keys.contains(i)).collect(),
+            stored_left: StoredSide::plan(left, &l_keys, schema)?,
+            stored_right: StoredSide::plan(right, &r_keys, schema)?,
+            l_keys,
+            r_keys,
+        })))
     }
-    let mut table: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
-    for t in right.iter() {
-        gov.step()?;
-        let key = t.project(&r_keys);
-        if key.values().iter().any(mm_instance::Value::is_null) {
-            continue;
-        }
-        table.entry(key).or_default().push(t);
+
+    fn row(&self, l: &Tuple, r: &Tuple) -> Tuple {
+        let mut vals = l.values().to_vec();
+        vals.extend(self.keep_right.iter().map(|&i| r.get(i).cloned().unwrap_or(Value::Null)));
+        Tuple::new(vals)
     }
-    let mut out = Relation::new(mm_instance::RelSchema::new(out_attrs));
-    for lt in left.iter() {
-        gov.step()?;
-        let key = lt.project(&l_keys);
-        if key.values().iter().any(mm_instance::Value::is_null) {
-            continue;
+
+    fn rows(&self, cx: &mut DeltaCx<'_>) -> Result<Vec<Tuple>, EvalError> {
+        let dl = self.left.rows(cx)?;
+        let dr = self.right.rows(cx)?;
+        let mut out = Vec::new();
+        if !dl.is_empty() {
+            self.stored_right.matches(&dl, &self.l_keys, cx, |l, r| out.push(self.row(l, r)))?;
         }
-        if let Some(matches) = table.get(&key) {
-            for rt in matches {
-                gov.row()?;
-                let mut vals = lt.values().to_vec();
-                for &i in &keep_right {
-                    vals.push(rt.values()[i].clone());
+        if !dr.is_empty() {
+            self.stored_left.matches(&dr, &self.r_keys, cx, |r, l| out.push(self.row(l, r)))?;
+        }
+        if !dl.is_empty() && !dr.is_empty() {
+            let mut by_key: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
+            for r in &dr {
+                cx.gov.step()?;
+                let key = r.project(&self.r_keys);
+                if !key.values().iter().any(Value::is_null) {
+                    by_key.entry(key).or_default().push(r);
                 }
-                out.insert(Tuple::new(vals));
+            }
+            for l in &dl {
+                cx.gov.step()?;
+                for r in by_key.get(&l.project(&self.l_keys)).into_iter().flatten() {
+                    cx.gov.row()?;
+                    out.push(self.row(l, r));
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The delta rules for one monotone expression, resolved against a
+/// schema: evaluates to the candidate inserted rows (a superset of the
+/// new rows, possibly with repeats) from the pre-update database and the
+/// delta alone.
+#[derive(Debug, Clone)]
+enum DeltaNode {
+    /// Δ(R) = the delta's rows for `R`.
+    Base(String),
+    /// A literal never changes.
+    Empty,
+    Map { input: Box<DeltaNode>, op: RowOp },
+    Union(Box<DeltaNode>, Box<DeltaNode>),
+    Join(Box<JoinDelta>),
+}
+
+fn compile_delta(expr: &Expr, schema: &Schema) -> Result<DeltaNode, EvalError> {
+    if let Some((op, input)) = peel(expr, schema)? {
+        let input = compile_delta(input, schema)?;
+        return Ok(match op {
+            Some(op) => DeltaNode::Map { input: Box::new(input), op },
+            None => input,
+        });
+    }
+    match expr {
+        Expr::Base(name) => Ok(DeltaNode::Base(name.clone())),
+        Expr::Literal { .. } => Ok(DeltaNode::Empty),
+        Expr::Union { left, right, .. } => Ok(DeltaNode::Union(
+            Box::new(compile_delta(left, schema)?),
+            Box::new(compile_delta(right, schema)?),
+        )),
+        Expr::Join { left, right, on } => JoinDelta::compile(left, right, on, schema),
+        Expr::Product { left, right } => JoinDelta::compile(left, right, &[], schema),
+        _ => Err(EvalError::Exec(ExecError::internal(
+            "non-monotone operator reached the delta rules; recompute routing failed",
+        ))),
+    }
+}
+
+impl DeltaNode {
+    /// Statically check `expr` (so row-wise evaluation can index by
+    /// position, as in `eval`) and resolve its delta rules.
+    fn compile(expr: &Expr, schema: &Schema) -> Result<DeltaNode, EvalError> {
+        output_schema(expr, schema)?;
+        compile_delta(expr, schema)
+    }
+
+    fn rows(&self, cx: &mut DeltaCx<'_>) -> Result<Vec<Tuple>, EvalError> {
+        match self {
+            DeltaNode::Base(name) => {
+                let rows = cx.delta.inserts.get(name).map(Vec::as_slice).unwrap_or_default();
+                if !rows.is_empty() {
+                    cx.gov.steps_n(rows.len() as u64)?;
+                }
+                Ok(rows.to_vec())
+            }
+            DeltaNode::Empty => Ok(Vec::new()),
+            DeltaNode::Map { input, op } => {
+                let rows = input.rows(cx)?;
+                let mut out = Vec::with_capacity(rows.len());
+                for t in rows {
+                    cx.gov.step()?;
+                    out.extend(op.apply(t, cx.schema));
+                }
+                Ok(out)
+            }
+            DeltaNode::Union(left, right) => {
+                let mut out = left.rows(cx)?;
+                out.extend(right.rows(cx)?);
+                Ok(out)
+            }
+            DeltaNode::Join(join) => join.rows(cx),
+        }
+    }
+
+    /// One `join(left=…, right=…)` entry per join, outermost first.
+    fn describe_joins(&self, schema: &Schema, out: &mut Vec<String>) {
+        match self {
+            DeltaNode::Base(_) | DeltaNode::Empty => {}
+            DeltaNode::Map { input, .. } => input.describe_joins(schema, out),
+            DeltaNode::Union(left, right) => {
+                left.describe_joins(schema, out);
+                right.describe_joins(schema, out);
+            }
+            DeltaNode::Join(j) => {
+                out.push(format!(
+                    "join(left={}, right={})",
+                    j.stored_left.describe(schema),
+                    j.stored_right.describe(schema)
+                ));
+                j.left.describe_joins(schema, out);
+                j.right.describe_joins(schema, out);
             }
         }
     }
-    Ok(out)
-}
-
-fn product_materialized(
-    left: &Relation,
-    right: &Relation,
-    gov: &mut Governor,
-) -> Result<Relation, EvalError> {
-    let mut out_attrs = left.schema.attributes.clone();
-    out_attrs.extend(right.schema.attributes.iter().cloned());
-    let mut out = Relation::new(mm_instance::RelSchema::new(out_attrs));
-    for lt in left.iter() {
-        for rt in right.iter() {
-            gov.row()?;
-            out.insert(lt.concat(rt));
-        }
-    }
-    Ok(out)
 }
 
 /// The inserted rows of `expr` under an insert-only base `delta`
@@ -340,8 +468,12 @@ pub fn view_insert_delta(
     view_insert_delta_governed(expr, schema, old_db, delta, &mut gov)
 }
 
-/// Budgeted variant of [`view_insert_delta`]: both the delta rules and
-/// the before-image check accrue against `gov`.
+/// Budgeted variant of [`view_insert_delta`]: the delta rules and the
+/// before-image accrue against `gov`. The call is stateless — it has no
+/// maintained view to tell it which candidate rows are new — so it
+/// evaluates `expr` over `old_db` in full every time: O(instance), not
+/// O(delta). A stream of deltas belongs on
+/// [`maintain_insertions_with_plan`].
 pub fn view_insert_delta_governed(
     expr: &Expr,
     schema: &Schema,
@@ -349,50 +481,63 @@ pub fn view_insert_delta_governed(
     delta: &Delta,
     gov: &mut Governor,
 ) -> Result<Relation, EvalError> {
-    let mut new_db = old_db.clone();
-    delta.apply_to(&mut new_db);
-    if monotone(expr) {
-        let delta_db = delta.as_database(schema);
-        let raw = delta_eval(expr, schema, old_db, &new_db, &delta_db, gov)?;
-        // delta rules may re-derive tuples that already existed
-        let before = eval_governed(expr, schema, old_db, gov)?;
-        let mut out = Relation::new(raw.schema.clone());
-        for t in raw.iter() {
-            gov.step()?;
-            if !before.contains(t) {
-                out.insert(t.clone());
-            }
-        }
-        Ok(out)
+    let before = eval_governed(expr, schema, old_db, gov)?;
+    let candidates = if monotone(expr) {
+        let rules = DeltaNode::compile(expr, schema)?;
+        rules.rows(&mut DeltaCx { schema, db: old_db, delta, gov })?
     } else {
-        let before = eval_governed(expr, schema, old_db, gov)?;
-        let after = eval_governed(expr, schema, &new_db, gov)?;
-        let mut out = Relation::new(after.schema.clone());
-        for t in after.iter() {
-            gov.step()?;
-            if !before.contains(t) {
-                out.insert(t.clone());
-            }
+        // eval(new) ∖ eval(old), the definition: also the oracle the
+        // delta rules are tested against
+        let mut new_db = old_db.clone();
+        delta.apply_to(&mut new_db);
+        eval_governed(expr, schema, &new_db, gov)?.tuples().to_vec()
+    };
+    let mut out = Relation::new(before.schema.clone());
+    for t in candidates {
+        gov.step()?;
+        if !before.contains(&t) {
+            out.insert(t);
         }
-        Ok(out)
     }
+    Ok(out)
 }
 
 /// A compiled maintenance plan: the delta-independent analysis of a view
-/// set — which views are insert-monotone (delta rules apply) and which
-/// must recompute — done once and reused across deltas, like the chase's
-/// compiled [`mm_chase::ChaseProgram`]s.
+/// set against its base schema — which views are insert-monotone, their
+/// delta rules with every column resolved to a position, and how each
+/// join reaches its stored side — done once and reused across deltas,
+/// like the chase's compiled [`mm_chase::ChaseProgram`]s.
 #[derive(Debug, Clone)]
 pub struct MaintenancePlan {
     views: ViewSet,
-    monotone: Vec<bool>,
+    /// Per view, in view-set order: `None` for a non-monotone view
+    /// (planned recompute); `Some(Err)` for a view that does not check
+    /// against the schema, reported when it is maintained.
+    rules: Vec<Option<Result<DeltaNode, EvalError>>>,
+    explain: String,
 }
 
 impl MaintenancePlan {
-    /// Analyze every view once.
-    pub fn compile(views: &ViewSet) -> MaintenancePlan {
-        let monotone = views.views.iter().map(|v| monotone(&v.expr)).collect();
-        MaintenancePlan { views: views.clone(), monotone }
+    /// Analyze every view once against `base_schema`, the schema later
+    /// maintenance calls must pass.
+    pub fn compile(views: &ViewSet, base_schema: &Schema) -> MaintenancePlan {
+        let mut rules = Vec::with_capacity(views.views.len());
+        let mut explain = String::new();
+        for v in &views.views {
+            let rule = monotone(&v.expr).then(|| DeltaNode::compile(&v.expr, base_schema));
+            let line = match &rule {
+                None => "recompute (non-monotone)".to_string(),
+                Some(Err(e)) => format!("invalid ({e})"),
+                Some(Ok(node)) => {
+                    let mut parts = vec!["incremental".to_string()];
+                    node.describe_joins(base_schema, &mut parts);
+                    parts.join(" ")
+                }
+            };
+            explain.push_str(&format!("{}: {line}\n", v.name));
+            rules.push(rule);
+        }
+        MaintenancePlan { views: views.clone(), rules, explain }
     }
 
     /// The strategy this plan will attempt for `view` (the incremental
@@ -400,12 +545,22 @@ impl MaintenancePlan {
     /// rules trip the budget).
     pub fn planned_strategy(&self, view: &str) -> Option<MaintenanceStrategy> {
         self.views.views.iter().position(|v| v.name == view).map(|i| {
-            if self.monotone[i] {
+            if self.rules[i].is_some() {
                 MaintenanceStrategy::Incremental
             } else {
                 MaintenanceStrategy::Recompute
             }
         })
+    }
+
+    /// One line per view, in view-set order: `recompute`, or
+    /// `incremental` followed by one `join(left=…, right=…)` per join
+    /// (outermost first) saying how each stored side is reached —
+    /// `probed R(cols)`, an index probe on base relation `R`, or
+    /// `scanned`, a full evaluation of that side per delta reaching it
+    /// (the O(instance) case; see [`MaintenanceStrategy::Incremental`]).
+    pub fn explain(&self) -> &str {
+        &self.explain
     }
 
     /// The views this plan maintains.
@@ -415,9 +570,8 @@ impl MaintenancePlan {
 }
 
 /// Maintain materialized `views` (stored in `materialized`) under an
-/// insert-only base `delta`. `base_db` must be the *pre-update* database;
-/// the function applies the delta to a copy internally. Returns the
-/// strategy used per view.
+/// insert-only base `delta`. `base_db` must be the *pre-update* database.
+/// Returns the strategy used per view.
 pub fn maintain_insertions(
     views: &ViewSet,
     base_schema: &Schema,
@@ -444,6 +598,11 @@ pub struct MaintenanceReport {
     /// `Some` when the delta rules tripped the budget and the maintainer
     /// fell back to a full recompute for this view.
     pub degradation: Option<Degradation>,
+    /// The rows this pass added to the materialized view — those it did
+    /// not already hold — in derivation order (batch order, then the
+    /// stored side's insertion order). Rows a recompute *dropped* from a
+    /// non-monotone view are not reported.
+    pub inserted: Vec<Tuple>,
 }
 
 /// Budgeted variant of [`maintain_insertions`]. The step/row budget
@@ -461,14 +620,18 @@ pub fn maintain_insertions_governed(
     materialized: &mut Database,
     budget: &ExecBudget,
 ) -> Result<Vec<MaintenanceReport>, EvalError> {
-    let plan = MaintenancePlan::compile(views);
+    let plan = MaintenancePlan::compile(views, base_schema);
     maintain_insertions_with_plan(&plan, base_schema, base_db, delta, materialized, budget)
 }
 
 /// [`maintain_insertions_governed`] over a pre-compiled plan: the
-/// monotonicity analysis was paid once at [`MaintenancePlan::compile`];
-/// each call only runs the delta rules (or planned recomputes) for one
-/// delta. Use this when the same view set absorbs a stream of deltas.
+/// analysis was paid once at [`MaintenancePlan::compile`]; each call
+/// runs the delta rules against the pre-update `base_db` and the delta
+/// rows only, so an incremental view costs O(|Δ| · fan-out) (see
+/// [`MaintenanceStrategy::Incremental`] for the exception). Use this
+/// when the same view set absorbs a stream of deltas, on a long-lived
+/// `base_db` the caller advances *after* the call: the join indexes are
+/// then built once and maintained by its inserts.
 pub fn maintain_insertions_with_plan(
     plan: &MaintenancePlan,
     base_schema: &Schema,
@@ -477,65 +640,74 @@ pub fn maintain_insertions_with_plan(
     materialized: &mut Database,
     budget: &ExecBudget,
 ) -> Result<Vec<MaintenanceReport>, EvalError> {
-    let mut new_db = base_db.clone();
-    delta.apply_to(&mut new_db);
-    let delta_db = delta.as_database(base_schema);
     let mut gov = Governor::new(budget);
+    // Only a recompute needs the post-update database; an all-incremental
+    // pass never builds it.
+    let mut post_image: Option<Database> = None;
     let mut reports = Vec::with_capacity(plan.views.views.len());
-    for (v, &is_monotone) in plan.views.views.iter().zip(&plan.monotone) {
-        if is_monotone {
-            match delta_eval(&v.expr, base_schema, base_db, &new_db, &delta_db, &mut gov) {
-                Ok(d) => {
-                    if let Some(rel) = materialized.relation_mut(&v.name) {
-                        for t in d.iter() {
-                            rel.insert(t.clone());
-                        }
-                    } else {
-                        materialized.insert_relation(v.name.clone(), d);
+    for (v, rule) in plan.views.views.iter().zip(&plan.rules) {
+        let mut degradation = None;
+        if let Some(rule) = rule {
+            let rule = rule.as_ref().map_err(Clone::clone)?;
+            let mut cx = DeltaCx { schema: base_schema, db: base_db, delta, gov: &mut gov };
+            match rule.rows(&mut cx) {
+                Ok(rows) => {
+                    if materialized.relation(&v.name).is_none() {
+                        let layout = RelSchema::new(output_schema(&v.expr, base_schema)?);
+                        materialized.insert_relation(v.name.clone(), Relation::new(layout));
                     }
+                    let inserted = match materialized.relation_mut(&v.name) {
+                        Some(rel) => rows.into_iter().filter(|t| rel.insert(t.clone())).collect(),
+                        None => Vec::new(),
+                    };
                     reports.push(MaintenanceReport {
                         view: v.name.clone(),
                         strategy: MaintenanceStrategy::Incremental,
                         degradation: None,
+                        inserted,
                     });
+                    continue;
                 }
                 Err(EvalError::Exec(cause @ ExecError::BudgetExhausted { .. })) => {
-                    let mut recompute_gov = Governor::new(budget);
-                    let r = eval_governed(&v.expr, base_schema, &new_db, &mut recompute_gov)?;
-                    materialized.insert_relation(v.name.clone(), r);
-                    reports.push(MaintenanceReport {
-                        view: v.name.clone(),
-                        strategy: MaintenanceStrategy::Recompute,
-                        degradation: Some(Degradation {
-                            kind: DegradationKind::IncrementalToRecompute,
-                            cause,
-                        }),
+                    degradation = Some(Degradation {
+                        kind: DegradationKind::IncrementalToRecompute,
+                        cause,
                     });
                 }
                 Err(e) => return Err(e),
             }
-        } else {
-            // Planned recompute (non-monotone view): runs under its own
-            // step meter, like the degraded path, so one expensive
-            // recompute does not starve the incremental views.
-            let mut recompute_gov = Governor::new(budget);
-            let r = eval_governed(&v.expr, base_schema, &new_db, &mut recompute_gov)?;
-            materialized.insert_relation(v.name.clone(), r);
-            reports.push(MaintenanceReport {
-                view: v.name.clone(),
-                strategy: MaintenanceStrategy::Recompute,
-                degradation: None,
-            });
         }
+        // Recompute, planned (non-monotone view) or degraded: under its
+        // own step meter, so one expensive recompute does not starve the
+        // incremental views.
+        let post = post_image.get_or_insert_with(|| {
+            let mut db = base_db.clone();
+            delta.apply_to(&mut db);
+            db
+        });
+        let mut recompute_gov = Governor::new(budget);
+        let r = eval_governed(&v.expr, base_schema, post, &mut recompute_gov)?;
+        let inserted = match materialized.relation(&v.name) {
+            Some(old) => r.iter().filter(|t| !old.contains(t)).cloned().collect(),
+            None => r.tuples().to_vec(),
+        };
+        materialized.insert_relation(v.name.clone(), r);
+        reports.push(MaintenanceReport {
+            view: v.name.clone(),
+            strategy: MaintenanceStrategy::Recompute,
+            degradation,
+            inserted,
+        });
     }
     Ok(reports)
 }
 
 /// [`maintain_insertions_with_plan`] with telemetry: the pass runs under
-/// an `ivm.maintain` span, and every [`MaintenanceReport`] that carries a
-/// [`Degradation`] is mirrored as exactly one `ivm.degraded` event (and
-/// counted by cause at the IVM site). With disabled telemetry this is
-/// the plain planned call.
+/// an `ivm.maintain` span (whose `plan` field is
+/// [`MaintenancePlan::explain`]: `probed` or `scanned` per join side),
+/// and every [`MaintenanceReport`] that carries a [`Degradation`] is
+/// mirrored as exactly one `ivm.degraded` event (and counted by cause at
+/// the IVM site). With disabled telemetry this is the plain planned call.
 pub fn maintain_insertions_traced(
     plan: &MaintenancePlan,
     base_schema: &Schema,
@@ -587,6 +759,7 @@ pub fn maintain_insertions_traced(
             span.field("incremental", incremental);
             span.field("recomputed", recomputed);
             span.field("delta_tuples", delta.len());
+            span.field("plan", plan.explain());
         }
         Err(e) => span.field("error", e.to_string()),
     }
@@ -597,36 +770,54 @@ pub fn maintain_insertions_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_eval::materialize_views;
-    use mm_expr::{Predicate, ViewDef};
-    use mm_instance::Value;
+    use mm_eval::{eval, materialize_views};
+    use mm_expr::{CmpOp, Func, Lit, ViewDef};
     use mm_metamodel::{DataType, SchemaBuilder};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    fn setup() -> (Schema, Database, ViewSet) {
-        let s = SchemaBuilder::new("S")
+    fn orders_schema() -> Schema {
+        SchemaBuilder::new("S")
             .relation("Orders", &[("oid", DataType::Int), ("cust", DataType::Int), ("total", DataType::Int)])
             .relation("Customers", &[("cid", DataType::Int), ("name", DataType::Text)])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    fn big_orders() -> Expr {
+        Expr::base("Orders")
+            .select(Predicate::Cmp {
+                op: CmpOp::Gt,
+                left: Scalar::col("total"),
+                right: Scalar::lit(50i64),
+            })
+            .join(Expr::base("Customers"), &[("cust", "cid")])
+            .project(&["oid", "name"])
+    }
+
+    fn order(oid: i64, cust: i64, total: i64) -> Tuple {
+        Tuple::from([Value::Int(oid), Value::Int(cust), Value::Int(total)])
+    }
+
+    fn setup() -> (Schema, Database, ViewSet) {
+        let s = orders_schema();
         let mut db = Database::empty_of(&s);
         db.insert("Customers", Tuple::from([Value::Int(1), Value::text("ann")]));
         db.insert("Customers", Tuple::from([Value::Int(2), Value::text("bob")]));
-        db.insert("Orders", Tuple::from([Value::Int(10), Value::Int(1), Value::Int(99)]));
+        db.insert("Orders", order(10, 1, 99));
         let mut vs = ViewSet::new("S", "V");
-        vs.push(ViewDef::new(
-            "BigOrders",
-            Expr::base("Orders")
-                .select(Predicate::Cmp {
-                    op: mm_expr::CmpOp::Gt,
-                    left: mm_expr::Scalar::col("total"),
-                    right: mm_expr::Scalar::lit(50i64),
-                })
-                .join(Expr::base("Customers"), &[("cust", "cid")])
-                .project(&["oid", "name"]),
-        ));
-        vs
-            .push(ViewDef::new("AllCustomers", Expr::base("Customers")));
+        vs.push(ViewDef::new("BigOrders", big_orders()));
+        vs.push(ViewDef::new("AllCustomers", Expr::base("Customers")));
         (s, db, vs)
+    }
+
+    /// `eval(new) ∖ eval(old)`: the definition the delta rules answer to.
+    fn naive_delta(expr: &Expr, s: &Schema, old: &Database, delta: &Delta) -> BTreeSet<Tuple> {
+        let mut new = old.clone();
+        delta.apply_to(&mut new);
+        let before = eval(expr, s, old).unwrap();
+        let after = eval(expr, s, &new).unwrap();
+        after.iter().filter(|t| !before.contains(t)).cloned().collect()
     }
 
     #[test]
@@ -635,8 +826,8 @@ mod tests {
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
 
         let mut delta = Delta::new();
-        delta.insert("Orders", Tuple::from([Value::Int(11), Value::Int(2), Value::Int(80)]));
-        delta.insert("Orders", Tuple::from([Value::Int(12), Value::Int(2), Value::Int(10)])); // filtered
+        delta.insert("Orders", order(11, 2, 80));
+        delta.insert("Orders", order(12, 2, 10)); // filtered
         delta.insert("Customers", Tuple::from([Value::Int(3), Value::text("cyd")]));
 
         let strategies = maintain_insertions(&vs, &s, &db, &delta, &mut mat).unwrap();
@@ -662,14 +853,19 @@ mod tests {
     fn join_delta_covers_both_sides() {
         let (s, db, vs) = setup();
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
-        // insert a customer that matches an existing big order? no — the
-        // existing order already matched. Insert a new order for an
-        // existing customer AND a new customer with a new order that both
-        // arrive in the same delta (ΔA ⋈ ΔB must not be double counted)
+        // a new customer and that customer's first order arrive in the
+        // same delta: neither stored side holds a partner, so only the
+        // ΔA ⋈ ΔB term can derive the row — exactly once
         let mut delta = Delta::new();
-        delta.insert("Orders", Tuple::from([Value::Int(13), Value::Int(3), Value::Int(70)]));
+        delta.insert("Orders", order(13, 3, 70));
         delta.insert("Customers", Tuple::from([Value::Int(3), Value::text("cyd")]));
-        maintain_insertions(&vs, &s, &db, &delta, &mut mat).unwrap();
+        let reports =
+            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
+                .unwrap();
+        assert_eq!(
+            reports[0].inserted,
+            vec![Tuple::from([Value::Int(13), Value::text("cyd")])]
+        );
         let mut new_db = db.clone();
         delta.apply_to(&mut new_db);
         let oracle = materialize_views(&vs, &s, &new_db).unwrap();
@@ -677,6 +873,69 @@ mod tests {
             .relation("BigOrders")
             .unwrap()
             .set_eq(mat.relation("BigOrders").unwrap()));
+    }
+
+    #[test]
+    fn reports_carry_exactly_the_rows_the_view_did_not_hold() {
+        let (s, db, _) = setup();
+        let mut vs = ViewSet::new("S", "V");
+        // collapses orders to their customer: most deltas re-derive a row
+        vs.push(ViewDef::new("Buyers", Expr::base("Orders").project(&["cust"])));
+        let mut mat = materialize_views(&vs, &s, &db).unwrap();
+        let mut delta = Delta::new();
+        delta.insert("Orders", order(11, 1, 5)); // cust 1 already a buyer
+        delta.insert("Orders", order(12, 2, 5));
+        delta.insert("Orders", order(13, 2, 6)); // cust 2 again, same batch
+        let budget = ExecBudget::unbounded();
+        let reports = maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &budget).unwrap();
+        assert_eq!(reports[0].inserted, vec![Tuple::from([Value::Int(2)])]);
+        assert_eq!(mat.relation("Buyers").unwrap().len(), 2);
+
+        // a view the caller never materialized starts from the delta
+        let mut empty = Database::new("V");
+        let reports =
+            maintain_insertions_governed(&vs, &s, &db, &delta, &mut empty, &budget).unwrap();
+        assert_eq!(reports[0].inserted.len(), 2);
+        assert_eq!(empty.relation("Buyers").unwrap().schema, RelSchema::of(&[("cust", DataType::Int)]));
+    }
+
+    #[test]
+    fn null_join_keys_match_nothing() {
+        let (s, mut db, vs) = setup();
+        db.insert("Customers", Tuple::from([Value::Null, Value::text("ghost")]));
+        let mut mat = materialize_views(&vs, &s, &db).unwrap();
+        let mut delta = Delta::new();
+        delta.insert("Orders", Tuple::from([Value::Int(11), Value::Null, Value::Int(99)]));
+        delta.insert("Customers", Tuple::from([Value::Null, Value::text("ghost2")]));
+        let reports =
+            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
+                .unwrap();
+        assert!(reports[0].inserted.is_empty());
+        assert!(naive_delta(&big_orders(), &s, &db, &delta).is_empty());
+    }
+
+    /// `ρ(a→b, b→c)` renames simultaneously, as `output_schema` defines
+    /// it: the delta rules once applied the pairs in sequence, resolved
+    /// the join key to the wrong column and silently lost rows.
+    #[test]
+    fn overlapping_renames_resolve_as_in_eval() {
+        let s = SchemaBuilder::new("P")
+            .relation("R", &[("a", DataType::Int), ("b", DataType::Int)])
+            .build()
+            .unwrap();
+        let pair = |a: i64, b: i64| Tuple::from([Value::Int(a), Value::Int(b)]);
+        let mut db = Database::empty_of(&s);
+        db.insert("R", pair(1, 2));
+        db.insert("R", pair(2, 3));
+        // paths of length two: R(a, b) ⋈ R(b, c)
+        let paths = Expr::base("R")
+            .join(Expr::base("R").rename(&[("a", "b"), ("b", "c")]), &[("b", "b")]);
+        let mut delta = Delta::new();
+        delta.insert("R", pair(3, 1)); // closes the cycle: 2-3-1 and 3-1-2
+        let got: BTreeSet<Tuple> =
+            view_insert_delta(&paths, &s, &db, &delta).unwrap().iter().cloned().collect();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got, naive_delta(&paths, &s, &db, &delta));
     }
 
     #[test]
@@ -692,7 +951,7 @@ mod tests {
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
         assert_eq!(mat.relation("CustomersWithoutOrders").unwrap().len(), 1); // bob
         let mut delta = Delta::new();
-        delta.insert("Orders", Tuple::from([Value::Int(14), Value::Int(2), Value::Int(5)]));
+        delta.insert("Orders", order(14, 2, 5));
         let st = maintain_insertions(&vs, &s, &db, &delta, &mut mat).unwrap();
         assert_eq!(st[0].1, MaintenanceStrategy::Recompute);
         // bob now has an order; the anti-join shrinks (only recompute can
@@ -711,56 +970,63 @@ mod tests {
         ));
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
         let mut delta = Delta::new();
-        delta.insert("Orders", Tuple::from([Value::Int(20), Value::Int(1), Value::Int(5)]));
-        let st = maintain_insertions(&vs, &s, &db, &delta, &mut mat).unwrap();
-        assert_eq!(st[0].1, MaintenanceStrategy::Recompute);
+        delta.insert("Orders", order(20, 1, 5));
+        let reports =
+            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
+                .unwrap();
+        assert_eq!(reports[0].strategy, MaintenanceStrategy::Recompute);
         // customer 1 now has two orders: the existing group row CHANGED —
         // only recompute can express that under insert-only deltas
         let rel = mat.relation("OrdersPerCustomer").unwrap();
         let row = rel.iter().find(|t| t.values()[0] == Value::Int(1)).unwrap();
         assert_eq!(row.values()[1], Value::Int(2));
+        // the changed row is new to the view; the one it replaced is
+        // dropped silently
+        assert_eq!(reports[0].inserted, vec![Tuple::from([Value::Int(1), Value::Int(2)])]);
+    }
+
+    /// Steps the delta rules alone consume for `delta` over `db`.
+    fn delta_rule_steps(expr: &Expr, s: &Schema, db: &Database, delta: &Delta) -> (u64, Vec<Tuple>) {
+        let rules = DeltaNode::compile(expr, s).unwrap();
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let rows = rules.rows(&mut DeltaCx { schema: s, db, delta, gov: &mut gov }).unwrap();
+        (gov.steps_consumed(), rows)
     }
 
     #[test]
     fn governed_maintenance_degrades_to_recompute_on_tight_budget() {
         let (s, db, vs) = setup();
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
+        // The incremental pass shares one step meter across views; each
+        // recompute gets a fresh one. A batch of orders makes the join
+        // view's delta rules cost more than recomputing the three-row
+        // customer view behind it, so a budget that just covers the
+        // former trips the latter's rules and lets its fallback finish.
         let mut delta = Delta::new();
-        delta.insert("Orders", Tuple::from([Value::Int(11), Value::Int(2), Value::Int(80)]));
+        for oid in 11..31 {
+            delta.insert("Orders", order(oid, 2, 80));
+        }
         delta.insert("Customers", Tuple::from([Value::Int(3), Value::text("cyd")]));
-        // Probe the two strategies' costs: the delta rules for the join
-        // view touch its before/after images, so the incremental pass
-        // costs strictly more than any single recompute. A budget between
-        // the two trips the delta rules but lets the fallback finish.
+        let (join_cost, _) = delta_rule_steps(&vs.views[0].expr, &s, &db, &delta);
         let mut new_db = db.clone();
         delta.apply_to(&mut new_db);
-        let delta_db = delta.as_database(&s);
-        let mut inc_gov = Governor::new(&ExecBudget::unbounded());
-        for v in vs.views.iter().filter(|v| monotone(&v.expr)) {
-            delta_eval(&v.expr, &s, &db, &new_db, &delta_db, &mut inc_gov).unwrap();
-        }
-        let inc_cost = inc_gov.steps_consumed();
-        let mut rec_max = 0;
-        for v in &vs.views {
-            let mut g = Governor::new(&ExecBudget::unbounded());
-            mm_eval::eval_governed(&v.expr, &s, &new_db, &mut g).unwrap();
-            rec_max = rec_max.max(g.steps_consumed());
-        }
-        assert!(rec_max < inc_cost, "probe: recompute {rec_max} vs incremental {inc_cost}");
-        let budget = ExecBudget::unbounded().with_steps((rec_max + inc_cost) / 2);
+        let mut g = Governor::new(&ExecBudget::unbounded());
+        eval_governed(&vs.views[1].expr, &s, &new_db, &mut g).unwrap();
+        assert!(g.steps_consumed() <= join_cost, "probe: {} vs {join_cost}", g.steps_consumed());
+        let budget = ExecBudget::unbounded().with_steps(join_cost);
         let reports =
             maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &budget).unwrap();
         let degraded: Vec<_> = reports.iter().filter(|r| r.degradation.is_some()).collect();
-        assert!(!degraded.is_empty(), "expected at least one view to degrade: {reports:?}");
+        assert_eq!(degraded.len(), 1, "the view behind the join degrades: {reports:?}");
         for r in &degraded {
+            assert_eq!(r.view, "AllCustomers");
             assert_eq!(r.strategy, MaintenanceStrategy::Recompute);
+            assert_eq!(r.inserted, vec![Tuple::from([Value::Int(3), Value::text("cyd")])]);
             let d = r.degradation.as_ref().unwrap();
             assert_eq!(d.kind, mm_guard::DegradationKind::IncrementalToRecompute);
             assert!(matches!(d.cause, mm_guard::ExecError::BudgetExhausted { .. }));
         }
         // degraded maintenance must still produce the correct views
-        let mut new_db = db.clone();
-        delta.apply_to(&mut new_db);
         let oracle = materialize_views(&vs, &s, &new_db).unwrap();
         for (name, rel) in oracle.relations() {
             assert!(rel.set_eq(mat.relation(name).unwrap()), "view {name} diverged");
@@ -772,7 +1038,7 @@ mod tests {
         let (s, db, vs) = setup();
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
         let mut delta = Delta::new();
-        delta.insert("Orders", Tuple::from([Value::Int(11), Value::Int(2), Value::Int(80)]));
+        delta.insert("Orders", order(11, 2, 80));
         let reports = maintain_insertions_governed(
             &vs,
             &s,
@@ -791,7 +1057,7 @@ mod tests {
     #[test]
     fn compiled_plan_absorbs_a_stream_of_deltas() {
         let (s, db, vs) = setup();
-        let plan = MaintenancePlan::compile(&vs);
+        let plan = MaintenancePlan::compile(&vs, &s);
         assert_eq!(
             plan.planned_strategy("BigOrders"),
             Some(MaintenanceStrategy::Incremental)
@@ -806,10 +1072,7 @@ mod tests {
         let mut base = db.clone();
         for (oid, cust, total) in [(21, 1, 70), (22, 2, 90), (23, 1, 5)] {
             let mut delta = Delta::new();
-            delta.insert(
-                "Orders",
-                Tuple::from([Value::Int(oid), Value::Int(cust), Value::Int(total)]),
-            );
+            delta.insert("Orders", order(oid, cust, total));
             let reports = maintain_insertions_with_plan(
                 &plan,
                 &s,
@@ -836,5 +1099,227 @@ mod tests {
         maintain_insertions(&vs, &s, &db, &Delta::new(), &mut mat).unwrap();
         let after: Vec<usize> = mat.relations().map(|(_, r)| r.len()).collect();
         assert_eq!(before, after);
+    }
+
+    /// The silent resync cliff (benchmark/README.md, Finding 3): the old
+    /// rules spent ≈ 6.3 steps per *stored* order on a 10-order batch.
+    /// The same batch must now cost the same steps whatever is stored.
+    #[test]
+    fn delta_rule_steps_do_not_depend_on_the_stored_size() {
+        let s = orders_schema();
+        let mut delta = Delta::new();
+        for k in 0..10 {
+            delta.insert("Orders", order(1_000_000 + k, k % 7, 45 + k));
+        }
+        let at = |orders: i64| {
+            let mut db = Database::empty_of(&s);
+            for c in 0..800 {
+                db.insert("Customers", Tuple::from([Value::Int(c), Value::text(format!("c{c}"))]));
+            }
+            for o in 0..orders {
+                db.insert("Orders", order(o, o % 800, o % 100));
+            }
+            delta_rule_steps(&big_orders(), &s, &db, &delta)
+        };
+        let (small_steps, small_rows) = at(1_000);
+        let (large_steps, large_rows) = at(40_000);
+        assert_eq!(small_rows.len(), 4, "totals 51..=54 pass the filter");
+        assert_eq!(small_rows, large_rows);
+        assert_eq!(small_steps, large_steps);
+        assert!(small_steps < 100, "10 rows through select, probe, project: {small_steps}");
+    }
+
+    #[test]
+    fn plan_explains_how_each_join_side_is_reached() {
+        let s = orders_schema();
+        let mut vs = ViewSet::new("S", "V");
+        vs.push(ViewDef::new("BigOrders", big_orders()));
+        // the key is a computed column: no base column to probe
+        vs.push(ViewDef::new(
+            "Shifted",
+            Expr::base("Customers").project(&["cid"]).join(
+                Expr::base("Orders").extend(
+                    "next",
+                    Scalar::Func(Func::Add, vec![Scalar::col("cust"), Scalar::lit(1i64)]),
+                ),
+                &[("cid", "next")],
+            ),
+        ));
+        // a union on one side cannot be probed; the product's sides are
+        // reached whole, through the index on no columns
+        vs.push(ViewDef::new(
+            "Mixed",
+            Expr::base("Customers")
+                .project(&["cid"])
+                .union(Expr::base("Orders").project(&["cust"]))
+                .product(Expr::base("Customers").project(&["name"])),
+        ));
+        vs.push(ViewDef::new("Gone", Expr::base("Customers").diff(Expr::base("Customers"))));
+        vs.push(ViewDef::new("Broken", Expr::base("Customers").project(&["nope"])));
+        let plan = MaintenancePlan::compile(&vs, &s);
+        let lines: Vec<&str> = plan.explain().lines().collect();
+        assert_eq!(
+            lines[..4],
+            [
+                "BigOrders: incremental join(left=probed Orders(cust), right=probed Customers(cid))",
+                "Shifted: incremental join(left=probed Customers(cid), right=scanned)",
+                "Mixed: incremental join(left=scanned, right=probed Customers())",
+                "Gone: recompute (non-monotone)",
+            ]
+        );
+        assert!(lines[4].starts_with("Broken: invalid ("), "{}", lines[4]);
+        assert_eq!(plan.planned_strategy("Gone"), Some(MaintenanceStrategy::Recompute));
+
+        // the malformed view is reported when maintained, typed
+        let db = Database::empty_of(&s);
+        let mut mat = Database::new("V");
+        let err = maintain_insertions_with_plan(
+            &plan,
+            &s,
+            &db,
+            &Delta::new(),
+            &mut mat,
+            &ExecBudget::unbounded(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, EvalError::Static(_)), "{err:?}");
+    }
+
+    // -----------------------------------------------------------------
+    // Property: the delta rules + maintained contents are the naive
+    // definition, over a small grammar of well-formed expressions.
+    // -----------------------------------------------------------------
+
+    fn pairs_schema() -> Schema {
+        let cols = [("a", DataType::Int), ("b", DataType::Int)];
+        SchemaBuilder::new("P")
+            .relation("R", &cols)
+            .relation("S", &cols)
+            .relation("T", &cols)
+            .build()
+            .unwrap()
+    }
+
+    fn cmp(op: CmpOp, left: Scalar, right: Scalar) -> Predicate {
+        Predicate::Cmp { op, left, right }
+    }
+
+    /// `(a, b)` with the columns' values exchanged.
+    fn swap(p: Expr) -> Expr {
+        p.rename(&[("a", "b"), ("b", "a")]).project(&["a", "b"])
+    }
+
+    /// `(a, a + b)`: a computed column, then projected back to a pair.
+    fn sum(p: Expr) -> Expr {
+        p.extend("s", Scalar::Func(Func::Add, vec![Scalar::col("a"), Scalar::col("b")]))
+            .project(&["a", "s"])
+            .rename(&[("s", "b")])
+    }
+
+    /// Relational composition `l.b = r.a`: both sides can be probed when
+    /// they bottom out in a base relation.
+    fn compose(l: Expr, r: Expr) -> Expr {
+        l.join(r.rename(&[("a", "b"), ("b", "c")]), &[("b", "b")])
+            .project(&["a", "c"])
+            .rename(&[("c", "b")])
+    }
+
+    /// `l.b = r.a + 1`: the right key is computed, so that side is
+    /// always `scanned`.
+    fn compose_shifted(l: Expr, r: Expr) -> Expr {
+        let r = r
+            .extend("k", Scalar::Func(Func::Add, vec![Scalar::col("a"), Scalar::lit(1i64)]))
+            .project(&["k", "b"])
+            .rename(&[("b", "c")]);
+        l.join(r, &[("b", "k")]).project(&["a", "c"]).rename(&[("c", "b")])
+    }
+
+    fn cross(l: Expr, r: Expr) -> Expr {
+        l.project(&["a"]).product(r.project(&["b"]))
+    }
+
+    fn pair_expr() -> BoxedStrategy<Expr> {
+        let leaf = prop_oneof![
+            Just(Expr::base("R")),
+            Just(Expr::base("S")),
+            Just(Expr::base("T")),
+            Just(Expr::Literal {
+                columns: vec!["a".into(), "b".into()],
+                rows: vec![vec![Lit::Int(1), Lit::Int(2)], vec![Lit::Int(2), Lit::Null]],
+            }),
+        ];
+        leaf.prop_recursive(3, 16, 2, |inner| {
+            let two = (inner.clone(), inner.clone());
+            prop_oneof![
+                (inner.clone(), 0i64..4).prop_map(|(p, k)| {
+                    p.select(cmp(CmpOp::Gt, Scalar::col("a"), Scalar::lit(k)))
+                }),
+                inner.clone().prop_map(|p| {
+                    p.select(cmp(CmpOp::Ne, Scalar::col("a"), Scalar::col("b")))
+                }),
+                inner.clone().prop_map(swap),
+                inner.clone().prop_map(sum),
+                inner.clone().prop_map(Expr::distinct),
+                two.clone().prop_map(|(l, r)| l.union(r)),
+                two.clone().prop_map(|(l, r)| compose(l, r)),
+                two.clone().prop_map(|(l, r)| compose_shifted(l, r)),
+                two.clone().prop_map(|(l, r)| cross(l, r)),
+                two.prop_map(|(l, r)| l.diff(r)),
+            ]
+        })
+    }
+
+    /// Small domain with NULLs: collisions, re-derivations and NULL join
+    /// keys are the common case, not the rare one.
+    fn pair_row() -> impl Strategy<Value = (usize, Tuple)> {
+        let value = || prop_oneof![(0i64..4).prop_map(Value::Int), (0i64..4).prop_map(Value::Int), Just(Value::Null)];
+        (0usize..3, value(), value()).prop_map(|(rel, a, b)| (rel, Tuple::from([a, b])))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn maintained_deltas_are_the_naive_definition(
+            exprs in proptest::collection::vec(pair_expr(), 1..4),
+            seed in proptest::collection::vec(pair_row(), 0..10),
+            batches in proptest::collection::vec(proptest::collection::vec(pair_row(), 0..5), 1..5),
+        ) {
+            const RELS: [&str; 3] = ["R", "S", "T"];
+            let s = pairs_schema();
+            let mut vs = ViewSet::new("P", "V");
+            for (i, e) in exprs.iter().enumerate() {
+                vs.push(ViewDef::new(format!("V{i}"), e.clone()));
+            }
+            let mut db = Database::empty_of(&s);
+            for (rel, t) in seed {
+                db.insert(RELS[rel], t);
+            }
+            let plan = MaintenancePlan::compile(&vs, &s);
+            let mut mat = materialize_views(&vs, &s, &db).unwrap();
+            for batch in batches {
+                let mut delta = Delta::new();
+                for (rel, t) in batch {
+                    delta.insert(RELS[rel], t);
+                }
+                let reports = maintain_insertions_with_plan(
+                    &plan, &s, &db, &delta, &mut mat, &ExecBudget::unbounded(),
+                ).unwrap();
+                for (v, r) in vs.views.iter().zip(&reports) {
+                    let naive = naive_delta(&v.expr, &s, &db, &delta);
+                    let inserted: BTreeSet<Tuple> = r.inserted.iter().cloned().collect();
+                    prop_assert_eq!(inserted.len(), r.inserted.len(), "a row reported twice: {}", v.expr);
+                    prop_assert_eq!(&inserted, &naive, "maintained delta of {}\n{}", v.expr, plan.explain());
+                    let stateless: BTreeSet<Tuple> =
+                        view_insert_delta(&v.expr, &s, &db, &delta).unwrap().iter().cloned().collect();
+                    prop_assert_eq!(&stateless, &naive, "stateless delta of {}", v.expr);
+                }
+                delta.apply_to(&mut db);
+                let oracle = materialize_views(&vs, &s, &db).unwrap();
+                for (name, rel) in oracle.relations() {
+                    prop_assert!(rel.set_eq(mat.relation(name).unwrap()), "view {} diverged", name);
+                }
+            }
+        }
     }
 }

@@ -208,9 +208,19 @@ pub enum PropagateCounter {
     ResyncsBudget,
     /// Resync snapshots actually delivered to subscribers.
     ResyncsDelivered,
+    /// Subscribers flipped to recompute-and-resync because delta
+    /// computation failed outright (a view that does not check against
+    /// the schema, a relation the replica lacks).
+    ResyncsError,
+    /// Gauge, not a total: rows currently held across every
+    /// subscriber's maintained views — the propagator's one
+    /// per-subscriber memory cost besides the bounded queue. Rises at
+    /// seed and delta, falls when a subscriber's views are dropped
+    /// (degradation, bulk load, unsubscribe).
+    ViewRows,
 }
 
-const PROPAGATE_COUNTERS: usize = PropagateCounter::ResyncsDelivered as usize + 1;
+const PROPAGATE_COUNTERS: usize = PropagateCounter::ViewRows as usize + 1;
 
 impl PropagateCounter {
     /// Stable snapshot key (dotted, sorts into one `propagate.*` block).
@@ -223,6 +233,8 @@ impl PropagateCounter {
             PropagateCounter::ResyncsCursorLost => "propagate.resyncs_cursor_lost",
             PropagateCounter::ResyncsBudget => "propagate.resyncs_budget",
             PropagateCounter::ResyncsDelivered => "propagate.resyncs_delivered",
+            PropagateCounter::ResyncsError => "propagate.resyncs_error",
+            PropagateCounter::ViewRows => "propagate.view_rows",
         }
     }
 
@@ -235,6 +247,8 @@ impl PropagateCounter {
             PropagateCounter::ResyncsCursorLost,
             PropagateCounter::ResyncsBudget,
             PropagateCounter::ResyncsDelivered,
+            PropagateCounter::ResyncsError,
+            PropagateCounter::ViewRows,
         ]
     }
 }
@@ -574,6 +588,13 @@ impl EngineMetrics {
         self.propagate_counters[c as usize].fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Lower a propagation gauge by `n` — the release half of
+    /// [`Self::add_propagate`] for [`PropagateCounter::ViewRows`].
+    #[inline]
+    pub fn sub_propagate(&self, c: PropagateCounter, n: u64) {
+        self.propagate_counters[c as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Current value of a propagation counter.
     pub fn get_propagate(&self, c: PropagateCounter) -> u64 {
         self.propagate_counters[c as usize].load(Ordering::Relaxed)
@@ -792,6 +813,11 @@ mod tests {
         assert_eq!(snap.value("propagate.events_published"), 2);
         assert_eq!(snap.value("propagate.queue_high_water"), 7, "max, not sum");
         assert!(!snap.values.contains_key("propagate.deltas_pushed"), "zero elided");
+        m.add_propagate(PropagateCounter::ViewRows, 5);
+        m.sub_propagate(PropagateCounter::ViewRows, 2);
+        assert_eq!(m.snapshot().value("propagate.view_rows"), 3, "a gauge: falls as well");
+        m.sub_propagate(PropagateCounter::ViewRows, 3);
+        assert!(!m.snapshot().values.contains_key("propagate.view_rows"), "zero elided");
     }
 
     #[test]

@@ -28,12 +28,19 @@ use std::collections::BTreeMap;
 fn base_schema() -> Schema {
     SchemaBuilder::new("Base")
         .relation("R", &[("a", DataType::Int), ("b", DataType::Int)])
+        .relation("S", &[("b", DataType::Int), ("c", DataType::Int)])
+        .relation("X", &[("a", DataType::Int)])
         .build()
         .expect("static test schema")
 }
 
-/// Two views over `R`: the identity and a selection-projection, so
-/// deltas exercise both pass-through and filtered maintenance.
+/// One view per maintenance path: pass-through, filtered, a
+/// two-relation join (fed on either side, and on both in one batch, so
+/// all three delta terms fire), a self-join, a union, a projection that
+/// collapses duplicates, a join whose key is a computed column (the
+/// `scanned` fallback) and a difference (non-monotone: recomputed per
+/// event; `X` is never fed, so it only grows and insert-only deltas can
+/// carry it).
 fn views() -> ViewSet {
     let mut vs = ViewSet::new("Base", "V");
     vs.push(ViewDef::new("VAll", Expr::base("R")));
@@ -47,22 +54,58 @@ fn views() -> ViewSet {
             })
             .project(&["a"]),
     ));
+    vs.push(ViewDef::new("VJoin", Expr::base("R").join(Expr::base("S"), &[("b", "b")])));
+    vs.push(ViewDef::new(
+        "VSelf",
+        Expr::base("R").join(Expr::base("R").rename(&[("a", "b"), ("b", "c")]), &[("b", "b")]),
+    ));
+    vs.push(ViewDef::new(
+        "VUnion",
+        Expr::base("R").project(&["b"]).union(Expr::base("S").project(&["c"])),
+    ));
+    vs.push(ViewDef::new("VBs", Expr::base("R").project(&["b"])));
+    vs.push(ViewDef::new(
+        "VScan",
+        Expr::base("R").join(
+            Expr::base("S")
+                .extend("k", Scalar::Func(Func::Add, vec![Scalar::col("b"), Scalar::lit(1i64)]))
+                .project(&["k", "c"]),
+            &[("b", "k")],
+        ),
+    ));
+    vs.push(ViewDef::new("VDiff", Expr::base("R").project(&["a"]).diff(Expr::base("X"))));
     vs
+}
+
+fn pairs(rows: &[(i64, i64)]) -> Vec<Tuple> {
+    rows.iter().map(|(a, b)| Tuple::new(vec![Value::Int(*a), Value::Int(*b)])).collect()
 }
 
 fn seed_db(rows: &[(i64, i64)]) -> Database {
     let mut db = Database::empty_of(&base_schema());
-    for (a, b) in rows {
-        db.insert("R", Tuple::new(vec![Value::Int(*a), Value::Int(*b)]));
+    for t in pairs(rows) {
+        db.insert("R", t);
+    }
+    for t in pairs(&[(1, 0), (2, 3), (10, 1)]) {
+        db.insert("S", t);
+    }
+    for a in [-2i64, 3] {
+        db.insert("X", Tuple::new(vec![Value::Int(a)]));
     }
     db
 }
 
 fn batch(rows: &[(i64, i64)]) -> Vec<(String, Vec<Tuple>)> {
-    vec![(
-        "R".to_string(),
-        rows.iter().map(|(a, b)| Tuple::new(vec![Value::Int(*a), Value::Int(*b)])).collect(),
-    )]
+    vec![("R".to_string(), pairs(rows))]
+}
+
+/// One commit feeding `R`, `S` or both (an empty side is left out).
+fn batch_rs(r: &[(i64, i64)], s: &[(i64, i64)]) -> Vec<(String, Vec<Tuple>)> {
+    [("R", r), ("S", s)]
+        .into_iter()
+        .filter(|(_, rows)| !rows.is_empty())
+        .map(|(rel, rows)| (rel.to_string(), pairs(rows)))
+        .collect()
 }
 
 /// The subscriber's local materialization: per-view tuple sets plus
@@ -72,6 +115,9 @@ struct Replica {
     views: BTreeMap<String, std::collections::BTreeSet<Tuple>>,
     cursor: u64,
     resyncs: usize,
+    /// Delta rows that told the replica nothing: already delivered by
+    /// an earlier delta, or by the snapshot, since the last resync.
+    redelivered: usize,
 }
 
 impl Replica {
@@ -79,7 +125,12 @@ impl Replica {
         match n {
             Notification::Delta { seq, view_inserts } => {
                 for (view, tuples) in view_inserts {
-                    self.views.entry(view.clone()).or_default().extend(tuples.iter().cloned());
+                    let held = self.views.entry(view.clone()).or_default();
+                    for t in tuples {
+                        if !held.insert(t.clone()) {
+                            self.redelivered += 1;
+                        }
+                    }
                 }
                 self.cursor = *seq;
             }
@@ -126,11 +177,14 @@ impl Replica {
 /// over the engine's current committed instance, canonicalized through
 /// the same codec as the replica.
 fn recompute_bytes(engine: &Engine, instance: &str) -> Vec<u8> {
-    let base = engine.instance(instance).expect("tracked instance");
+    recompute_bytes_over(&engine.instance(instance).expect("tracked instance"))
+}
+
+fn recompute_bytes_over(base: &Database) -> Vec<u8> {
     let schema = base_schema();
     let mut canon: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
     for v in &views().views {
-        let rel = eval(&v.expr, &schema, &base).expect("recompute");
+        let rel = eval(&v.expr, &schema, base).expect("recompute");
         canon.insert(v.name.clone(), rel.sorted_tuples());
     }
     let mut w = Writer::new();
@@ -165,7 +219,10 @@ proptest! {
     #[test]
     fn pushed_deltas_match_full_recompute(
         rows in proptest::collection::vec(
-            proptest::collection::vec((-5i64..50, 0i64..100), 1..4),
+            (
+                proptest::collection::vec((-5i64..12, 0i64..12), 0..4),
+                proptest::collection::vec((0i64..12, 0i64..12), 0..3),
+            ),
             1..12,
         ),
         poll_every in 1usize..4,
@@ -182,8 +239,8 @@ proptest! {
         });
         let id = engine.subscribe("I", views()).expect("subscribe");
         let mut replica = Replica::default();
-        for (i, b) in rows.iter().enumerate() {
-            engine.insert_batch("I", batch(b)).expect("commit must never block");
+        for (i, (r, s)) in rows.iter().enumerate() {
+            engine.insert_batch("I", batch_rs(r, s)).expect("commit must never block");
             if i % poll_every == 0 {
                 replica.drain(&engine, id);
             }
@@ -191,6 +248,7 @@ proptest! {
         replica.drain(&engine, id);
         prop_assert_eq!(replica.canon_bytes(), recompute_bytes(&engine, "I"));
         prop_assert_eq!(replica.cursor, engine.repo.last_seq());
+        prop_assert_eq!(replica.redelivered, 0, "a (view, row) was delivered twice");
     }
 }
 
@@ -234,10 +292,13 @@ fn overflow_degrades_records_and_resyncs_to_parity() {
     assert_eq!(replica.resyncs, 2, "recovery must arrive as one snapshot");
     assert_eq!(replica.canon_bytes(), recompute_bytes(&engine, "I"));
 
-    // ...and streaming resumes incrementally after the resync.
-    engine.insert_batch("I", batch(&[(100, 0)])).expect("post-resync commit");
+    // ...and streaming resumes incrementally after the resync: the
+    // snapshot re-seeded what the subscriber holds, so a batch that
+    // repeats a delivered row carries only the new one.
+    engine.insert_batch("I", batch(&[(9, 18), (100, 0)])).expect("post-resync commit");
     replica.drain(&engine, id);
     assert_eq!(replica.resyncs, 2, "back to streaming — no extra snapshot");
+    assert_eq!(replica.redelivered, 0, "(9, 18) arrived with the snapshot");
     assert_eq!(replica.canon_bytes(), recompute_bytes(&engine, "I"));
 
     // The degradation is counted and mirrored 1:1 as an event.
@@ -291,6 +352,104 @@ fn resume_after_engine_restart_from_durable_cursor() {
     replica.drain(&recovered, id);
     assert_eq!(replica.resyncs, before, "fresh cursor resumes incrementally");
     assert_eq!(replica.canon_bytes(), recompute_bytes(&recovered, "I"));
+}
+
+/// Recovery attaches subscriptions without evaluating a view; the first
+/// commit after it seeds the subscriber's maintained views from the
+/// pre-commit replica, so its delta carries exactly the rows the
+/// resumed client lacks.
+#[test]
+fn recovery_evaluates_no_view_and_the_first_commit_seeds_them() {
+    let mem = MemStorage::new();
+    let (id, mut replica) = {
+        let engine = Engine::open_durable(mem.clone(), DurableOptions::default()).expect("open");
+        engine.add_schema(base_schema()).expect("schema");
+        engine.put_instance("I", seed_db(&[(1, 1), (4, 2)])).expect("load");
+        let id = engine.subscribe("I", views()).expect("subscribe");
+        let mut replica = Replica::default();
+        replica.drain(&engine, id);
+        engine.insert_batch("I", batch(&[(2, 2)])).expect("commit");
+        replica.drain(&engine, id);
+        engine.ack(id, replica.cursor).expect("durable ack");
+        (id, replica)
+    };
+
+    let ring = RingCollector::with_capacity(256);
+    let tel = Telemetry::new(ring.clone());
+    let recovered = Engine::with_config(EngineConfig {
+        durability: Durability::Durable {
+            storage: MemStorage::from_files(mem.dump()),
+            options: DurableOptions::default(),
+        },
+        telemetry: tel.clone(),
+        ..EngineConfig::default()
+    })
+    .expect("recovery");
+    recovered.resume(id, replica.cursor).expect("resume");
+    let quiet = |when: &str| {
+        let m = tel.metrics().expect("telemetry enabled").snapshot();
+        let work: Vec<_> = m.values.keys().filter(|k| k.starts_with("propagate.")).collect();
+        assert!(work.is_empty(), "{when}: propagation work recorded: {work:?}");
+        let spans: Vec<_> = ring.events().into_iter().filter(|e| e.op.starts_with("ivm.")).collect();
+        assert!(spans.is_empty(), "{when}: a view was evaluated: {spans:?}");
+    };
+    quiet("after open_durable + resume");
+
+    // (2, 2) repeats a row the client holds; (3, 2) joins stored rows
+    // on both sides of the self-join.
+    recovered.insert_batch("I", batch(&[(2, 2), (3, 2)])).expect("post-restart commit");
+    let polled = recovered.poll(id, 64).expect("poll").notifications;
+    match &polled[..] {
+        [Notification::Delta { view_inserts, .. }] => {
+            let all = view_inserts.iter().find(|(v, _)| v == "VAll").expect("VAll");
+            assert_eq!(all.1, pairs(&[(3, 2)]), "only the row the client lacks");
+        }
+        other => panic!("expected one delta, got {other:?}"),
+    }
+    let resyncs = replica.resyncs;
+    polled.iter().for_each(|n| replica.apply(n));
+    assert_eq!(replica.resyncs, resyncs, "seeding is not a resync");
+    assert_eq!(replica.redelivered, 0);
+    assert_eq!(replica.canon_bytes(), recompute_bytes(&recovered, "I"));
+    assert_eq!(ring.events_for("ivm.maintain").len(), 1);
+    let m = tel.metrics().expect("telemetry enabled").snapshot();
+    let held: usize = replica.views.values().map(|rows| rows.len()).sum();
+    assert_eq!(m.value("propagate.view_rows"), held as u64, "the seeded views, advanced");
+}
+
+/// `unsubscribe` and a bulk load release the maintained views; the
+/// load's resync seeds them again.
+#[test]
+fn unsubscribe_and_load_release_the_maintained_views() {
+    let tel = Telemetry::new(RingCollector::with_capacity(64));
+    let engine = fresh_engine(EngineConfig { telemetry: tel.clone(), ..EngineConfig::default() });
+    let held = || tel.metrics().expect("telemetry enabled").snapshot().value("propagate.view_rows");
+    let rows = |r: &Replica| r.views.values().map(|rows| rows.len() as u64).sum::<u64>();
+    let (a, b) = (
+        engine.subscribe("I", views()).expect("subscribe"),
+        engine.subscribe("I", views()).expect("subscribe"),
+    );
+    let (mut ra, mut rb) = (Replica::default(), Replica::default());
+    ra.drain(&engine, a);
+    rb.drain(&engine, b);
+    engine.insert_batch("I", batch_rs(&[(5, 1)], &[(1, 7)])).expect("commit");
+    ra.drain(&engine, a);
+    rb.drain(&engine, b);
+    assert_eq!(held(), rows(&ra) + rows(&rb));
+
+    engine.unsubscribe(b).expect("unsubscribe");
+    assert_eq!(held(), rows(&ra));
+
+    engine.put_instance("I", seed_db(&[(6, 6)])).expect("reload");
+    assert_eq!(held(), 0, "the load voided what the subscriber held");
+    ra.drain(&engine, a);
+    assert_eq!(ra.canon_bytes(), recompute_bytes(&engine, "I"));
+    assert_eq!(held(), rows(&ra));
+    engine.insert_batch("I", batch(&[(6, 6), (7, 6)])).expect("commit");
+    ra.drain(&engine, a);
+    assert_eq!(ra.redelivered, 0);
+    assert_eq!(ra.canon_bytes(), recompute_bytes(&engine, "I"));
+    assert_eq!(held(), rows(&ra));
 }
 
 /// A client that comes back with a cursor *behind* what recovery can
@@ -380,18 +539,7 @@ fn wire_subscriber_killed_mid_stream_resumes_from_cursor() {
         }
     }
     let base = seed_db(&[(1, 10), (-2, 20), (7, 7), (8, 8)]);
-    let schema = base_schema();
-    let mut w = Writer::new();
-    for v in &views().views {
-        let rel = eval(&v.expr, &schema, &base).expect("recompute");
-        w.str(&v.name);
-        let tuples = rel.sorted_tuples();
-        w.u64(tuples.len() as u64);
-        for t in &tuples {
-            t.encode(&mut w);
-        }
-    }
-    assert_eq!(replica.canon_bytes(), w.finish().to_vec());
+    assert_eq!(replica.canon_bytes(), recompute_bytes_over(&base));
 
     c.unsubscribe(id).expect("unsubscribe");
     handle.shutdown().expect("shutdown");

@@ -221,9 +221,13 @@ fn ivm_degradations_mirror_as_events() {
         Expr::base("R0").join(Expr::base("R0").rename(&[("a", "b"), ("b", "c")]), &[("b", "b")]),
     ));
     views.push(ViewDef::new("Id", Expr::base("R0")));
-    let plan = MaintenancePlan::compile(&views);
+    let plan = MaintenancePlan::compile(&views, &schema);
+    // three rows, so the join's delta rules (three terms over each) cost
+    // well over the nine steps of recomputing the identity view
     let mut delta = Delta::new();
-    delta.insert("R0", Tuple::from([Value::Int(99), Value::Int(0)]));
+    for a in 97..100i64 {
+        delta.insert("R0", Tuple::from([Value::Int(a), Value::Int(0)]));
+    }
 
     let mut witnessed = false;
     for steps in 1..=4_000u64 {
