@@ -5,6 +5,7 @@
 //! tables recorded in EXPERIMENTS.md, while the Criterion benches under
 //! `benches/` time the same drivers at fixed points.
 
+#![forbid(unsafe_code)]
 // Experiment-harness crate, not an engine library: fixtures are static
 // and a panic is a broken experiment, not library behavior, so the
 // non-panicking lint gate (DESIGN.md §7) does not apply here.

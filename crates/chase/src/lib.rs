@@ -17,6 +17,7 @@
 //! * [`core::core_of`] — greedy core minimization of a universal instance
 //!   ("Data exchange: getting to the core").
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod certain;

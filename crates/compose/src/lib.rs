@@ -17,6 +17,7 @@
 //!   (up to homomorphic equivalence) with applying the composed mapping
 //!   directly.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod algebraic;

@@ -365,11 +365,21 @@ impl Engine {
     /// Sample the instance layer's process-wide allocation totals into
     /// the `alloc.*` telemetry gauges. Called at operation boundaries so
     /// `BENCH_telemetry.json` (and live `metrics` requests) expose
-    /// tuple-spill and intern-pool pressure without the hot path paying
-    /// for more than two relaxed atomic reads per op.
+    /// tuple-spill and intern-pool pressure — including the strings the
+    /// pool silently refused — without the hot path paying for more than
+    /// a handful of atomic reads per op.
     fn sample_alloc(&self) {
-        let (tuples, interned) = mm_instance::intern::alloc_counts();
-        self.config.telemetry.sample_alloc(tuples, interned);
+        use mm_instance::intern;
+        use mm_telemetry::AllocCounter;
+        let (tuples, interned) = intern::alloc_counts();
+        let (refused_len, refused_capacity) = intern::refusal_counts();
+        self.config.telemetry.sample_alloc(&[
+            (AllocCounter::Tuples, tuples),
+            (AllocCounter::Interned, interned),
+            (AllocCounter::InternEntries, intern::pool_len() as u64),
+            (AllocCounter::InternRefusedLen, refused_len),
+            (AllocCounter::InternRefusedCapacity, refused_capacity),
+        ]);
     }
 
     /// The budget chase-based operators run under: the configured
@@ -1357,6 +1367,40 @@ mod tests {
         let (out3, _) = uncached.exchange("m", "T", &db).unwrap();
         assert_eq!(uncached.cached_chase_plans(), 0);
         assert_eq!(out1, out3);
+    }
+
+    #[test]
+    fn intern_pool_refusals_surface_as_alloc_gauges() {
+        let tel = Telemetry::new(mm_telemetry::RingCollector::with_capacity(16));
+        let engine = Engine::with_config(EngineConfig {
+            telemetry: tel.clone(),
+            threads: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let s = SchemaBuilder::new("S").relation("R", &[("a", DataType::Text)]).build().unwrap();
+        let t = SchemaBuilder::new("T").relation("U", &[("a", DataType::Text)]).build().unwrap();
+        engine.add_schema(s.clone()).unwrap();
+        engine.add_schema(t).unwrap();
+        let mut m = Mapping::new("S", "T");
+        m.push_tgd(mm_expr::Tgd::new(
+            vec![mm_expr::Atom::vars("R", &["x"])],
+            vec![mm_expr::Atom::vars("U", &["x"])],
+        ));
+        engine.add_mapping("m", m).unwrap();
+        // one string past the pool's length bound: it silently stays owned text
+        let long = "r".repeat(mm_instance::intern::MAX_INTERN_LEN + 1);
+        let mut db = Database::empty_of(&s);
+        db.insert("R", mm_instance::Tuple::from([Value::text(long)]));
+        db.insert("R", mm_instance::Tuple::from([Value::text("short")]));
+        engine.exchange("m", "T", &db).unwrap();
+        let snap = tel.metrics().unwrap().snapshot();
+        assert!(snap.value("alloc.intern_refused_len") >= 1, "the refusal is counted");
+        assert!(snap.value("alloc.intern_entries") >= 1, "the pool's fill level is exported");
+        assert!(
+            !snap.values.contains_key("alloc.intern_refused_capacity"),
+            "a pool that never filled carries no capacity-refusal row"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! convenience layer gluing them to the repository. All public types of
 //! the sub-crates are re-exported under [`prelude`].
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod engine;

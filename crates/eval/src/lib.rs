@@ -8,6 +8,7 @@
 //! conjunctive-query/homomorphism engine used by the chase and by tgd
 //! checking, and view materialization/unfolding.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cq;

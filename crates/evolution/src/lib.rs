@@ -18,6 +18,7 @@
 //!   after Fagin);
 //! * [`scenario`] — the paper's Figure 5 end-to-end evolution script.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod diff;

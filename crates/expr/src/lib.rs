@@ -17,6 +17,7 @@
 //! The algebra doubles as the execution language of the mapping runtime
 //! (`mm-eval`) and as TransGen's output language.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod algebra;

@@ -12,6 +12,7 @@
 //! tripping a budget, rather than failing outright) are first-class:
 //! see [`Degradation`].
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod budget;

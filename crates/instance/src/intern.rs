@@ -98,6 +98,7 @@ fn entry(id: u32) -> Option<&'static Entry> {
 /// the owned string instead.
 pub fn intern(s: &str) -> Option<Symbol> {
     if s.len() > MAX_INTERN_LEN {
+        REFUSED_LEN.fetch_add(1, Ordering::Relaxed);
         return None;
     }
     let p = pool();
@@ -108,7 +109,10 @@ pub fn intern(s: &str) -> Option<Symbol> {
     }
     let id = p.len.load(Ordering::Relaxed);
     let (ci, si) = (id as usize >> CHUNK_BITS, id as usize & (CHUNK_SIZE - 1));
-    let chunk = p.chunks.get(ci)?; // None: pool at capacity
+    let Some(chunk) = p.chunks.get(ci) else {
+        REFUSED_CAPACITY.fetch_add(1, Ordering::Relaxed);
+        return None; // pool at capacity
+    };
     let chunk = chunk.get_or_init(|| (0..CHUNK_SIZE).map(|_| OnceLock::new()).collect());
     let text: &'static str = Box::leak(s.to_owned().into_boxed_str());
     let _ = chunk[si].set(Entry { text, hash: str_hash(text) });
@@ -166,6 +170,19 @@ pub static ALLOC_TUPLES: AtomicU64 = AtomicU64::new(0);
 
 /// New symbols appended to the pool (dedup hits don't count).
 pub static ALLOC_INTERNED: AtomicU64 = AtomicU64::new(0);
+
+/// Strings [`intern`] refused for being longer than [`MAX_INTERN_LEN`]:
+/// each one stays an owned `Value::Text` that hashes and compares by
+/// walking its bytes.
+static REFUSED_LEN: AtomicU64 = AtomicU64::new(0);
+
+/// Strings [`intern`] refused because the pool was at capacity.
+static REFUSED_CAPACITY: AtomicU64 = AtomicU64::new(0);
+
+/// Snapshot of the refusal counters `(refused_len, refused_capacity)`.
+pub fn refusal_counts() -> (u64, u64) {
+    (REFUSED_LEN.load(Ordering::Relaxed), REFUSED_CAPACITY.load(Ordering::Relaxed))
+}
 
 /// Snapshot of the allocation counters `(tuples, interned)`.
 pub fn alloc_counts() -> (u64, u64) {

@@ -8,6 +8,7 @@
 //! set-semantics relations, and databases, plus validation of instances
 //! against schemas and their integrity constraints.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod database;

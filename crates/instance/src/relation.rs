@@ -15,9 +15,10 @@ use crate::value::Value;
 use mm_metamodel::{Attribute, DataType};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
@@ -331,6 +332,61 @@ impl RelIndex {
     }
 }
 
+/// Hasher for maps keyed by a tuple's cached 64-bit hash: the key is
+/// already mixed, so hashing it again (SipHash by default) buys nothing.
+/// The table indexes buckets with the *low* bits, and the Fx hash ends in
+/// a multiply, whose low bits are its weakest — so `finish` folds the
+/// high bits down. Equal keys still share one group, so this adds no
+/// collision class the group scan does not already handle.
+#[derive(Debug, Clone, Copy, Default)]
+struct TupleHashHasher(u64);
+
+impl Hasher for TupleHashHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    // never reached by a `u64` key; kept total for the trait's sake
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
+
+/// The insertion positions sharing one tuple hash. Distinct tuples
+/// almost never share a 64-bit hash, so the one position lives inline
+/// and only a genuine collision spills to the heap.
+#[derive(Debug, Clone)]
+enum Group {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Group {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Group::One(pos) => std::slice::from_ref(pos),
+            Group::Many(all) => all,
+        }
+    }
+
+    fn push(&mut self, pos: u32) {
+        match self {
+            Group::One(first) => *self = Group::Many(vec![*first, pos]),
+            Group::Many(all) => all.push(pos),
+        }
+    }
+}
+
+/// Tuple hash -> the positions carrying it. Never iterated, so its
+/// order cannot leak into results.
+type Seen = HashMap<u64, Group, BuildHasherDefault<TupleHashHasher>>;
+
 /// A set-semantics relation instance: dedup on insert, deterministic
 /// (insertion-order) iteration.
 ///
@@ -348,13 +404,15 @@ impl RelIndex {
 /// Dedup reuses the cached tuple hashes: `seen` maps each tuple hash to
 /// the insertion positions carrying it, so membership checks compare
 /// against stored tuples in place instead of keeping a second cloned copy
-/// of every tuple in a `HashSet`.
+/// of every tuple in a `HashSet`. The map is keyed by that hash as-is
+/// (`TupleHashHasher`) and holds its one position inline (`Group`),
+/// so an insert neither re-hashes nor allocates.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Relation {
     pub schema: RelSchema,
     tuples: Vec<Tuple>,
     #[serde(skip)]
-    seen: HashMap<u64, Vec<u32>>,
+    seen: Seen,
     #[serde(skip)]
     indexes: RwLock<HashMap<Vec<usize>, Arc<RelIndex>>>,
     #[serde(skip)]
@@ -379,18 +437,26 @@ impl Relation {
         Relation {
             schema,
             tuples: Vec::new(),
-            seen: HashMap::new(),
+            seen: Seen::default(),
             indexes: RwLock::default(),
             stats: RwLock::default(),
         }
     }
 
     pub fn with_tuples(schema: RelSchema, tuples: impl IntoIterator<Item = Tuple>) -> Self {
+        let tuples = tuples.into_iter();
         let mut r = Relation::new(schema);
+        r.reserve(tuples.size_hint().0);
         for t in tuples {
             r.insert(t);
         }
         r
+    }
+
+    /// Make room for `additional` more tuples without regrowing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tuples.reserve(additional);
+        self.seen.reserve(additional);
     }
 
     /// Insert a tuple; returns `true` if it was new. Panics in debug builds
@@ -405,16 +471,23 @@ impl Relation {
         self.insert_unchecked(tuple)
     }
 
-    /// Insert without the arity debug-check. Only for tests that exercise
-    /// the instance validator's handling of malformed data.
+    /// Insert without the arity debug-check: for decoders of outside
+    /// input, where a tuple that disagrees with its attribute list is the
+    /// instance validator's finding rather than an engine bug, and for
+    /// the tests that exercise that validator.
     pub fn insert_unchecked(&mut self, tuple: Tuple) -> bool {
-        let h = tuple.hash64();
-        let group = self.seen.entry(h).or_default();
-        if group.iter().any(|&p| self.tuples[p as usize] == tuple) {
-            return false;
-        }
         let pos = self.tuples.len() as u32;
-        group.push(pos);
+        match self.seen.entry(tuple.hash64()) {
+            Entry::Occupied(mut group) => {
+                if group.get().as_slice().iter().any(|&p| self.tuples[p as usize] == tuple) {
+                    return false;
+                }
+                group.get_mut().push(pos);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Group::One(pos));
+            }
+        }
         for idx in self.indexes.get_mut().values_mut() {
             Arc::make_mut(idx).add(pos, &tuple);
         }
@@ -428,7 +501,7 @@ impl Relation {
     pub fn contains(&self, tuple: &Tuple) -> bool {
         self.seen
             .get(&tuple.hash64())
-            .is_some_and(|g| g.iter().any(|&p| self.tuples[p as usize] == *tuple))
+            .is_some_and(|g| g.as_slice().iter().any(|&p| self.tuples[p as usize] == *tuple))
     }
 
     /// Membership check against a value slice without building a tuple —
@@ -437,17 +510,14 @@ impl Relation {
     pub fn contains_values(&self, values: &[Value]) -> bool {
         self.seen
             .get(&hash_values(values))
-            .is_some_and(|g| g.iter().any(|&p| self.tuples[p as usize].values() == values))
+            .is_some_and(|g| {
+                g.as_slice().iter().any(|&p| self.tuples[p as usize].values() == values)
+            })
     }
 
     /// Remove a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        let h = tuple.hash64();
-        let present = self
-            .seen
-            .get(&h)
-            .is_some_and(|g| g.iter().any(|&p| self.tuples[p as usize] == *tuple));
-        if !present {
+        if !self.contains(tuple) {
             return false;
         }
         // O(n); deletions are rare relative to scans in this engine
@@ -465,7 +535,8 @@ impl Relation {
     fn rebuild_seen(&mut self) {
         self.seen.clear();
         for (i, t) in self.tuples.iter().enumerate() {
-            self.seen.entry(t.hash64()).or_default().push(i as u32);
+            let pos = i as u32;
+            self.seen.entry(t.hash64()).and_modify(|g| g.push(pos)).or_insert(Group::One(pos));
         }
     }
 
@@ -634,6 +705,37 @@ mod tests {
         assert!(!r.remove(&t(1, "x")));
         assert!(!r.contains(&t(1, "x")));
         assert!(r.insert(t(1, "x"))); // can be re-inserted
+    }
+
+    /// Two distinct tuples forged onto one cached hash (what a genuine
+    /// 64-bit collision looks like): they share a `seen` group, which
+    /// spills, and every operation still tells them apart.
+    #[test]
+    fn colliding_tuples_share_a_group_and_stay_distinct() {
+        let forge = |i: i64, s: &str| Tuple { hash: 42, ..t(i, s) };
+        let (a, b, c) = (forge(1, "x"), forge(2, "y"), forge(3, "z"));
+        let mut r = r2("a", "b");
+        assert!(r.insert(a.clone()));
+        assert!(r.insert(b.clone()));
+        assert!(r.insert(c.clone()));
+        assert_eq!(r.seen.len(), 1, "one hash, one group");
+        assert!(matches!(r.seen.get(&42), Some(Group::Many(all)) if all == &[0, 1, 2]));
+        assert!(!r.insert(b.clone()), "dedup scans the whole group");
+        assert!(r.contains(&a) && r.contains(&b) && r.contains(&c));
+        assert!(!r.contains(&forge(4, "w")));
+
+        let copy = r.clone();
+        assert_eq!(copy, r);
+        assert!(copy.contains(&c));
+
+        assert!(r.remove(&a));
+        assert!(!r.contains(&a) && r.contains(&b) && r.contains(&c));
+        assert!(matches!(r.seen.get(&42), Some(Group::Many(all)) if all == &[0, 1]));
+        assert!(r.remove(&b));
+        assert!(matches!(r.seen.get(&42), Some(Group::One(0))), "back to one inline position");
+        assert!(r.insert(a) && !r.insert(c));
+        assert_eq!(r.len(), 2);
+        assert!(copy.contains(&b), "the clone kept its own group");
     }
 
     #[test]

@@ -43,15 +43,15 @@ pub enum Value {
 impl Value {
     /// Construct a text value, interning into the symbol pool when the
     /// compact data plane is enabled on this thread (and the string is
-    /// poolable — short enough, pool not full).
-    pub fn text(s: impl Into<String>) -> Self {
-        let s = s.into();
+    /// poolable — short enough, pool not full). The pool is consulted by
+    /// `&str` first; an owned `String` is only made when it refuses.
+    pub fn text(s: impl AsRef<str> + Into<String>) -> Self {
         if intern::compact_enabled() {
-            if let Some(sym) = intern::intern(&s) {
+            if let Some(sym) = intern::intern(s.as_ref()) {
                 return Value::Sym(sym);
             }
         }
-        Value::Text(s)
+        Value::Text(s.into())
     }
 
     /// The string content if this is a text value (either form).

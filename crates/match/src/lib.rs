@@ -17,6 +17,7 @@
 //!   re-ranks under user accept/reject feedback (the paper's "incremental
 //!   schema matching").
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod lexical;

@@ -14,6 +14,7 @@
 //! reduces to eliminating the constructs the target profile forbids.
 //! Construct elimination itself lives in the `mm-modelgen` crate.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod builder;

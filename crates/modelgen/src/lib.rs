@@ -23,6 +23,7 @@
 //!   baseline the paper calls "rather inefficient for data exchange"
 //!   (benchmark EQ2 quantifies this against the compiled views).
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod er_rel;

@@ -27,6 +27,7 @@
 //! cancellation from inside tasks goes through the same flag via
 //! [`PoolCtx::abort`].
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

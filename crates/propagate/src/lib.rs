@@ -31,6 +31,7 @@
 //!   resumes from its durable cursor — incrementally when its queue
 //!   still covers everything past the cursor, by resync otherwise.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod feed;

@@ -5,7 +5,7 @@
 //! for enums. Every encodable type has a matching decoder; round-trip
 //! property tests live at the bottom of the module.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mm_expr::{
     AggFunc, AggSpec, Atom, CmpOp, Correspondence, CorrespondenceSet, Expr, Func, Lit, Mapping,
     MappingConstraint, PathRef, Predicate, Scalar, SoClause, SoTgd, Term, Tgd, ViewDef,
@@ -32,30 +32,56 @@ impl std::error::Error for DecodeError {}
 
 pub type DecodeResult<T> = Result<T, DecodeError>;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+/// CRC32 (IEEE 802.3, reflected) slicing-by-16 lookup tables, built at
+/// compile time. Table 0 is the classic one-byte table; table `j`
+/// advances table `j - 1` past one more zero byte, so sixteen input
+/// bytes fold into the running value in one step.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut j = 0;
+    while j < 16 {
+        let mut i = 0;
+        while i < 256 {
+            tables[j][i] = if j == 0 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 8 {
+                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                    k += 1;
+                }
+                c
+            } else {
+                let prev = tables[j - 1][i];
+                (prev >> 8) ^ tables[0][(prev & 0xFF) as usize]
+            };
+            i += 1;
         }
-        table[i] = c;
-        i += 1;
+        j += 1;
     }
-    table
+    tables
 };
 
-/// CRC32 (IEEE) checksum — guards every WAL frame and snapshot body
-/// against torn writes and bit rot. Hand-rolled because no checksum
-/// crate is in the dependency budget.
+/// CRC32 (IEEE) checksum — guards every WAL frame, snapshot body and
+/// wire frame against torn writes and bit rot. Hand-rolled because no
+/// checksum crate is in the dependency budget; sixteen bytes per step
+/// because a wire round trip checksums its payload four times.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ c;
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        c = t[15][byte(w0, 0)] ^ t[14][byte(w0, 8)] ^ t[13][byte(w0, 16)] ^ t[12][byte(w0, 24)]
+            ^ t[11][byte(w1, 0)] ^ t[10][byte(w1, 8)] ^ t[9][byte(w1, 16)] ^ t[8][byte(w1, 24)]
+            ^ t[7][byte(w2, 0)] ^ t[6][byte(w2, 8)] ^ t[5][byte(w2, 16)] ^ t[4][byte(w2, 24)]
+            ^ t[3][byte(w3, 0)] ^ t[2][byte(w3, 8)] ^ t[1][byte(w3, 16)] ^ t[0][byte(w3, 24)];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -121,81 +147,99 @@ impl Writer {
     }
 }
 
-/// Byte reader.
+/// How many of `n` announced elements of type `T` a decoder may reserve
+/// room for up front when `remaining` input bytes are left: at most as
+/// many bytes as the input still holds, whatever the length prefix says
+/// and however much wider than its encoding `T` is in memory. The `Vec`
+/// grows normally past the bound, so honest input only ever pays a
+/// regrowth.
+fn reserve_bound<T>(n: usize, remaining: usize) -> usize {
+    n.min(remaining / std::mem::size_of::<T>().max(1))
+}
+
+/// Byte reader: a cursor over a shared buffer. Every read is bounds-
+/// checked against the remaining input and fails with a typed
+/// `truncated` error, never a panic.
 pub struct Reader {
     buf: Bytes,
+    pos: usize,
 }
 
 impl Reader {
     pub fn new(buf: Bytes) -> Self {
-        Reader { buf }
+        Reader { buf, pos: 0 }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.remaining() == 0
     }
 
-    fn need(&self, n: usize) -> DecodeResult<()> {
-        if self.buf.remaining() < n {
-            Err(DecodeError(format!("truncated: need {n}, have {}", self.buf.remaining())))
-        } else {
-            Ok(())
+    /// Input bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn fixed<const N: usize>(&mut self) -> DecodeResult<[u8; N]> {
+        match self.buf[self.pos..].first_chunk::<N>() {
+            Some(bytes) => {
+                self.pos += N;
+                Ok(*bytes)
+            }
+            None => Err(DecodeError(format!("truncated: need {N}, have {}", self.remaining()))),
         }
     }
 
     pub fn u8(&mut self) -> DecodeResult<u8> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        self.fixed::<1>().map(|[b]| b)
     }
 
     pub fn u32(&mut self) -> DecodeResult<u32> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        self.fixed().map(u32::from_le_bytes)
     }
 
     pub fn u64(&mut self) -> DecodeResult<u64> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        self.fixed().map(u64::from_le_bytes)
     }
 
     pub fn i64(&mut self) -> DecodeResult<i64> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
+        self.fixed().map(i64::from_le_bytes)
     }
 
     pub fn i32(&mut self) -> DecodeResult<i32> {
-        self.need(4)?;
-        Ok(self.buf.get_i32_le())
+        self.fixed().map(i32::from_le_bytes)
     }
 
     pub fn f64(&mut self) -> DecodeResult<f64> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        self.fixed().map(f64::from_le_bytes)
     }
 
     pub fn bool(&mut self) -> DecodeResult<bool> {
         Ok(self.u8()? != 0)
     }
 
-    pub fn str(&mut self) -> DecodeResult<String> {
-        // the same pre-allocation bound as `seq`: the length prefix must
-        // fit in the remaining buffer before any allocation happens, so
-        // an adversarial prefix cannot trigger an oversized allocation
+    /// A length-prefixed string borrowed from the buffer, UTF-8 validated
+    /// in place — for callers that do not keep the `String` (interning).
+    pub fn str_ref(&mut self) -> DecodeResult<&str> {
         let n = self.seq_len()?;
-        let bytes = self.buf.copy_to_bytes(n);
-        String::from_utf8(bytes.to_vec()).map_err(|e| DecodeError(e.to_string()))
+        let start = self.pos;
+        self.pos += n;
+        std::str::from_utf8(&self.buf[start..self.pos]).map_err(|e| DecodeError(e.to_string()))
+    }
+
+    pub fn str(&mut self) -> DecodeResult<String> {
+        self.str_ref().map(str::to_owned)
     }
 
     /// Read a `u32` length prefix, bounded by the remaining buffer —
     /// element encodings take at least one byte, so any honest length
-    /// fits. Every decoder that pre-allocates from a length prefix goes
-    /// through this, capping `Vec::with_capacity` at the buffer size.
+    /// fits. This bounds the *count* only; what a decoder reserves for
+    /// that count goes through `reserve_bound`, which bounds the bytes.
     pub fn seq_len(&mut self) -> DecodeResult<usize> {
         let n = self.u32()? as usize;
-        if n > self.buf.remaining() {
+        if n > self.remaining() {
             return Err(DecodeError(format!(
                 "length {n} exceeds remaining buffer ({})",
-                self.buf.remaining()
+                self.remaining()
             )));
         }
         Ok(n)
@@ -203,7 +247,7 @@ impl Reader {
 
     pub fn seq<T>(&mut self, mut f: impl FnMut(&mut Self) -> DecodeResult<T>) -> DecodeResult<Vec<T>> {
         let n = self.seq_len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(reserve_bound::<T>(n, self.remaining()));
         for _ in 0..n {
             out.push(f(self)?);
         }
@@ -582,14 +626,10 @@ impl Decode for Scalar {
             0 => Scalar::Col(r.str()?),
             1 => Scalar::Lit(Lit::decode(r)?),
             2 => Scalar::Func(Func::decode(r)?, r.seq(Scalar::decode)?),
-            3 => {
-                let n = r.seq_len()?;
-                let mut branches = Vec::with_capacity(n);
-                for _ in 0..n {
-                    branches.push((Predicate::decode(r)?, Scalar::decode(r)?));
-                }
-                Scalar::Case { branches, otherwise: Box::new(Scalar::decode(r)?) }
-            }
+            3 => Scalar::Case {
+                branches: r.seq(|r| Ok((Predicate::decode(r)?, Scalar::decode(r)?)))?,
+                otherwise: Box::new(Scalar::decode(r)?),
+            },
             t => return Err(bad_tag("Scalar", t)),
         })
     }
@@ -662,12 +702,7 @@ fn encode_pairs(w: &mut Writer, pairs: &[(String, String)]) {
 }
 
 fn decode_pairs(r: &mut Reader) -> DecodeResult<Vec<(String, String)>> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.str()?, r.str()?));
-    }
-    Ok(out)
+    r.seq(|r| Ok((r.str()?, r.str()?)))
 }
 
 impl Encode for Expr {
@@ -769,15 +804,10 @@ impl Decode for Expr {
     fn decode(r: &mut Reader) -> DecodeResult<Self> {
         Ok(match r.u8()? {
             0 => Expr::Base(r.str()?),
-            1 => {
-                let columns = r.seq(Reader::str)?;
-                let n = r.seq_len()?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(r.seq(Lit::decode)?);
-                }
-                Expr::Literal { columns, rows }
-            }
+            1 => Expr::Literal {
+                columns: r.seq(Reader::str)?,
+                rows: r.seq(|r| r.seq(Lit::decode))?,
+            },
             2 => Expr::Project {
                 input: Box::new(Expr::decode(r)?),
                 columns: r.seq(Reader::str)?,
@@ -822,9 +852,7 @@ impl Decode for Expr {
             12 => {
                 let input = Box::new(Expr::decode(r)?);
                 let group_by = r.seq(Reader::str)?;
-                let n = r.seq_len()?;
-                let mut aggregates = Vec::with_capacity(n);
-                for _ in 0..n {
+                let aggregates = r.seq(|r| {
                     let func = match r.u8()? {
                         0 => AggFunc::Count,
                         1 => AggFunc::Sum,
@@ -834,9 +862,8 @@ impl Decode for Expr {
                         t => return Err(bad_tag("AggFunc", t)),
                     };
                     let column = if r.bool()? { Some(r.str()?) } else { None };
-                    let output = r.str()?;
-                    aggregates.push(AggSpec { func, column, output });
-                }
+                    Ok(AggSpec { func, column, output: r.str()? })
+                })?;
                 Expr::Aggregate { input, group_by, aggregates }
             }
             t => return Err(bad_tag("Expr", t)),
@@ -922,18 +949,13 @@ impl Encode for SoTgd {
 impl Decode for SoTgd {
     fn decode(r: &mut Reader) -> DecodeResult<Self> {
         let functions = r.seq(Reader::str)?;
-        let n = r.seq_len()?;
-        let mut clauses = Vec::with_capacity(n);
-        for _ in 0..n {
-            let body = r.seq(Atom::decode)?;
-            let ne = r.seq_len()?;
-            let mut eqs = Vec::with_capacity(ne);
-            for _ in 0..ne {
-                eqs.push((Term::decode(r)?, Term::decode(r)?));
-            }
-            let head = r.seq(Atom::decode)?;
-            clauses.push(SoClause { body, eqs, head });
-        }
+        let clauses = r.seq(|r| {
+            Ok(SoClause {
+                body: r.seq(Atom::decode)?,
+                eqs: r.seq(|r| Ok((Term::decode(r)?, Term::decode(r)?)))?,
+                head: r.seq(Atom::decode)?,
+            })
+        })?;
         Ok(SoTgd { functions, clauses })
     }
 }
@@ -1132,7 +1154,7 @@ impl Decode for Value {
             2 => Value::Bool(r.bool()?),
             // interns on decode (bounded; oversized/overflow text stays
             // owned), so recovered instances land warm in the pool
-            3 => Value::text(r.str()?),
+            3 => Value::text(r.str_ref()?),
             4 => Value::Date(r.i32()?),
             5 => Value::Null,
             6 => Value::Labeled(r.u64()?),
@@ -1162,9 +1184,15 @@ impl Encode for Relation {
 
 impl Decode for Relation {
     fn decode(r: &mut Reader) -> DecodeResult<Self> {
-        let attributes = r.seq(Attribute::decode)?;
-        let tuples = r.seq(Tuple::decode)?;
-        Ok(Relation::with_tuples(RelSchema::new(attributes), tuples))
+        let mut rel = Relation::new(RelSchema::new(r.seq(Attribute::decode)?));
+        let n = r.seq_len()?;
+        rel.reserve(reserve_bound::<Tuple>(n, r.remaining()));
+        for _ in 0..n {
+            // wire input may disagree with its own attribute list; that is
+            // the instance validator's finding, not a decoder panic
+            rel.insert_unchecked(Tuple::decode(r)?);
+        }
+        Ok(rel)
     }
 }
 
@@ -1199,7 +1227,9 @@ impl Decode for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_instance::intern;
     use mm_metamodel::SchemaBuilder;
+    use proptest::prelude::*;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) {
         let mut w = Writer::new();
@@ -1329,6 +1359,185 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The byte-at-a-time table loop `crc32` used to be: the oracle the
+    /// sliced implementation is differential-tested against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest! {
+        /// Every chunk/remainder split and every alignment: lengths
+        /// 0..=80 at start offsets 0..16 of one shared buffer.
+        #[test]
+        fn sliced_crc32_matches_the_bytewise_oracle(
+            buf in proptest::collection::vec(any::<u8>(), 96)
+        ) {
+            for start in 0..16 {
+                for len in 0..=80 {
+                    let window = &buf[start..start + len];
+                    prop_assert_eq!(crc32(window), crc32_bytewise(window), "start {start} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle_on_a_mebibyte() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect();
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+        assert_eq!(crc32(&buf[3..]), crc32_bytewise(&buf[3..]));
+    }
+
+    /// What the WAL's and the wire's bit-flip tests rely on: a CRC32
+    /// detects every single-bit error.
+    #[test]
+    fn crc32_changes_on_any_single_bit_flip() {
+        let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let clean = crc32(&payload);
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crc32(&flipped), clean, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn reservation_is_bounded_by_input_bytes_not_announced_elements() {
+        const MIB16: usize = 16 << 20;
+        // the bound as a pure function: never more bytes than remain
+        assert_eq!(reserve_bound::<Tuple>(MIB16, MIB16), MIB16 / std::mem::size_of::<Tuple>());
+        assert_eq!(
+            reserve_bound::<Attribute>(MIB16, MIB16),
+            MIB16 / std::mem::size_of::<Attribute>()
+        );
+        assert_eq!(reserve_bound::<u8>(MIB16, MIB16), MIB16);
+        assert_eq!(reserve_bound::<()>(7, 0), 0);
+        // honest prefixes are not clipped below what they announce
+        assert_eq!(reserve_bound::<Tuple>(3, MIB16), 3);
+        for (n, remaining) in [(0, 0), (1, 1), (5, 4096), (MIB16, MIB16), (usize::MAX, MIB16)] {
+            assert!(reserve_bound::<Tuple>(n, remaining) * std::mem::size_of::<Tuple>() <= remaining);
+        }
+
+        // no attributes, then a tuple count claiming one tuple per
+        // remaining byte: a 16 MiB frame that used to reserve 112x itself
+        let mut payload = vec![0xFFu8; MIB16];
+        payload[0..4].copy_from_slice(&0u32.to_le_bytes());
+        payload[4..8].copy_from_slice(&((MIB16 - 8) as u32).to_le_bytes());
+        let mut r = Reader::new(Bytes::from(payload));
+        assert!(Relation::decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected_with_the_std_message() {
+        let mut w = Writer::new();
+        w.u32(2);
+        w.u8(b'a');
+        w.u8(0xFF);
+        let bytes = w.finish();
+        let expected = "invalid utf-8 sequence of 1 bytes from index 1";
+        assert_eq!(Reader::new(bytes.clone()).str(), Err(DecodeError(expected.to_string())));
+        assert_eq!(
+            Reader::new(bytes).str_ref().map(str::to_owned),
+            Err(DecodeError(expected.to_string()))
+        );
+    }
+
+    fn value_strategy() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Double),
+            Just(Value::Double(f64::NAN)),
+            any::<bool>().prop_map(Value::Bool),
+            "[a-z]{0,8}".prop_map(Value::text),
+            // the pool's length boundary: empty, longest poolable, first refused
+            (0usize..3).prop_map(|i| Value::text("x".repeat([0, 128, 129][i]))),
+            any::<i32>().prop_map(Value::Date),
+            Just(Value::Null),
+            any::<u64>().prop_map(Value::Labeled),
+        ]
+    }
+
+    /// `rows` cut to `arity` columns, as wire bytes with the first
+    /// `dups` rows repeated at the end, and as the relation they denote.
+    fn wire_and_relation(arity: usize, rows: &[Vec<Value>], dups: usize) -> (Bytes, Relation) {
+        let attrs: Vec<Attribute> =
+            (0..arity).map(|i| Attribute::new(format!("c{i}"), DataType::Any)).collect();
+        let rows: Vec<Vec<Value>> = rows.iter().map(|row| row[..arity].to_vec()).collect();
+        let on_wire: Vec<&Vec<Value>> = rows.iter().chain(rows.iter().take(dups)).collect();
+        let mut w = Writer::new();
+        w.seq(&attrs, |w, a| a.encode(w));
+        w.seq(&on_wire, |w, row| w.seq(row, |w, v| v.encode(w)));
+        let rel = Relation::with_tuples(RelSchema::new(attrs), rows.into_iter().map(Tuple::new));
+        (w.finish(), rel)
+    }
+
+    proptest! {
+        /// Both tuple layouts (arity 0..=6 straddles the inline bound),
+        /// duplicates on the wire, every value kind: the decoded database
+        /// is the denoted one and re-encodes to its canonical bytes, with
+        /// interning on and off.
+        #[test]
+        fn database_decode_matches_the_denoted_instance(
+            arity in 0usize..7,
+            rows in proptest::collection::vec(proptest::collection::vec(value_strategy(), 6), 0..6),
+            dups in 0usize..3,
+            watermark in any::<u64>()
+        ) {
+            let rels = [
+                ("R0", wire_and_relation(arity, &rows, dups)),
+                ("R1", wire_and_relation((arity + 3) % 7, &rows, 0)),
+            ];
+            let mut expected = Database::new("D");
+            let mut w = Writer::new();
+            w.str("D");
+            w.u64(watermark);
+            w.u32(rels.len() as u32);
+            for (name, (wire, rel)) in rels {
+                w.str(name);
+                w.buf.put_slice(&wire);
+                expected.insert_relation(name, rel);
+            }
+            expected.set_label_watermark(watermark);
+            let wire = w.finish();
+            let mut canonical = Writer::new();
+            expected.encode(&mut canonical);
+            let canonical = canonical.finish();
+            // dedup only ever drops tuples: same length means nothing was
+            // dropped, and then the wire bytes were already canonical
+            prop_assert!(canonical.len() <= wire.len());
+            if canonical.len() == wire.len() {
+                prop_assert_eq!(&canonical, &wire);
+            }
+
+            for compact in [true, false] {
+                let mut r = Reader::new(wire.clone());
+                let back = intern::with_compact(compact, || Database::decode(&mut r)).expect("decode");
+                prop_assert!(r.is_empty());
+                prop_assert_eq!(&back, &expected);
+                prop_assert_eq!(back.label_watermark(), watermark);
+                let mut again = Writer::new();
+                back.encode(&mut again);
+                prop_assert_eq!(&again.finish(), &canonical);
+                let interned = back
+                    .relations()
+                    .flat_map(|(_, rel)| rel.iter())
+                    .flat_map(|t| t.values())
+                    .any(|v| matches!(v, Value::Sym(_)));
+                prop_assert!(compact || !interned, "compact off decodes owned text only");
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! fault-injecting wrapper ([`storage::FaultStorage`]) for crash
 //! testing.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod codec;

@@ -1052,19 +1052,14 @@ fn decode_snapshot(bytes: Bytes) -> Result<(Store, u64), RepositoryError> {
         // the CRC above is the integrity gate.
         let n = r.seq_len()?;
         for _ in 0..n {
-            let s = r.str()?;
-            let _ = mm_instance::intern::intern(&s);
+            let _ = mm_instance::intern::intern(r.str_ref()?);
         }
     }
     let schemas = decode_versions::<Schema>(&mut r)?;
     let mappings = decode_versions::<Mapping>(&mut r)?;
     let viewsets = decode_versions::<ViewSet>(&mut r)?;
     let correspondences = decode_versions::<CorrespondenceSet>(&mut r)?;
-    let n = r.seq_len()?;
-    let mut lineage = Vec::with_capacity(n);
-    for _ in 0..n {
-        lineage.push(LineageEdge::decode(&mut r)?);
-    }
+    let lineage = r.seq(LineageEdge::decode)?;
     let n = r.seq_len()?;
     let mut subscriptions = BTreeMap::new();
     for _ in 0..n {
@@ -1113,12 +1108,7 @@ fn decode_versions<T: Decode>(r: &mut Reader) -> Result<BTreeMap<String, Vec<T>>
     let mut map = BTreeMap::new();
     for _ in 0..n {
         let name = r.str()?;
-        let k = r.seq_len()?;
-        let mut versions = Vec::with_capacity(k);
-        for _ in 0..k {
-            versions.push(T::decode(r)?);
-        }
-        map.insert(name, versions);
+        map.insert(name, r.seq(T::decode)?);
     }
     Ok(map)
 }

@@ -129,16 +129,10 @@ impl Decode for WalRecord {
             6 => WalRecord::SubscriptionDrop { id: r.u64()? },
             7 => WalRecord::SubscriptionCursor { id: r.u64()?, cursor: r.u64()? },
             8 => WalRecord::InstancePut { name: r.str()?, value: Database::decode(r)? },
-            9 => {
-                let name = r.str()?;
-                let n = r.seq_len()?;
-                let mut inserts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let rel = r.str()?;
-                    inserts.push((rel, r.seq(Tuple::decode)?));
-                }
-                WalRecord::InstanceDelta { name, inserts }
-            }
+            9 => WalRecord::InstanceDelta {
+                name: r.str()?,
+                inserts: r.seq(|r| Ok((r.str()?, r.seq(Tuple::decode)?)))?,
+            },
             t => {
                 return Err(crate::codec::DecodeError(format!("unknown WalRecord tag {t}")))
             }
@@ -264,11 +258,7 @@ impl Wal {
 fn decode_payload(payload: Bytes) -> Option<(u64, Vec<WalRecord>)> {
     let mut r = Reader::new(payload);
     let seq = r.u64().ok()?;
-    let n = r.u32().ok()? as usize;
-    let mut records = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        records.push(WalRecord::decode(&mut r).ok()?);
-    }
+    let records = r.seq(WalRecord::decode).ok()?;
     if !r.is_empty() {
         return None; // trailing garbage inside a "valid" CRC — refuse
     }

@@ -20,6 +20,7 @@
 //!   re-expressed in the context of the mapped (target) schema;
 //! * [`batch`] — batch loading through a mapping into base relations.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod access;

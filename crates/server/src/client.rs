@@ -4,12 +4,13 @@
 //! accepts pipelined requests from clients that interleave.
 
 use crate::protocol::{
-    self, decode_response, encode_request, read_frame, write_frame, HealthReport, OkBody,
+    self, begin_request, decode_response, read_frame, write_frame, HealthReport, OkBody, Op,
     Request, WireStats,
 };
 use mm_expr::{Expr, ViewSet};
 use mm_instance::{Database, Relation, Tuple};
 use mm_propagate::Notification;
+use mm_repository::codec::Writer;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -204,7 +205,14 @@ impl Client {
         &mut self.stream
     }
 
-    fn call(&mut self, req: &Request) -> Result<OkBody, ClientError> {
+    /// One round trip for a request that owns nothing worth borrowing.
+    fn send(&mut self, req: &Request) -> Result<OkBody, ClientError> {
+        self.call(req.op(), |w| protocol::encode_body(w, req))
+    }
+
+    /// One round trip: the prelude for `op`, the body `body` writes
+    /// (straight from the caller's borrowed arguments), then the reply.
+    fn call(&mut self, op: Op, body: impl FnOnce(&mut Writer)) -> Result<OkBody, ClientError> {
         let req_id = self.next_req;
         self.next_req += 1;
         let trace_id = if self.tracing {
@@ -214,8 +222,9 @@ impl Client {
             0
         };
         self.last_trace_id = trace_id;
-        let payload = encode_request(req_id, self.deadline_ms, trace_id, req);
-        write_frame(&mut self.stream, &payload)?;
+        let mut w = begin_request(req_id, self.deadline_ms, trace_id, op);
+        body(&mut w);
+        write_frame(&mut self.stream, &w.finish())?;
         let frame = read_frame(&mut self.stream, self.max_frame_len)
             .map_err(|e| match e {
                 protocol::FrameError::Io(io) => ClientError::Io(io),
@@ -234,7 +243,7 @@ impl Client {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Ping)? {
+        match self.send(&Request::Ping)? {
             OkBody::Pong => Ok(()),
             other => Err(ClientError::Protocol(format!("expected pong, got {other:?}"))),
         }
@@ -248,12 +257,9 @@ impl Client {
         target_schema: &str,
         source_db: &Database,
     ) -> Result<(Database, WireStats), ClientError> {
-        let req = Request::Exchange {
-            mapping: mapping.to_string(),
-            target_schema: target_schema.to_string(),
-            source_db: source_db.clone(),
-        };
-        match self.call(&req)? {
+        let body =
+            |w: &mut Writer| protocol::encode_exchange_body(w, mapping, target_schema, source_db);
+        match self.call(Op::Exchange, body)? {
             OkBody::Exchange { db, stats } => Ok((db, stats)),
             other => Err(ClientError::Protocol(format!("expected exchange body, got {other:?}"))),
         }
@@ -265,8 +271,7 @@ impl Client {
         &mut self,
         items: &[(String, String, Database)],
     ) -> Result<Vec<Result<(Database, WireStats), (u32, String)>>, ClientError> {
-        let req = Request::ExchangeBatch { items: items.to_vec() };
-        match self.call(&req)? {
+        match self.call(Op::ExchangeBatch, |w| protocol::encode_exchange_batch_body(w, items))? {
             OkBody::Batch { slots } => Ok(slots),
             other => Err(ClientError::Protocol(format!("expected batch body, got {other:?}"))),
         }
@@ -280,13 +285,10 @@ impl Client {
         query: &Expr,
         base_db: &Database,
     ) -> Result<MediateReply, ClientError> {
-        let req = Request::Mediate {
-            base_schema: base_schema.to_string(),
-            chain: chain.to_vec(),
-            query: query.clone(),
-            base_db: base_db.clone(),
+        let body = |w: &mut Writer| {
+            protocol::encode_mediate_body(w, base_schema, chain, query, base_db)
         };
-        match self.call(&req)? {
+        match self.call(Op::Mediate, body)? {
             OkBody::Mediate { rows, chained, degraded } => {
                 Ok(MediateReply { rows, chained, degraded })
             }
@@ -301,12 +303,9 @@ impl Client {
         target_schema: &str,
         source_db: &Database,
     ) -> Result<(Database, WireStats, String), ClientError> {
-        let req = Request::ExplainExchange {
-            mapping: mapping.to_string(),
-            target_schema: target_schema.to_string(),
-            source_db: source_db.clone(),
-        };
-        match self.call(&req)? {
+        let body =
+            |w: &mut Writer| protocol::encode_exchange_body(w, mapping, target_schema, source_db);
+        match self.call(Op::ExplainExchange, body)? {
             OkBody::Explain { db, stats, text } => Ok((db, stats, text)),
             other => Err(ClientError::Protocol(format!("expected explain body, got {other:?}"))),
         }
@@ -314,7 +313,7 @@ impl Client {
 
     /// Run a transactional operator script; returns its output lines.
     pub fn script(&mut self, text: &str) -> Result<Vec<String>, ClientError> {
-        match self.call(&Request::Script { text: text.to_string() })? {
+        match self.send(&Request::Script { text: text.to_string() })? {
             OkBody::Script { outputs } => Ok(outputs),
             other => Err(ClientError::Protocol(format!("expected script body, got {other:?}"))),
         }
@@ -326,8 +325,7 @@ impl Client {
     /// WAL frame and one coalesced feed event server-side, however
     /// many tuples `db` carries. Returns the commit sequence.
     pub fn put_instance(&mut self, name: &str, db: &Database) -> Result<u64, ClientError> {
-        let req = Request::PutInstance { name: name.to_string(), db: db.clone() };
-        match self.call(&req)? {
+        match self.call(Op::PutInstance, |w| protocol::encode_put_instance_body(w, name, db))? {
             OkBody::Committed { seq } => Ok(seq),
             other => Err(ClientError::Protocol(format!("expected committed body, got {other:?}"))),
         }
@@ -340,11 +338,8 @@ impl Client {
         instance: &str,
         inserts: &[(String, Vec<Tuple>)],
     ) -> Result<u64, ClientError> {
-        let req = Request::InsertBatch {
-            instance: instance.to_string(),
-            inserts: inserts.to_vec(),
-        };
-        match self.call(&req)? {
+        let body = |w: &mut Writer| protocol::encode_insert_batch_body(w, instance, inserts);
+        match self.call(Op::InsertBatch, body)? {
             OkBody::Committed { seq } => Ok(seq),
             other => Err(ClientError::Protocol(format!("expected committed body, got {other:?}"))),
         }
@@ -355,8 +350,7 @@ impl Client {
     /// id — keep it (with the last acked cursor) to resume after a
     /// disconnect.
     pub fn subscribe(&mut self, instance: &str, views: &ViewSet) -> Result<u64, ClientError> {
-        let req = Request::Subscribe { instance: instance.to_string(), views: views.clone() };
-        match self.call(&req)? {
+        match self.call(Op::Subscribe, |w| protocol::encode_subscribe_body(w, instance, views))? {
             OkBody::Subscribed { id } => Ok(id),
             other => Err(ClientError::Protocol(format!("expected subscribed body, got {other:?}"))),
         }
@@ -366,7 +360,7 @@ impl Client {
     /// lagging flag: true while the subscriber's server-side queue sits
     /// above the high-water mark — poll harder or expect a resync.
     pub fn poll(&mut self, id: u64, max: u32) -> Result<(Vec<Notification>, bool), ClientError> {
-        match self.call(&Request::Poll { id, max })? {
+        match self.send(&Request::Poll { id, max })? {
             OkBody::Notifications { notifications, lagging } => Ok((notifications, lagging)),
             other => Err(ClientError::Protocol(format!("expected notifications, got {other:?}"))),
         }
@@ -376,7 +370,7 @@ impl Client {
     /// journals the cursor advance, so it survives a crash on either
     /// side.
     pub fn ack(&mut self, id: u64, cursor: u64) -> Result<(), ClientError> {
-        match self.call(&Request::Ack { id, cursor })? {
+        match self.send(&Request::Ack { id, cursor })? {
             OkBody::Done => Ok(()),
             other => Err(ClientError::Protocol(format!("expected done body, got {other:?}"))),
         }
@@ -387,7 +381,7 @@ impl Client {
     /// covers everything past the cursor; otherwise the next poll
     /// delivers a cursor-lost resync snapshot.
     pub fn resume(&mut self, id: u64, cursor: u64) -> Result<(), ClientError> {
-        match self.call(&Request::Resume { id, cursor })? {
+        match self.send(&Request::Resume { id, cursor })? {
             OkBody::Done => Ok(()),
             other => Err(ClientError::Protocol(format!("expected done body, got {other:?}"))),
         }
@@ -395,7 +389,7 @@ impl Client {
 
     /// Drop subscription `id`.
     pub fn unsubscribe(&mut self, id: u64) -> Result<(), ClientError> {
-        match self.call(&Request::Unsubscribe { id })? {
+        match self.send(&Request::Unsubscribe { id })? {
             OkBody::Done => Ok(()),
             other => Err(ClientError::Protocol(format!("expected done body, got {other:?}"))),
         }
@@ -407,7 +401,7 @@ impl Client {
     /// rows (empty when the server runs without telemetry). Answered
     /// inline by the server even while it sheds or drains.
     pub fn metrics(&mut self) -> Result<Vec<(String, u64)>, ClientError> {
-        match self.call(&Request::Metrics)? {
+        match self.send(&Request::Metrics)? {
             OkBody::Metrics { entries } => Ok(entries),
             other => Err(ClientError::Protocol(format!("expected metrics body, got {other:?}"))),
         }
@@ -417,7 +411,7 @@ impl Client {
     /// scrape/alert loop without parsing metrics. Answered inline even
     /// while the server sheds or drains.
     pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.call(&Request::Health)? {
+        match self.send(&Request::Health)? {
             OkBody::Health(report) => Ok(report),
             other => Err(ClientError::Protocol(format!("expected health body, got {other:?}"))),
         }
@@ -427,7 +421,7 @@ impl Client {
     /// stable JSON lines, oldest first: summary fields plus the
     /// captured span tree and, for exchange-shaped ops, a plan EXPLAIN.
     pub fn slow_log(&mut self, max: u32) -> Result<Vec<String>, ClientError> {
-        match self.call(&Request::SlowLog { max })? {
+        match self.send(&Request::SlowLog { max })? {
             OkBody::SlowLog { lines } => Ok(lines),
             other => Err(ClientError::Protocol(format!("expected slow-log body, got {other:?}"))),
         }
@@ -437,7 +431,7 @@ impl Client {
     /// (see [`Client::last_trace_id`]), as stable JSON lines. Empty for
     /// id 0, unknown ids, and requests already evicted from the rings.
     pub fn trace(&mut self, trace_id: u64) -> Result<Vec<String>, ClientError> {
-        match self.call(&Request::TraceGet { trace_id })? {
+        match self.send(&Request::TraceGet { trace_id })? {
             OkBody::Trace { lines } => Ok(lines),
             other => Err(ClientError::Protocol(format!("expected trace body, got {other:?}"))),
         }

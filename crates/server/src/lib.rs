@@ -19,6 +19,7 @@
 //! [`protocol`] defines the frames and the stable error-code table;
 //! [`client`] is the bundled minimal client.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;

@@ -458,9 +458,35 @@ pub fn decode_request(op: u8, r: &mut Reader) -> Result<Request, BodyError> {
     decoded.map_err(BodyError::Decode)
 }
 
-/// Encode a request payload (versioned prelude + body) ready for
+impl Request {
+    /// The prelude's op selector for this request.
+    pub(crate) fn op(&self) -> Op {
+        match self {
+            Request::Ping => Op::Ping,
+            Request::Exchange { .. } => Op::Exchange,
+            Request::ExchangeBatch { .. } => Op::ExchangeBatch,
+            Request::Mediate { .. } => Op::Mediate,
+            Request::ExplainExchange { .. } => Op::ExplainExchange,
+            Request::Script { .. } => Op::Script,
+            Request::PutInstance { .. } => Op::PutInstance,
+            Request::InsertBatch { .. } => Op::InsertBatch,
+            Request::Subscribe { .. } => Op::Subscribe,
+            Request::Poll { .. } => Op::Poll,
+            Request::Ack { .. } => Op::Ack,
+            Request::Resume { .. } => Op::Resume,
+            Request::Unsubscribe { .. } => Op::Unsubscribe,
+            Request::Metrics => Op::Metrics,
+            Request::Health => Op::Health,
+            Request::SlowLog { .. } => Op::SlowLog,
+            Request::TraceGet { .. } => Op::TraceGet,
+        }
+    }
+}
+
+/// Start a request payload: the versioned prelude, ending in `op`. The
+/// caller appends the op's body and [`Writer::finish`]es it for
 /// [`write_frame`].
-pub fn encode_request(req_id: u64, deadline_ms: u32, trace_id: u64, req: &Request) -> Bytes {
+pub(crate) fn begin_request(req_id: u64, deadline_ms: u32, trace_id: u64, op: Op) -> Writer {
     let mut w = Writer::new();
     // Exhaustive on purpose: bumping CURRENT_VERSION forces this site
     // to decide what the new prelude looks like.
@@ -470,87 +496,98 @@ pub fn encode_request(req_id: u64, deadline_ms: u32, trace_id: u64, req: &Reques
     w.u64(req_id);
     w.u64(trace_id);
     w.u32(deadline_ms);
+    w.u8(op as u8);
+    w
+}
+
+// The bodies that carry data take borrowed arguments, so a caller that
+// holds a `&Database` encodes it without first cloning it into an owned
+// `Request`; [`encode_body`] delegates to the same functions.
+
+/// Body of `Exchange` and `ExplainExchange`, and one `ExchangeBatch` item.
+pub(crate) fn encode_exchange_body(w: &mut Writer, mapping: &str, target_schema: &str, db: &Database) {
+    w.str(mapping);
+    w.str(target_schema);
+    encode_database(w, db);
+}
+
+/// Body of `ExchangeBatch`.
+pub(crate) fn encode_exchange_batch_body(w: &mut Writer, items: &[(String, String, Database)]) {
+    w.seq(items, |w, (mapping, target, db)| encode_exchange_body(w, mapping, target, db));
+}
+
+/// Body of `Mediate`.
+pub(crate) fn encode_mediate_body(
+    w: &mut Writer,
+    base_schema: &str,
+    chain: &[String],
+    query: &Expr,
+    base_db: &Database,
+) {
+    w.str(base_schema);
+    w.seq(chain, |w, name| w.str(name));
+    query.encode(w);
+    encode_database(w, base_db);
+}
+
+/// Body of `PutInstance`.
+pub(crate) fn encode_put_instance_body(w: &mut Writer, name: &str, db: &Database) {
+    w.str(name);
+    encode_database(w, db);
+}
+
+/// Body of `InsertBatch`.
+pub(crate) fn encode_insert_batch_body(w: &mut Writer, instance: &str, inserts: &[(String, Vec<Tuple>)]) {
+    w.str(instance);
+    w.seq(inserts, |w, (rel, tuples)| {
+        w.str(rel);
+        w.seq(tuples, |w, t| t.encode(w));
+    });
+}
+
+/// Body of `Subscribe`.
+pub(crate) fn encode_subscribe_body(w: &mut Writer, instance: &str, views: &ViewSet) {
+    w.str(instance);
+    views.encode(w);
+}
+
+/// Encode the body of `req` (the bytes after the prelude).
+pub(crate) fn encode_body(w: &mut Writer, req: &Request) {
     match req {
-        Request::Ping => w.u8(Op::Ping as u8),
-        Request::Exchange { mapping, target_schema, source_db } => {
-            w.u8(Op::Exchange as u8);
-            w.str(mapping);
-            w.str(target_schema);
-            encode_database(&mut w, source_db);
+        Request::Ping | Request::Metrics | Request::Health => {}
+        Request::Exchange { mapping, target_schema, source_db }
+        | Request::ExplainExchange { mapping, target_schema, source_db } => {
+            encode_exchange_body(w, mapping, target_schema, source_db)
         }
-        Request::ExchangeBatch { items } => {
-            w.u8(Op::ExchangeBatch as u8);
-            w.seq(items, |w, (mapping, target, db)| {
-                w.str(mapping);
-                w.str(target);
-                encode_database(w, db);
-            });
-        }
+        Request::ExchangeBatch { items } => encode_exchange_batch_body(w, items),
         Request::Mediate { base_schema, chain, query, base_db } => {
-            w.u8(Op::Mediate as u8);
-            w.str(base_schema);
-            w.seq(chain, |w, name| w.str(name));
-            query.encode(&mut w);
-            encode_database(&mut w, base_db);
+            encode_mediate_body(w, base_schema, chain, query, base_db)
         }
-        Request::ExplainExchange { mapping, target_schema, source_db } => {
-            w.u8(Op::ExplainExchange as u8);
-            w.str(mapping);
-            w.str(target_schema);
-            encode_database(&mut w, source_db);
-        }
-        Request::Script { text } => {
-            w.u8(Op::Script as u8);
-            w.str(text);
-        }
-        Request::PutInstance { name, db } => {
-            w.u8(Op::PutInstance as u8);
-            w.str(name);
-            encode_database(&mut w, db);
-        }
+        Request::Script { text } => w.str(text),
+        Request::PutInstance { name, db } => encode_put_instance_body(w, name, db),
         Request::InsertBatch { instance, inserts } => {
-            w.u8(Op::InsertBatch as u8);
-            w.str(instance);
-            w.seq(inserts, |w, (rel, tuples)| {
-                w.str(rel);
-                w.seq(tuples, |w, t| t.encode(w));
-            });
+            encode_insert_batch_body(w, instance, inserts)
         }
-        Request::Subscribe { instance, views } => {
-            w.u8(Op::Subscribe as u8);
-            w.str(instance);
-            views.encode(&mut w);
-        }
+        Request::Subscribe { instance, views } => encode_subscribe_body(w, instance, views),
         Request::Poll { id, max } => {
-            w.u8(Op::Poll as u8);
             w.u64(*id);
             w.u32(*max);
         }
-        Request::Ack { id, cursor } => {
-            w.u8(Op::Ack as u8);
+        Request::Ack { id, cursor } | Request::Resume { id, cursor } => {
             w.u64(*id);
             w.u64(*cursor);
         }
-        Request::Resume { id, cursor } => {
-            w.u8(Op::Resume as u8);
-            w.u64(*id);
-            w.u64(*cursor);
-        }
-        Request::Unsubscribe { id } => {
-            w.u8(Op::Unsubscribe as u8);
-            w.u64(*id);
-        }
-        Request::Metrics => w.u8(Op::Metrics as u8),
-        Request::Health => w.u8(Op::Health as u8),
-        Request::SlowLog { max } => {
-            w.u8(Op::SlowLog as u8);
-            w.u32(*max);
-        }
-        Request::TraceGet { trace_id } => {
-            w.u8(Op::TraceGet as u8);
-            w.u64(*trace_id);
-        }
+        Request::Unsubscribe { id } => w.u64(*id),
+        Request::SlowLog { max } => w.u32(*max),
+        Request::TraceGet { trace_id } => w.u64(*trace_id),
     }
+}
+
+/// Encode a request payload (versioned prelude + body) ready for
+/// [`write_frame`].
+pub fn encode_request(req_id: u64, deadline_ms: u32, trace_id: u64, req: &Request) -> Bytes {
+    let mut w = begin_request(req_id, deadline_ms, trace_id, req.op());
+    encode_body(&mut w, req);
     w.finish()
 }
 
@@ -1158,6 +1195,258 @@ mod tests {
             OkBody::Trace { lines: back } => assert_eq!(back, lines),
             other => panic!("wrong body: {other:?}"),
         }
+    }
+
+    /// The wire format written out by hand — an independent statement of
+    /// the byte layout — remembering where every length prefix sits.
+    #[derive(Default)]
+    struct Probe {
+        bytes: Vec<u8>,
+        lens: Vec<usize>,
+    }
+
+    impl Probe {
+        fn raw(&mut self, bytes: &[u8]) {
+            self.bytes.extend_from_slice(bytes);
+        }
+
+        fn len(&mut self, n: usize) {
+            self.lens.push(self.bytes.len());
+            self.raw(&(n as u32).to_le_bytes());
+        }
+
+        fn str(&mut self, s: &str) {
+            self.len(s.len());
+            self.raw(s.as_bytes());
+        }
+
+        fn value(&mut self, v: &Value) {
+            match v {
+                Value::Int(i) => {
+                    self.raw(&[0]);
+                    self.raw(&i.to_le_bytes());
+                }
+                Value::Double(d) => {
+                    self.raw(&[1]);
+                    self.raw(&d.to_le_bytes());
+                }
+                Value::Bool(b) => self.raw(&[2, *b as u8]),
+                Value::Text(_) | Value::Sym(_) => {
+                    self.raw(&[3]);
+                    self.str(v.as_text().unwrap());
+                }
+                Value::Date(d) => {
+                    self.raw(&[4]);
+                    self.raw(&d.to_le_bytes());
+                }
+                Value::Null => self.raw(&[5]),
+                Value::Labeled(l) => {
+                    self.raw(&[6]);
+                    self.raw(&l.to_le_bytes());
+                }
+            }
+        }
+
+        fn database(&mut self, db: &Database) {
+            self.str(&db.name);
+            self.raw(&db.label_watermark().to_le_bytes());
+            self.len(db.relations().count());
+            for (name, rel) in db.relations() {
+                self.str(name);
+                self.len(rel.schema.arity());
+                for a in &rel.schema.attributes {
+                    self.str(&a.name);
+                    let ty = match a.ty {
+                        DataType::Int => 0,
+                        DataType::Double => 1,
+                        DataType::Bool => 2,
+                        DataType::Text => 3,
+                        DataType::Date => 4,
+                        DataType::Any => 5,
+                    };
+                    self.raw(&[ty, a.nullable as u8]);
+                }
+                self.len(rel.len());
+                for t in rel.tuples() {
+                    self.len(t.arity());
+                    for v in t.values() {
+                        self.value(v);
+                    }
+                }
+            }
+        }
+
+        /// Every way to corrupt one byte of one length prefix.
+        fn corrupted_lengths(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+            let offsets = self.lens.iter().flat_map(|&at| at..at + 4);
+            offsets.flat_map(move |at| {
+                (1..=255u8).map(move |flip| {
+                    let mut bytes = self.bytes.clone();
+                    bytes[at] ^= flip;
+                    bytes
+                })
+            })
+        }
+    }
+
+    /// A spilled (arity 5) tuple beside `sample_db`'s inline ones.
+    fn wide_db() -> Database {
+        let mut db = Database::new("W");
+        let mut rel = Relation::new(RelSchema::of(&[
+            ("a", DataType::Int),
+            ("b", DataType::Bool),
+            ("c", DataType::Date),
+            ("d", DataType::Text),
+            ("e", DataType::Any),
+        ]));
+        rel.insert(Tuple::new(vec![
+            Value::Int(-3),
+            Value::Bool(true),
+            Value::Date(19_000),
+            Value::text(""),
+            Value::Double(f64::NAN),
+        ]));
+        db.insert_relation("Wide", rel);
+        db
+    }
+
+    /// Truncation and length-prefix sweep over a batch request: if a
+    /// cursor read lost its bounds check, this panics instead of
+    /// returning `Err`.
+    #[test]
+    fn batch_request_prefixes_and_corrupt_lengths_fail_typed() {
+        let items = vec![
+            ("M1".to_string(), "T1".to_string(), sample_db()),
+            ("M2".to_string(), "T2".to_string(), wide_db()),
+        ];
+        let mut probe = Probe::default();
+        probe.len(items.len());
+        for (mapping, target, db) in &items {
+            probe.str(mapping);
+            probe.str(target);
+            probe.database(db);
+        }
+        let payload = encode_request(1, 0, 0, &Request::ExchangeBatch { items });
+        assert_eq!(payload[PRELUDE_LEN..], probe.bytes[..], "the probe speaks the wire format");
+
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(Bytes::copy_from_slice(bytes));
+            decode_request(Op::ExchangeBatch as u8, &mut r).map(|req| (req, r.is_empty()))
+        };
+        assert!(matches!(decode(&probe.bytes), Ok((_, true))));
+        for cut in 0..probe.bytes.len() {
+            assert!(decode(&probe.bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        for bytes in probe.corrupted_lengths() {
+            // the only corruption that can decode is a count lowered at the
+            // tail of the body, and it shows in the bytes left unread
+            assert!(!matches!(decode(&bytes), Ok((_, true))));
+        }
+    }
+
+    /// The same sweep over a batch response (the client-side decoder).
+    #[test]
+    fn batch_response_prefixes_and_corrupt_lengths_fail_typed() {
+        let stats = WireStats { fired: 3, rounds: 1, nulls: 2 };
+        let mut probe = Probe::default();
+        probe.raw(&7u64.to_le_bytes());
+        probe.raw(&[0, Op::ExchangeBatch as u8]);
+        probe.len(2);
+        probe.raw(&[0]);
+        probe.database(&sample_db());
+        for n in [stats.fired, stats.rounds, stats.nulls] {
+            probe.raw(&n.to_le_bytes());
+        }
+        probe.raw(&[1]);
+        probe.raw(&ERR_EVAL.to_le_bytes());
+        probe.str("boom");
+        let body = OkBody::Batch {
+            slots: vec![Ok((sample_db(), stats)), Err((ERR_EVAL, "boom".to_string()))],
+        };
+        let payload = encode_ok(7, &body);
+        assert_eq!(payload[..], probe.bytes[..], "the probe speaks the wire format");
+
+        let decode = |bytes: &[u8]| decode_response(Bytes::copy_from_slice(bytes));
+        assert!(decode(&probe.bytes).is_ok());
+        for cut in 0..probe.bytes.len() {
+            assert!(decode(&probe.bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        for bytes in probe.corrupted_lengths() {
+            // the only corruption that can decode is a count lowered at the
+            // tail of the body: the reply it yields is short of the original
+            if let Ok((id, Ok(reply))) = decode(&bytes) {
+                assert!(encode_ok(id, &reply).len() < payload.len());
+            }
+        }
+    }
+
+    /// The issue-13 amplification payload through the request decoder: a
+    /// tuple count claiming one 112-byte `Tuple` per remaining input byte.
+    #[test]
+    fn put_instance_with_a_lying_tuple_count_is_refused() {
+        let mut w = Writer::new();
+        w.str("I"); // instance name
+        w.str("D"); // database name
+        w.u64(0); // label watermark
+        w.u32(1); // one relation
+        w.str("R");
+        w.u32(0); // no attributes
+        let mut payload = w.finish().to_vec();
+        let filler = DEFAULT_MAX_FRAME_LEN as usize - payload.len() - 4;
+        payload.extend_from_slice(&(filler as u32).to_le_bytes());
+        payload.resize(payload.len() + filler, 0xFF);
+        let mut r = Reader::new(Bytes::from(payload));
+        assert!(matches!(
+            decode_request(Op::PutInstance as u8, &mut r),
+            Err(BodyError::Decode(_))
+        ));
+    }
+
+    /// A frame written by the parent of the sliced-CRC / cursor-decode
+    /// change (commit 498f5f0): the bytes on the wire did not move, in
+    /// either direction.
+    #[test]
+    fn a_frame_written_before_the_codec_rewrite_reads_and_rewrites_identically() {
+        #[rustfmt::skip]
+        const FRAME: [u8; 246] = [
+            0x4d, 0x4d, 0x32, 0x30, 0xea, 0x00, 0x00, 0x00, 0xf3, 0x81, 0x8d, 0x66, 0x02, 0x09, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0xfa, 0x00, 0x00,
+            0x00, 0x02, 0x01, 0x00, 0x00, 0x00, 0x4d, 0x01, 0x00, 0x00, 0x00, 0x54, 0x01, 0x00, 0x00, 0x00,
+            0x53, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00,
+            0x00, 0x50, 0x65, 0x72, 0x73, 0x6f, 0x6e, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x49,
+            0x64, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x4e, 0x61, 0x6d, 0x65, 0x03, 0x00, 0x05, 0x00, 0x00,
+            0x00, 0x53, 0x63, 0x6f, 0x72, 0x65, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+            0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x03, 0x00, 0x00, 0x00, 0x61, 0x64,
+            0x61, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x03, 0x00, 0x00, 0x00, 0x00, 0x02,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x06, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x04, 0x00, 0x00, 0x00, 0x57, 0x69, 0x64, 0x65, 0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+            0x00, 0x61, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x62, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x63,
+            0x04, 0x00, 0x01, 0x00, 0x00, 0x00, 0x64, 0x03, 0x00, 0x01, 0x00, 0x00, 0x00, 0x65, 0x05, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0xff, 0x02, 0x01, 0x04, 0x38, 0x4a, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0xf8, 0x7f,
+        ];
+        let frame = read_frame(&mut FRAME.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert!(frame.crc_ok(), "the sliced CRC agrees with the bytewise one that wrote this");
+        let head = parse_head(&frame.payload).unwrap();
+        assert_eq!(
+            (head.req_id, head.trace_id, head.deadline_ms, head.op),
+            (9, 0xDEAD_BEEF, 250, Op::Exchange as u8)
+        );
+        let body = frame.payload.slice(PRELUDE_LEN..frame.payload.len());
+        let req = decode_request(head.op, &mut Reader::new(body)).unwrap();
+        match &req {
+            Request::Exchange { mapping, target_schema, source_db } => {
+                assert_eq!((mapping.as_str(), target_schema.as_str()), ("M", "T"));
+                assert_eq!(source_db.label_watermark(), 8);
+                assert_eq!(source_db.relation("Person"), sample_db().relation("Person"));
+                assert_eq!(source_db.relation("Wide"), wide_db().relation("Wide"));
+            }
+            other => panic!("wrong request: {other:?}"),
+        }
+        let mut rewritten = Vec::new();
+        write_frame(&mut rewritten, &encode_request(9, 250, 0xDEAD_BEEF, &req)).unwrap();
+        assert_eq!(rewritten, FRAME);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! The crate is std-only by design: it sits below `mm-guard` in the
 //! dependency graph, so nothing in the workspace can cycle into it.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod clock;

@@ -269,9 +269,17 @@ pub enum AllocCounter {
     Tuples,
     /// Distinct strings admitted to the process-wide intern pool.
     Interned,
+    /// The intern pool's fill level (entries held, against its fixed
+    /// capacity).
+    InternEntries,
+    /// Strings the pool refused for being too long: each stays owned
+    /// text that hashes and compares by walking its bytes.
+    InternRefusedLen,
+    /// Strings the pool refused because it was full.
+    InternRefusedCapacity,
 }
 
-const ALLOC_COUNTERS: usize = AllocCounter::Interned as usize + 1;
+const ALLOC_COUNTERS: usize = AllocCounter::InternRefusedCapacity as usize + 1;
 
 impl AllocCounter {
     /// Stable snapshot key (dotted, sorts into one `alloc.*` block).
@@ -279,11 +287,20 @@ impl AllocCounter {
         match self {
             AllocCounter::Tuples => "alloc.tuples",
             AllocCounter::Interned => "alloc.interned",
+            AllocCounter::InternEntries => "alloc.intern_entries",
+            AllocCounter::InternRefusedLen => "alloc.intern_refused_len",
+            AllocCounter::InternRefusedCapacity => "alloc.intern_refused_capacity",
         }
     }
 
     fn all() -> [AllocCounter; ALLOC_COUNTERS] {
-        [AllocCounter::Tuples, AllocCounter::Interned]
+        [
+            AllocCounter::Tuples,
+            AllocCounter::Interned,
+            AllocCounter::InternEntries,
+            AllocCounter::InternRefusedLen,
+            AllocCounter::InternRefusedCapacity,
+        ]
     }
 }
 
@@ -830,9 +847,12 @@ mod tests {
         m.raise_alloc(AllocCounter::Tuples, 10);
         m.raise_alloc(AllocCounter::Tuples, 4);
         m.raise_alloc(AllocCounter::Interned, 3);
+        m.raise_alloc(AllocCounter::InternRefusedLen, 2);
         let snap = m.snapshot();
         assert_eq!(snap.value("alloc.tuples"), 10, "max, not last-write");
         assert_eq!(snap.value("alloc.interned"), 3);
+        assert_eq!(snap.value("alloc.intern_refused_len"), 2);
+        assert!(!snap.values.contains_key("alloc.intern_refused_capacity"), "zero elided");
     }
 
     #[test]

@@ -339,10 +339,11 @@ impl Telemetry {
     /// counters at operation boundaries and pass the running totals;
     /// `fetch_max` underneath makes concurrent samples race-safe.
     #[inline]
-    pub fn sample_alloc(&self, tuples: u64, interned: u64) {
+    pub fn sample_alloc(&self, totals: &[(crate::AllocCounter, u64)]) {
         if let Some(i) = &self.inner {
-            i.metrics.raise_alloc(crate::AllocCounter::Tuples, tuples);
-            i.metrics.raise_alloc(crate::AllocCounter::Interned, interned);
+            for &(c, v) in totals {
+                i.metrics.raise_alloc(c, v);
+            }
         }
     }
 

@@ -23,6 +23,7 @@
 //! the Clio'00-style "correspondences as a visual programming language"
 //! baseline that generates transformations directly.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod constraint_prop;

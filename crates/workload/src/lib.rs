@@ -9,6 +9,7 @@
 //! controllable producer fan-out (composition blowup), and evolution
 //! chains (Figure 5). Everything is seeded and deterministic.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod data;

@@ -40,5 +40,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mm_engine::prelude;
 pub use mm_engine::{Engine, EngineError};
