@@ -2,6 +2,7 @@
 //! views, certain answers, and core minimization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mm_bench::compile_and_chase;
 use mm_engine::prelude::*;
 use mm_workload::{copy_tgds, tgds::binary_schema};
 
@@ -27,7 +28,7 @@ fn bench_chase_vs_compiled(c: &mut Criterion) {
     for rows in [200usize, 1_000] {
         let (src, tgt, tgds, db) = exchange_setup(4, rows);
         group.bench_with_input(BenchmarkId::new("chase", rows), &(), |b, _| {
-            b.iter(|| chase_st(&tgt, &tgds, &db))
+            b.iter(|| compile_and_chase(&tgt, &tgds, &db, &ExecBudget::unbounded()))
         });
         let mut views = ViewSet::new("Src", "Tgt");
         for i in 0..4 {
@@ -42,7 +43,8 @@ fn bench_chase_vs_compiled(c: &mut Criterion) {
 
 fn bench_certain_answers(c: &mut Criterion) {
     let (_, tgt, tgds, db) = exchange_setup(4, 1_000);
-    let (universal, _) = chase_st(&tgt, &tgds, &db);
+    let (universal, _) =
+        compile_and_chase(&tgt, &tgds, &db, &ExecBudget::unbounded()).expect("copy tgds");
     let q = Expr::base("B0").project(&["a"]);
     c.bench_function("eq7_certain_answers", |b| {
         b.iter(|| certain_answers(&q, &tgt, &universal).expect("certain"))
@@ -72,7 +74,7 @@ fn bench_existential_chase(c: &mut Criterion) {
             db.insert("Emp", Tuple::from([Value::Int(i as i64)]));
         }
         group.bench_with_input(BenchmarkId::from_parameter(rows), &db, |b, db| {
-            b.iter(|| chase_st(&tgt, &tgds, db))
+            b.iter(|| compile_and_chase(&tgt, &tgds, db, &ExecBudget::unbounded()))
         });
     }
     group.finish();

@@ -20,7 +20,8 @@
 //! asserted at every point.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mm_bench::timed;
+use mm_bench::{compile_and_chase, timed};
+use mm_chase::testkit::chase_st_reference;
 use mm_engine::prelude::*;
 use mm_workload::{copy_tgds, faults, skew, tgds::binary_schema};
 use std::io::Write as _;
@@ -127,7 +128,7 @@ fn bench_chase_exchange(c: &mut Criterion) {
     for rows in CHASE_SIZES {
         let (tgt, tgds, db) = exchange_setup(4, rows);
         group.bench_with_input(BenchmarkId::new("semi_naive_indexed", rows), &(), |b, _| {
-            b.iter(|| chase_st_governed(&tgt, &tgds, &db, &budget).expect("unbounded"))
+            b.iter(|| compile_and_chase(&tgt, &tgds, &db, &budget).expect("unbounded"))
         });
         if rows <= 1_000 {
             // the reference is quadratic; keep criterion runs bounded
@@ -201,7 +202,7 @@ fn emit_baseline() {
 
     for rows in CHASE_SIZES {
         let (tgt, tgds, db) = exchange_setup(4, rows);
-        let (fast, fast_t) = timed(|| chase_st_governed(&tgt, &tgds, &db, &budget).expect("ok"));
+        let (fast, fast_t) = timed(|| compile_and_chase(&tgt, &tgds, &db, &budget).expect("ok"));
         let (reference, naive_t) =
             timed(|| chase_st_reference(&tgt, &tgds, &db, &budget).expect("ok"));
         assert_eq!(fast, reference, "semi-naive chase diverged from the reference");

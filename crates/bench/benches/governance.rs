@@ -2,12 +2,13 @@
 //! degradation fallbacks (DESIGN.md §7).
 //!
 //! Two questions:
-//! * what does running the chase under a `Governor` cost versus the
-//!   ungoverned wrapper (target: <5% on the hot exchange path)?
+//! * what do live budget caps cost the metered chase over an unbounded
+//!   budget (target: <5% on the hot exchange path)?
 //! * what does a mediation request pay when the collapse budget trips
 //!   and the mediator degrades from collapsed to chained execution?
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mm_bench::compile_and_chase;
 use mm_engine::prelude::*;
 use mm_workload::{copy_tgds, tgds::binary_schema};
 
@@ -27,21 +28,18 @@ fn exchange_setup(relations: usize, rows: usize) -> (Schema, Vec<Tgd>, Database)
     (tgt, tgds, db)
 }
 
-/// Governed (unbounded budget) vs legacy ungoverned chase on the same
-/// exchange workload. The two paths are the same code — `chase_st` is a
-/// wrapper over `chase_st_governed` — so the delta is purely the meter:
-/// counter bumps plus an amortized cancel/deadline poll every 1024 steps.
+/// The exchange chase under an unbounded budget vs under live caps on
+/// every resource: the delta is the comparison branches of a metered
+/// step (the counter bumps and the amortized cancel/deadline poll every
+/// 1024 steps are paid by both).
 fn bench_governed_chase_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("governance_chase_overhead");
     group.sample_size(10);
     for rows in [1_000usize, 5_000] {
         let (tgt, tgds, db) = exchange_setup(4, rows);
-        group.bench_with_input(BenchmarkId::new("ungoverned", rows), &(), |b, _| {
-            b.iter(|| chase_st(&tgt, &tgds, &db))
-        });
         let budget = ExecBudget::unbounded();
         group.bench_with_input(BenchmarkId::new("governed", rows), &(), |b, _| {
-            b.iter(|| chase_st_governed(&tgt, &tgds, &db, &budget).expect("unbounded"))
+            b.iter(|| compile_and_chase(&tgt, &tgds, &db, &budget).expect("unbounded"))
         });
         // A budget with live caps exercises the comparison branches too.
         let capped = ExecBudget::unbounded()
@@ -49,7 +47,7 @@ fn bench_governed_chase_overhead(c: &mut Criterion) {
             .with_rows(u64::MAX)
             .with_rounds(u64::MAX);
         group.bench_with_input(BenchmarkId::new("governed_capped", rows), &(), |b, _| {
-            b.iter(|| chase_st_governed(&tgt, &tgds, &db, &capped).expect("loose caps"))
+            b.iter(|| compile_and_chase(&tgt, &tgds, &db, &capped).expect("loose caps"))
         });
     }
     group.finish();

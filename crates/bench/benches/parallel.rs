@@ -91,16 +91,20 @@ fn mediation_setup() -> (Schema, Database, ViewSet, ViewSet, Vec<Expr>) {
     (s, db, l1, l2, queries)
 }
 
+/// One s-t chase of the precompiled program on `threads` workers.
+fn chase(tgt: &Schema, program: &ChaseProgram, db: &Database, threads: usize) -> StRun {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let ctx = &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) };
+    program.run_st(tgt, db, ctx).expect("unbounded")
+}
+
 fn bench_parallel_chase(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_chase_st");
     group.sample_size(10);
     let (tgt, db, program) = chase_setup();
-    let budget = ExecBudget::unbounded();
     for threads in THREAD_CURVE {
         group.bench_with_input(BenchmarkId::new("threads", threads), &(), |b, _| {
-            b.iter(|| {
-                chase_st_parallel(&tgt, &program, &db, &budget, threads).expect("unbounded")
-            })
+            b.iter(|| chase(&tgt, &program, &db, threads))
         });
     }
     group.finish();
@@ -161,13 +165,10 @@ fn emit_baseline() {
 
     {
         let (tgt, db, program) = chase_setup();
-        let (oracle, base_t) =
-            timed(|| chase_st_parallel(&tgt, &program, &db, &budget, 1).expect("unbounded"));
+        let (oracle, base_t) = timed(|| chase(&tgt, &program, &db, 1).target);
         points.push(point_json("chase_st", 1, ms(base_t), 1.0));
         for threads in &THREAD_CURVE[1..] {
-            let (par, t) = timed(|| {
-                chase_st_parallel(&tgt, &program, &db, &budget, *threads).expect("unbounded")
-            });
+            let (par, t) = timed(|| chase(&tgt, &program, &db, *threads).target);
             assert_eq!(par, oracle, "parallel chase diverged at threads={threads}");
             let speedup = ms(base_t) / ms(t).max(1e-6);
             points.push(point_json("chase_st", *threads, ms(t), speedup));

@@ -28,7 +28,7 @@
 //! flagged as shape-only evidence.
 
 use criterion::{criterion_group, Criterion};
-use mm_bench::timed;
+use mm_bench::{compile_and_chase, timed};
 use mm_engine::prelude::*;
 use mm_instance::intern::with_compact;
 use mm_repository::codec::{Encode, Writer};
@@ -95,7 +95,7 @@ fn run_leg(
         let sc = scenario(tier, SEED);
         match path {
             "chase" => {
-                let ((out, _), t) = timed(|| chase_st(&sc.target, &sc.tgds, &sc.db));
+                let ((out, _), t) = timed(|| chase(&sc, &ExecBudget::unbounded()).expect("ok"));
                 (db_bytes(&out), ms(t))
             }
             "cq" => {
@@ -106,6 +106,11 @@ fn run_leg(
         }
     };
     if compact { body() } else { with_compact(false, body) }
+}
+
+/// One exchange of the scenario from scratch under `budget`.
+fn chase(sc: &ScaleScenario, budget: &ExecBudget) -> Result<(Database, ChaseStats), ChaseFailure> {
+    compile_and_chase(&sc.target, &sc.tgds, &sc.db, budget)
 }
 
 fn scenario_fns() -> [(&'static str, fn(usize, u64) -> ScaleScenario); 3] {
@@ -124,11 +129,11 @@ fn bench_scale_chase(c: &mut Criterion) {
     for (name, f) in scenario_fns() {
         let sc = f(10_000, SEED);
         group.bench_function(format!("{name}/compact"), |b| {
-            b.iter(|| chase_st(&sc.target, &sc.tgds, &sc.db))
+            b.iter(|| chase(&sc, &ExecBudget::unbounded()))
         });
         let base = with_compact(false, || f(10_000, SEED));
         group.bench_function(format!("{name}/baseline"), |b| {
-            b.iter(|| with_compact(false, || chase_st(&base.target, &base.tgds, &base.db)))
+            b.iter(|| with_compact(false, || chase(&base, &ExecBudget::unbounded())))
         });
     }
     group.finish();
@@ -204,15 +209,15 @@ fn mid_tier() -> usize {
 fn thread_cell(points: &mut Vec<Point>) {
     let sc = snowflake_scale(mid_tier(), SEED);
     let program = ChaseProgram::compile(&sc.tgds, &sc.db);
-    let budget = ExecBudget::unbounded();
-    let (seq, t1) = timed(|| {
-        chase_st_parallel(&sc.target, &program, &sc.db, &budget, 1).expect("unbounded")
-    });
+    let on = |threads| {
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let ctx = &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) };
+        program.run_st(&sc.target, &sc.db, ctx).expect("unbounded").target
+    };
+    let (seq, t1) = timed(|| on(1));
     let host = mm_parallel::available_parallelism();
-    let (par, tn) = timed(|| {
-        chase_st_parallel(&sc.target, &program, &sc.db, &budget, host).expect("unbounded")
-    });
-    assert_eq!(db_bytes(&seq.0), db_bytes(&par.0), "parallel chase diverged at scale");
+    let (par, tn) = timed(|| on(host));
+    assert_eq!(db_bytes(&seq), db_bytes(&par), "parallel chase diverged at scale");
     println!(
         "matrix threads      tier {:>9}: 1 thread {:>10.1} ms  {host} threads {:>10.1} ms",
         mid_tier(), ms(t1), ms(tn)
@@ -229,15 +234,12 @@ fn budget_cell(points: &mut Vec<Point>) {
     let sc = snowflake_scale(mid_tier(), SEED);
     // generous: completes identically to the unbudgeted run
     let generous = ExecBudget::unbounded().with_steps(u64::MAX / 2);
-    let (full, t_ok) = timed(|| {
-        chase_st_governed(&sc.target, &sc.tgds, &sc.db, &generous).expect("generous budget")
-    });
-    let (plain, _) = chase_st(&sc.target, &sc.tgds, &sc.db);
+    let (full, t_ok) = timed(|| chase(&sc, &generous).expect("generous budget"));
+    let (plain, _) = chase(&sc, &ExecBudget::unbounded()).expect("unbounded");
     assert_eq!(db_bytes(&full.0), db_bytes(&plain), "budgeted chase diverged");
     // tight: trips with a typed error, never a panic or partial commit
     let tight = ExecBudget::unbounded().with_steps(1_000);
-    let (tripped, t_trip) =
-        timed(|| chase_st_governed(&sc.target, &sc.tgds, &sc.db, &tight));
+    let (tripped, t_trip) = timed(|| chase(&sc, &tight));
     assert!(tripped.is_err(), "a 1k-step budget must trip at the mid tier");
     println!(
         "matrix budgets      tier {:>9}: generous {:>10.1} ms  tight trips in {:>7.1} ms",

@@ -38,6 +38,14 @@ fn exchange_setup(rows: usize) -> (Schema, ChaseProgram, Database) {
     (tgt, program, db)
 }
 
+/// One s-t chase of a precompiled exchange under an unbounded budget,
+/// reporting to `tel`.
+fn chase(tgt: &Schema, program: &ChaseProgram, db: &Database, tel: &Telemetry) -> StRun {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let ctx = &mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) };
+    program.run_st(tgt, db, ctx).expect("unbounded")
+}
+
 fn enabled_handle() -> Telemetry {
     Telemetry::new(RingCollector::with_capacity(1_024))
 }
@@ -45,23 +53,15 @@ fn enabled_handle() -> Telemetry {
 fn bench_chase_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_chase_exchange");
     group.sample_size(10);
-    let budget = ExecBudget::unbounded();
     for rows in CHASE_SIZES {
         let (tgt, program, db) = exchange_setup(rows);
-        group.bench_with_input(BenchmarkId::new("baseline", rows), &(), |b, _| {
-            b.iter(|| chase_st_prepared(&tgt, &program, &db, &budget).expect("unbounded"))
-        });
         let off = Telemetry::disabled();
         group.bench_with_input(BenchmarkId::new("disabled", rows), &(), |b, _| {
-            b.iter(|| {
-                chase_st_prepared_traced(&tgt, &program, &db, &budget, &off).expect("unbounded")
-            })
+            b.iter(|| chase(&tgt, &program, &db, &off))
         });
         let on = enabled_handle();
         group.bench_with_input(BenchmarkId::new("enabled", rows), &(), |b, _| {
-            b.iter(|| {
-                chase_st_prepared_traced(&tgt, &program, &db, &budget, &on).expect("unbounded")
-            })
+            b.iter(|| chase(&tgt, &program, &db, &on))
         });
     }
     group.finish();
@@ -168,9 +168,9 @@ fn emit_baseline() {
         let on = enabled_handle();
         let (base_t, noop_t, full_t) = interleaved(
             reps,
-            || chase_st_prepared(&tgt, &program, &db, &budget).expect("ok"),
-            || chase_st_prepared_traced(&tgt, &program, &db, &budget, &off).expect("ok"),
-            || chase_st_prepared_traced(&tgt, &program, &db, &budget, &on).expect("ok"),
+            || chase(&tgt, &program, &db, &Telemetry::disabled()),
+            || chase(&tgt, &program, &db, &off),
+            || chase(&tgt, &program, &db, &on),
         );
         points.push(point_json("chase_exchange_4rel", rows, base_t, noop_t, full_t));
     }
@@ -188,16 +188,14 @@ fn emit_baseline() {
         let on = enabled_handle();
         let wrapped = |tel: &Telemetry| {
             let mut scope = tel.trace_scope(0x517E_D00D, true);
-            let (out, d) = mm_bench::timed(|| {
-                chase_st_prepared_traced(&tgt, &program, &db, &budget, tel).expect("ok")
-            });
+            let (out, d) = mm_bench::timed(|| chase(&tgt, &program, &db, tel));
             tel.observe_hist(Hist::ServerServiceUs, d.as_micros().min(u128::from(u64::MAX)) as u64);
             let _ = scope.take_captured();
             out
         };
         let (base_t, noop_t, full_t) = interleaved(
             40,
-            || chase_st_prepared(&tgt, &program, &db, &budget).expect("ok"),
+            || chase(&tgt, &program, &db, &Telemetry::disabled()),
             || wrapped(&off),
             || wrapped(&on),
         );

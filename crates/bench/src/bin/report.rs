@@ -182,7 +182,7 @@ fn eq7() {
     println!("## EQ7 — chase-based exchange vs compiled copy views\n");
     println!("  relations  rows  chase_ms  compiled_ms  certain_ms  agree");
     for (relations, rows) in [(2usize, 500usize), (4, 500), (4, 2_000), (8, 2_000)] {
-        let row = eq7_exchange_point(relations, rows);
+        let row = eq7_exchange_point(relations, rows).expect("copy tgds always chase");
         println!(
             "  {:>9}  {:>4}  {:>8.2}  {:>11.2}  {:>10.2}  {}",
             row.relations,

@@ -31,8 +31,9 @@ pub fn certain_answers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::chase_st;
+    use crate::plan::ChaseProgram;
     use mm_expr::{Atom, Tgd};
+    use mm_guard::{ExecBudget, ExecCtx, Governor};
     use mm_instance::Tuple;
     use mm_metamodel::{DataType, SchemaBuilder};
 
@@ -49,7 +50,11 @@ mod tests {
         let mut sdb = Database::empty_of(&src);
         sdb.insert("Emp", Tuple::from([Value::text("ann")]));
         let tgd = Tgd::new(vec![Atom::vars("Emp", &["e"])], vec![Atom::vars("Mgr", &["e", "m"])]);
-        let (tdb, _) = chase_st(&tgt, &[tgd], &sdb);
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let tdb = ChaseProgram::compile(&[tgd], &sdb)
+            .run_st(&tgt, &sdb, &mut ExecCtx::new(&mut gov))
+            .unwrap()
+            .target;
 
         // project the employee column: certain
         let q1 = Expr::base("Mgr").project(&["e"]);

@@ -7,14 +7,19 @@
 //! bindings touching at least one tuple inserted since that tgd's last
 //! evaluation. Results are bit-identical (same tuples, same labeled-null
 //! ids, same stats) to the naive full-reevaluation chase, which is kept
-//! as [`chase_st_reference`]/[`chase_general_reference`] for
-//! differential testing and benchmarking.
+//! as [`crate::testkit`]'s oracles for differential testing and
+//! benchmarking.
+//!
+//! There is one entry point per mode — [`ChaseProgram::run_st`] and
+//! [`ChaseProgram::run_general`] — and every option (budget, telemetry,
+//! threads, adaptive re-planning, EXPLAIN) is a field of the
+//! [`ExecCtx`] it runs under.
 
 use crate::explain::{ChaseExplain, RoundExplain};
 use crate::plan::{ChaseProgram, TgdPlan};
 use mm_eval::plan::{CqPlan, ExecOptions, VarTable};
-use mm_expr::{Atom, Tgd};
-use mm_guard::{Consumption, ExecBudget, ExecError, Governor};
+use mm_expr::Atom;
+use mm_guard::{ExecCtx, ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
 use mm_metamodel::Schema;
 use mm_telemetry::{Counter, Hist, Span, Telemetry, Timer};
@@ -80,13 +85,12 @@ pub struct ChaseStats {
     pub nulls: usize,
 }
 
-/// Outcome of a chase run.
+/// Outcome of a general chase run that did not trip its budget (a
+/// round cap that runs out surfaces as [`ExecError::Diverged`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaseOutcome {
     /// Fixpoint reached: the database satisfies all dependencies.
     Done(ChaseStats),
-    /// Step bound exhausted before a fixpoint (possible for general tgds).
-    BoundExceeded(ChaseStats),
     /// An egd tried to equate two distinct constants — no solution exists.
     Failed { egd_index: usize },
 }
@@ -97,9 +101,6 @@ impl fmt::Display for ChaseOutcome {
             ChaseOutcome::Done(s) => {
                 write!(f, "done: {} firings, {} rounds, {} nulls", s.fired, s.rounds, s.nulls)
             }
-            ChaseOutcome::BoundExceeded(s) => {
-                write!(f, "bound exceeded after {} firings", s.fired)
-            }
             ChaseOutcome::Failed { egd_index } => write!(f, "failed at egd #{egd_index}"),
         }
     }
@@ -107,8 +108,8 @@ impl fmt::Display for ChaseOutcome {
 
 /// A governed chase that could not finish: the typed resource error plus
 /// the statistics of the partial run (work done before the trip). For
-/// `chase_general_governed` the partially chased database is left in
-/// place, so callers can inspect or discard the partial instance.
+/// [`ChaseProgram::run_general`] the partially chased database is left
+/// in place, so callers can inspect or discard the partial instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaseFailure {
     pub error: ExecError,
@@ -133,110 +134,98 @@ impl From<ChaseFailure> for ExecError {
     }
 }
 
-/// The standard chase for **source-to-target** tgds: bodies are evaluated
-/// over `source_db`, heads asserted into a fresh target database. Because
-/// target relations never feed tgd bodies, one pass over the tgds reaches
-/// the fixpoint; the restricted chase still checks head satisfaction so
-/// re-chasing an already-consistent pair adds nothing.
-///
-/// Returns the universal target instance and stats.
-///
-/// Legacy ungoverned entry point; panics on function terms in tgd heads
-/// (use [`chase_st_governed`] for the typed-error path).
-pub fn chase_st(
-    target_schema: &Schema,
-    tgds: &[Tgd],
-    source_db: &Database,
-) -> (Database, ChaseStats) {
-    #[allow(clippy::expect_used)] // unbounded budget: only Unsupported inputs can fail
-    chase_st_governed(target_schema, tgds, source_db, &ExecBudget::unbounded())
-        .expect("chase_st on unsupported input; use chase_st_governed for a typed error")
+/// What [`ChaseProgram::run_st`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StRun {
+    /// The universal target instance.
+    pub target: Database,
+    pub stats: ChaseStats,
+    /// The EXPLAIN report when [`ExecCtx::explain`] asked for one: per-tgd
+    /// join orders (explained against the source's cardinalities), the
+    /// single round's deltas, and the requested degree of parallelism.
+    pub explain: Option<ChaseExplain>,
 }
 
-/// Governed source-to-target chase: join probes, head-satisfaction
-/// checks, and inserted tuples are metered against `budget`; on a trip
-/// the typed error plus partial-run statistics come back as a
-/// [`ChaseFailure`].
-pub fn chase_st_governed(
-    target_schema: &Schema,
-    tgds: &[Tgd],
-    source_db: &Database,
-    budget: &ExecBudget,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let program = ChaseProgram::compile(tgds, source_db);
-    chase_st_prepared(target_schema, &program, source_db, budget)
+/// What [`ChaseProgram::run_general`] produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GeneralRun {
+    pub outcome: ChaseOutcome,
+    /// Mid-run re-plans performed; zero unless [`ExecCtx::replan_ratio`]
+    /// is set.
+    pub replans: u32,
+    /// The EXPLAIN report when [`ExecCtx::explain`] asked for one: per-tgd
+    /// join orders (explained against the *pre-chase* database, so two
+    /// identical runs report identically) and per-round deltas.
+    pub explain: Option<ChaseExplain>,
 }
 
-/// Source-to-target chase over a pre-compiled [`ChaseProgram`] — the
-/// entry point the engine plan cache uses to amortize tgd compilation
-/// across repeated exchanges of the same mapping.
-pub fn chase_st_prepared(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    chase_st_prepared_traced(target_schema, program, source_db, budget, &Telemetry::disabled())
+impl ChaseProgram {
+    /// The standard chase for **source-to-target** tgds: bodies are
+    /// evaluated over `source_db`, heads asserted into a fresh target
+    /// database. Because target relations never feed tgd bodies, one pass
+    /// over the tgds reaches the fixpoint; the restricted chase still
+    /// checks head satisfaction so re-chasing an already-consistent pair
+    /// adds nothing.
+    ///
+    /// Join probes, head-satisfaction checks and inserted tuples are
+    /// metered through `ctx.governor`; a trip returns the typed error plus
+    /// the partial run's statistics as a [`ChaseFailure`]. With
+    /// `ctx.threads > 1` each tgd's body matching fans across workers
+    /// **bit-identically** — same tuples, same labeled-null ids, same
+    /// [`ChaseStats`]: workers probe copy-on-write index snapshots
+    /// read-only, their per-chunk match lists merge back in the sequential
+    /// enumeration order, and head checks plus firing (where nulls are
+    /// minted) stay sequential in that order. Enabled telemetry wraps the
+    /// run in a `chase.st` span. The single pass has no round boundary, so
+    /// `ctx.replan_ratio` is not consulted.
+    pub fn run_st(
+        &self,
+        target_schema: &Schema,
+        source_db: &Database,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<StRun, ChaseFailure> {
+        st(self, target_schema, source_db, ctx, true)
+    }
+
+    /// The restricted chase for **general** tgds and egds over a single
+    /// database (source and target relations may coincide — schema
+    /// evolution scenarios chase views and bases together), semi-naive
+    /// and indexed. The fixpoint loop runs until convergence or until
+    /// `ctx.governor` trips:
+    ///
+    /// * exceeding the budget's **round** cap without converging reports
+    ///   [`ExecError::Diverged`] — general tgds need not terminate;
+    /// * step / row / wall-clock caps and cancellation report their own
+    ///   [`ExecError`] variants;
+    /// * an egd equating two distinct constants is a semantic answer, not
+    ///   a resource failure: it stays `Ok` with [`ChaseOutcome::Failed`].
+    ///
+    /// On error the partially chased `db` is left in place (callers decide
+    /// whether a partial universal instance is useful) together with the
+    /// partial run's statistics in the [`ChaseFailure`].
+    ///
+    /// With `ctx.threads > 1` each round's body matching fans across
+    /// workers bit-identically; firing and the egd pass stay sequential.
+    /// With `ctx.replan_ratio` set, every round boundary (a governor
+    /// safepoint) checks each cost-compiled plan
+    /// ([`ChaseProgram::compile_costed`]) against live statistics and
+    /// re-plans one whose body cardinalities drifted past the ratio in
+    /// either direction. Re-planning keeps the plan's frozen canonical
+    /// enumeration order, so only the walk (the work) changes, never the
+    /// result. Enabled telemetry wraps the run in a `chase.general` span.
+    pub fn run_general(
+        &self,
+        db: &mut Database,
+        egds: &[Egd],
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<GeneralRun, ChaseFailure> {
+        general(self, db, egds, ctx, true)
+    }
 }
 
-/// [`chase_st_prepared`] with telemetry: wraps the run in a `chase.st`
-/// span (with final [`Consumption`] fields on success), feeds the chase
-/// counters and timer. With disabled telemetry this is the plain call.
-pub fn chase_st_prepared_traced(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    tel: &Telemetry,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let mut gov = Governor::new(budget);
-    run_st(target_schema, program, source_db, &mut gov, true, 1, tel, None)
-}
-
-/// [`chase_st_prepared`] with the body-matching phase of every tgd
-/// fanned across up to `threads` workers. **Bit-identical** to the
-/// sequential path — same tuples, same labeled-null ids, same
-/// [`ChaseStats`]: workers probe copy-on-write index snapshots
-/// read-only, their per-chunk match lists merge back in the sequential
-/// enumeration order, and head-satisfaction checks plus firing (where
-/// nulls are minted) stay sequential in that order. `threads <= 1` is
-/// exactly [`chase_st_prepared`].
-pub fn chase_st_parallel(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    threads: usize,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    chase_st_parallel_traced(
-        target_schema,
-        program,
-        source_db,
-        budget,
-        threads,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`chase_st_parallel`] with telemetry: the `chase.st` span
-/// additionally carries `parallel.workers` / `parallel.steals` /
-/// `parallel.tasks` fields and feeds the parallel counters.
-pub fn chase_st_parallel_traced(
-    target_schema: &Schema,
-    program: &ChaseProgram,
-    source_db: &Database,
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let mut gov = Governor::new(budget);
-    run_st(target_schema, program, source_db, &mut gov, true, threads, tel, None)
-}
-
-/// Source-to-target chase metering against a caller-supplied
-/// [`Governor`] — the batch-serving entry point: `Engine::exchange_batch`
-/// forks one shared-meter governor per request so a budget spans the
-/// whole batch and cancellation reaches every worker.
+/// [`ChaseProgram::run_st`] under its older signature, for callers that
+/// link it by name.
+#[doc(hidden)]
 pub fn chase_st_prepared_governed(
     target_schema: &Schema,
     program: &ChaseProgram,
@@ -245,149 +234,183 @@ pub fn chase_st_prepared_governed(
     threads: usize,
     tel: &Telemetry,
 ) -> Result<(Database, ChaseStats), ChaseFailure> {
-    run_st(target_schema, program, source_db, gov, true, threads, tel, None)
+    program
+        .run_st(
+            target_schema,
+            source_db,
+            &mut ExecCtx { telemetry: tel.clone(), threads, ..ExecCtx::new(gov) },
+        )
+        .map(|run| (run.target, run.stats))
 }
 
-/// [`chase_st_prepared`] plus a full [`ChaseExplain`] report: per-tgd
-/// join orders (explained against `source_db` cardinalities), the
-/// single round's deltas, and the degree of parallelism the chase was
-/// asked to run with. Telemetry is optional and orthogonal.
-pub fn chase_st_explained(
-    target_schema: &Schema,
+/// [`ChaseProgram::run_st`], and with `indexed` off the scanning oracle
+/// [`crate::testkit::chase_st_reference`]: every join and head check then
+/// runs as a full scan, never an index probe.
+pub(crate) fn st(
     program: &ChaseProgram,
+    target_schema: &Schema,
     source_db: &Database,
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<(Database, ChaseStats, ChaseExplain), ChaseFailure> {
-    let tgds = program.explain(source_db);
+    ctx: &mut ExecCtx<'_>,
+    indexed: bool,
+) -> Result<StRun, ChaseFailure> {
+    let tgds = ctx.explain.then(|| program.explain(source_db));
     let mut rounds = Vec::new();
-    let mut gov = Governor::new(budget);
-    let (db, stats) = run_st(
-        target_schema,
-        program,
-        source_db,
-        &mut gov,
-        true,
-        threads,
-        tel,
-        Some(&mut rounds),
-    )?;
-    Ok((
-        db,
+    let explained = tgds.is_some().then_some(&mut rounds);
+    let trace = RunTrace::enter(ctx, "chase.st", source_db.name.as_str());
+    let result = st_pass(program, target_schema, source_db, ctx, indexed, explained);
+    let new_tuples = result.as_ref().ok().map(|ran| ran.out.total_tuples());
+    trace.finish(ctx, &[("tgds", program.len())], new_tuples, &result);
+    let Ran { out: target, stats, .. } = result?;
+    let explain = tgds.map(|tgds| ChaseExplain {
+        mode: "st",
         stats,
-        ChaseExplain { mode: "st", stats, tgds, rounds, threads: threads.max(1), replans: 0 },
-    ))
+        tgds,
+        rounds,
+        threads: ctx.threads.max(1),
+        replans: 0,
+    });
+    Ok(StRun { target, stats, explain })
 }
 
-/// Reference (naive) source-to-target chase: identical structure but
-/// every join and satisfaction check runs as a full scan, never an index
-/// probe. Bit-identical to [`chase_st_governed`] by construction — kept
-/// public as the differential-testing oracle and benchmark baseline.
-pub fn chase_st_reference(
-    target_schema: &Schema,
-    tgds: &[Tgd],
-    source_db: &Database,
-    budget: &ExecBudget,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    let program = ChaseProgram::compile(tgds, source_db);
-    let mut gov = Governor::new(budget);
-    chase_st_impl(target_schema, &program, source_db, &mut gov, false, 1, None)
-        .map(|(db, stats, _)| (db, stats))
-}
-
-/// Telemetry shell around [`chase_st_impl`]: one branch when disabled.
-#[allow(clippy::too_many_arguments)] // internal: the public wrappers curry
-fn run_st(
-    target_schema: &Schema,
+/// [`ChaseProgram::run_general`], and with `indexed` off the naive oracle
+/// [`crate::testkit::chase_general_reference`]: every round then
+/// re-evaluates every tgd body in full, by scan.
+pub(crate) fn general(
     program: &ChaseProgram,
-    source_db: &Database,
-    gov: &mut Governor,
-    use_indexes: bool,
-    threads: usize,
-    tel: &Telemetry,
-    trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(Database, ChaseStats), ChaseFailure> {
-    if !tel.is_enabled() {
-        return chase_st_impl(target_schema, program, source_db, gov, use_indexes, threads, trace)
-            .map(|(db, stats, _)| (db, stats));
-    }
-    let started = mm_telemetry::clock::now();
-    let steps_before = gov.steps_consumed();
-    let rows_before = gov.rows_consumed();
-    let mut span = Span::enter(tel, "chase.st", source_db.name.as_str());
-    let result =
-        chase_st_impl(target_schema, program, source_db, gov, use_indexes, threads, trace);
-    let stats = match &result {
-        Ok((_, s, _)) => *s,
-        Err(f) => f.stats,
-    };
-    if let Some(m) = tel.metrics() {
-        m.add(Counter::ChaseRounds, stats.rounds as u64);
-        m.add(Counter::ChaseFirings, stats.fired as u64);
-        m.add(Counter::ChaseNullsMinted, stats.nulls as u64);
-        if let Ok((db, _, _)) = &result {
-            m.add(Counter::ChaseDeltaTuples, db.total_tuples() as u64);
-        }
-        let elapsed = mm_telemetry::clock::elapsed_us(started);
-        m.observe_us(Timer::Chase, elapsed);
-        // the st chase is its single pass, so the run is the round
-        m.observe_hist(Hist::ChaseRoundUs, elapsed);
-    }
-    span.field("tgds", program.len());
-    span.field("rounds", stats.rounds);
-    span.field("fired", stats.fired);
-    span.field("nulls", stats.nulls);
-    if let Ok((_, _, par)) = &result {
-        record_parallel(tel, &mut span, threads, par);
-    }
-    match &result {
-        Ok(_) => {
-            let steps = gov.steps_consumed() - steps_before;
-            let rows = gov.rows_consumed() - rows_before;
-            tel.count(Counter::BudgetStepsConsumed, steps);
-            tel.count(Counter::BudgetRowsConsumed, rows);
-            span.field("steps", steps);
-            span.field("rows", rows);
-            span.field("wall_us", mm_telemetry::clock::elapsed_us(started));
-        }
-        Err(f) => span.field("error", f.error.to_string()),
-    }
-    span.finish();
-    result.map(|(db, stats, _)| (db, stats))
+    db: &mut Database,
+    egds: &[Egd],
+    ctx: &mut ExecCtx<'_>,
+    indexed: bool,
+) -> Result<GeneralRun, ChaseFailure> {
+    let tgds = ctx.explain.then(|| program.explain(db));
+    let mut rounds = Vec::new();
+    let explained = tgds.is_some().then_some(&mut rounds);
+    let tuples_before = db.total_tuples();
+    let trace = RunTrace::enter(ctx, "chase.general", db.name.as_str());
+    let result = fixpoint(program, db, egds, ctx, indexed, explained);
+    let new_tuples = Some(db.total_tuples().saturating_sub(tuples_before));
+    let sizes = [("tgds", program.len()), ("egds", egds.len())];
+    trace.finish(ctx, &sizes, new_tuples, &result);
+    let Ran { out: outcome, stats, replans, .. } = result?;
+    let explain = tgds.map(|tgds| ChaseExplain {
+        mode: "general",
+        stats,
+        tgds,
+        rounds,
+        threads: ctx.threads.max(1),
+        replans,
+    });
+    Ok(GeneralRun { outcome, replans, explain })
 }
 
-/// Feed a finished parallel region's pool statistics into the span and
-/// the engine counters. Only emitted when parallelism was requested, so
-/// sequential spans keep their pre-PR-5 field set byte-for-byte.
-fn record_parallel(
-    tel: &Telemetry,
-    span: &mut Span,
-    threads: usize,
-    par: &mm_parallel::PoolRun,
-) {
-    if threads <= 1 {
-        return;
+/// A finished chase: its result plus what telemetry and EXPLAIN report.
+struct Ran<T> {
+    out: T,
+    /// Run statistics (none for a failed egd).
+    stats: ChaseStats,
+    par: mm_parallel::PoolRun,
+    replans: u32,
+}
+
+/// The telemetry of one chase run: a `chase.st` / `chase.general` span
+/// (with final consumption fields on success) plus the chase counters
+/// and timer. Inert — no clock read, no field kept — when telemetry is
+/// disabled.
+struct RunTrace {
+    span: Span,
+    started: Option<std::time::Instant>,
+    steps_before: u64,
+    rows_before: u64,
+}
+
+impl RunTrace {
+    fn enter(ctx: &ExecCtx<'_>, op: &'static str, artifact: &str) -> RunTrace {
+        RunTrace {
+            span: Span::enter(&ctx.telemetry, op, artifact),
+            started: ctx.telemetry.is_enabled().then(mm_telemetry::clock::now),
+            steps_before: ctx.governor.steps_consumed(),
+            rows_before: ctx.governor.rows_consumed(),
+        }
     }
-    span.field("parallel.workers", par.workers);
-    span.field("parallel.steals", par.steals);
-    span.field("parallel.tasks", par.tasks);
-    if let Some(m) = tel.metrics() {
-        m.add(Counter::ParallelWorkers, par.workers as u64);
-        m.add(Counter::ParallelSteals, par.steals);
-        m.add(Counter::ParallelTasks, par.tasks);
+
+    /// Close the span over `result`. `sizes` lead the span's fields;
+    /// `new_tuples` feeds the delta-tuple counter. Pool statistics are
+    /// recorded only when parallelism was requested and re-plans only
+    /// when one fired, so sequential, non-adaptive spans keep their
+    /// field set byte-for-byte.
+    fn finish<T>(
+        mut self,
+        ctx: &ExecCtx<'_>,
+        sizes: &[(&'static str, usize)],
+        new_tuples: Option<usize>,
+        result: &Result<Ran<T>, ChaseFailure>,
+    ) {
+        let Some(started) = self.started else { return };
+        let tel = &ctx.telemetry;
+        let stats = match result {
+            Ok(ran) => ran.stats,
+            Err(f) => f.stats,
+        };
+        if let Some(m) = tel.metrics() {
+            m.add(Counter::ChaseRounds, stats.rounds as u64);
+            m.add(Counter::ChaseFirings, stats.fired as u64);
+            m.add(Counter::ChaseNullsMinted, stats.nulls as u64);
+            if let Some(n) = new_tuples {
+                m.add(Counter::ChaseDeltaTuples, n as u64);
+            }
+            m.observe_us(Timer::Chase, mm_telemetry::clock::elapsed_us(started));
+        }
+        let span = &mut self.span;
+        for &(key, n) in sizes {
+            span.field(key, n);
+        }
+        span.field("rounds", stats.rounds);
+        span.field("fired", stats.fired);
+        span.field("nulls", stats.nulls);
+        match result {
+            Ok(ran) => {
+                if ctx.threads > 1 {
+                    span.field("parallel.workers", ran.par.workers);
+                    span.field("parallel.steals", ran.par.steals);
+                    span.field("parallel.tasks", ran.par.tasks);
+                    if let Some(m) = tel.metrics() {
+                        m.add(Counter::ParallelWorkers, ran.par.workers as u64);
+                        m.add(Counter::ParallelSteals, ran.par.steals);
+                        m.add(Counter::ParallelTasks, ran.par.tasks);
+                    }
+                }
+                if ran.replans > 0 {
+                    span.field("replans", ran.replans);
+                    tel.count(Counter::PlanMisestimates, u64::from(ran.replans));
+                    tel.count(Counter::PlanReplans, u64::from(ran.replans));
+                }
+                let steps = ctx.governor.steps_consumed() - self.steps_before;
+                let rows = ctx.governor.rows_consumed() - self.rows_before;
+                tel.count(Counter::BudgetStepsConsumed, steps);
+                tel.count(Counter::BudgetRowsConsumed, rows);
+                span.field("steps", steps);
+                span.field("rows", rows);
+                span.field("wall_us", mm_telemetry::clock::elapsed_us(started));
+            }
+            Err(f) => span.field("error", f.error.to_string()),
+        }
+        self.span.finish();
     }
 }
 
-fn chase_st_impl(
-    target_schema: &Schema,
+/// The single s-t pass: match every tgd body over the source, skip
+/// satisfied heads, fire the rest into a fresh target.
+fn st_pass(
     program: &ChaseProgram,
+    target_schema: &Schema,
     source_db: &Database,
-    gov: &mut Governor,
-    use_indexes: bool,
-    threads: usize,
+    ctx: &mut ExecCtx<'_>,
+    indexed: bool,
     trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(Database, ChaseStats, mm_parallel::PoolRun), ChaseFailure> {
+) -> Result<Ran<Database>, ChaseFailure> {
+    let gov = &mut *ctx.governor;
+    let threads = ctx.threads;
+    let started = ctx.telemetry.is_enabled().then(mm_telemetry::clock::now);
     let mut target = Database::empty_of(target_schema);
     target.set_label_watermark(source_db.label_watermark());
     let mut stats = ChaseStats { rounds: 1, ..Default::default() };
@@ -397,19 +420,9 @@ fn chase_st_impl(
                        par: &mut mm_parallel::PoolRun|
          -> Result<(), ExecError> {
             let mut matches = Vec::new();
-            if threads > 1 {
-                par.absorb(plan.body_matches_parallel(
-                    source_db,
-                    use_indexes,
-                    threads,
-                    gov,
-                    &mut matches,
-                )?);
-            } else {
-                plan.body_matches(source_db, use_indexes, gov, &mut matches)?;
-            }
+            par.absorb(plan.body_matches(source_db, indexed, threads, gov, &mut matches)?);
             for m in matches {
-                if plan.head_satisfied(&m.binding, &target, use_indexes, gov)? {
+                if plan.head_satisfied(&m.binding, &target, indexed, gov)? {
                     continue;
                 }
                 plan.fire(&m.binding, &mut target, stats, gov)?;
@@ -426,288 +439,27 @@ fn chase_st_impl(
             new_tuples: target.total_tuples(),
         });
     }
-    Ok((target, stats, par))
-}
-
-/// The bounded restricted chase for **general** tgds and egds over a
-/// single database (source and target relations may coincide — schema
-/// evolution scenarios chase views and bases together). `max_rounds`
-/// bounds the fixpoint loop since general tgds need not terminate; an
-/// exhausted bound comes back as [`ChaseOutcome::BoundExceeded`].
-///
-/// Legacy ungoverned entry point over [`chase_general_governed`].
-pub fn chase_general(
-    db: &mut Database,
-    tgds: &[Tgd],
-    egds: &[Egd],
-    max_rounds: usize,
-) -> ChaseOutcome {
-    let budget = ExecBudget::unbounded().with_rounds(max_rounds as u64);
-    match chase_general_governed(db, tgds, egds, &budget) {
-        Ok(outcome) => outcome,
-        Err(ChaseFailure { error: ExecError::Diverged { .. }, stats }) => {
-            ChaseOutcome::BoundExceeded(stats)
-        }
-        #[allow(clippy::panic)] // unbounded except rounds: no other trip is reachable
-        Err(f) => panic!("chase_general on unsupported input: {f}"),
+    // the single pass is the round
+    if let (Some(started), Some(m)) = (started, ctx.telemetry.metrics()) {
+        m.observe_hist(Hist::ChaseRoundUs, mm_telemetry::clock::elapsed_us(started));
     }
+    Ok(Ran { out: target, stats, par, replans: 0 })
 }
 
-/// Governed general chase. The fixpoint loop runs until convergence or
-/// until the budget trips:
-///
-/// * exceeding the budget's **round** cap without converging reports
-///   [`ExecError::Diverged`] — the tgd set is divergent, or the cap is
-///   too small; no more silent truncation,
-/// * step / row / wall-clock caps and cancellation report their own
-///   [`ExecError`] variants,
-/// * an egd equating two distinct constants is a semantic answer, not a
-///   resource failure: it stays `Ok(ChaseOutcome::Failed { .. })`.
-///
-/// On error the partially chased `db` is left in place (callers decide
-/// whether a partial universal instance is useful) together with the
-/// partial-run statistics in the [`ChaseFailure`].
-pub fn chase_general_governed(
-    db: &mut Database,
-    tgds: &[Tgd],
-    egds: &[Egd],
-    budget: &ExecBudget,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    let program = ChaseProgram::compile(tgds, db);
-    chase_general_prepared(db, &program, egds, budget)
-}
-
-/// General chase over a pre-compiled [`ChaseProgram`] (semi-naive,
-/// indexed) — the entry point for plan-cache reuse across calls.
-pub fn chase_general_prepared(
-    db: &mut Database,
+/// The general chase's fixpoint loop: tgd rounds (semi-naive when
+/// `indexed`), each followed by an egd pass, until nothing changes.
+fn fixpoint(
     program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    chase_general_prepared_traced(db, program, egds, budget, &Telemetry::disabled())
-}
-
-/// [`chase_general_prepared`] with telemetry: a `chase.general` span
-/// (with final [`Consumption`] fields on success), chase counters, and
-/// the chase timer. With disabled telemetry this is the plain call.
-pub fn chase_general_prepared_traced(
     db: &mut Database,
-    program: &ChaseProgram,
     egds: &[Egd],
-    budget: &ExecBudget,
-    tel: &Telemetry,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    run_general(db, program, egds, budget, true, true, 1, None, tel, None).map(|(o, ..)| o)
-}
-
-/// [`chase_general_prepared`] with each round's body-matching fanned
-/// across up to `threads` workers. **Bit-identical** to the sequential
-/// path — same tuples, same labeled-null ids, same [`ChaseStats`]:
-/// within a round, workers enumerate delta chunks against read-only
-/// index snapshots, the per-chunk match lists merge back in the
-/// sequential enumeration order, and firing plus the egd pass stay
-/// sequential. `threads <= 1` is exactly [`chase_general_prepared`].
-pub fn chase_general_parallel(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    chase_general_parallel_traced(db, program, egds, budget, threads, &Telemetry::disabled())
-}
-
-/// [`chase_general_parallel`] with telemetry: the `chase.general` span
-/// additionally carries `parallel.workers` / `parallel.steals` /
-/// `parallel.tasks` fields and feeds the parallel counters.
-pub fn chase_general_parallel_traced(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    run_general(db, program, egds, budget, true, true, threads, None, tel, None).map(|(o, ..)| o)
-}
-
-/// [`chase_general_parallel_traced`] with **adaptive re-optimization**:
-/// at each round boundary (a governor safepoint) every cost-compiled tgd
-/// plan is checked against current relation statistics, and a plan whose
-/// compile-time body cardinalities have drifted beyond `replan_ratio`
-/// (in either direction, ratio-of-ratios with +1 smoothing) is
-/// recompiled from the live statistics. Re-planning keeps the plan's
-/// frozen canonical enumeration order, so results stay bit-identical to
-/// the naive reference; only the walk order (and thus the work) changes.
-/// Returns the number of re-plans performed alongside the outcome.
-/// Greedy-compiled programs never re-plan: the check only fires for
-/// [`ChaseProgram::compile_costed`] plans.
-pub fn chase_general_adaptive(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-    replan_ratio: f64,
-) -> Result<(ChaseOutcome, u32), ChaseFailure> {
-    run_general(db, program, egds, budget, true, true, threads, Some(replan_ratio), tel, None)
-        .map(|(o, _, r)| (o, r))
-}
-
-/// [`chase_general_prepared`] plus a full [`ChaseExplain`]: per-tgd join
-/// orders (explained against the *pre-chase* database, so two identical
-/// runs report identically) and per-round deltas.
-pub fn chase_general_explained(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<(ChaseOutcome, ChaseExplain), ChaseFailure> {
-    general_explained(db, program, egds, budget, threads, tel, None)
-}
-
-/// [`chase_general_adaptive`] plus a full [`ChaseExplain`]: the report's
-/// `replans` field records how many mid-run re-optimizations fired, and
-/// renders only when non-zero so non-adaptive reports stay byte-stable.
-pub fn chase_general_adaptive_explained(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-    replan_ratio: f64,
-) -> Result<(ChaseOutcome, ChaseExplain), ChaseFailure> {
-    general_explained(db, program, egds, budget, threads, tel, Some(replan_ratio))
-}
-
-fn general_explained(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    threads: usize,
-    tel: &Telemetry,
-    adapt: Option<f64>,
-) -> Result<(ChaseOutcome, ChaseExplain), ChaseFailure> {
-    let tgds = program.explain(db);
-    let mut rounds = Vec::new();
-    let (outcome, _, replans) =
-        run_general(db, program, egds, budget, true, true, threads, adapt, tel, Some(&mut rounds))?;
-    let stats = match &outcome {
-        ChaseOutcome::Done(s) | ChaseOutcome::BoundExceeded(s) => *s,
-        ChaseOutcome::Failed { .. } => ChaseStats::default(),
-    };
-    Ok((
-        outcome,
-        ChaseExplain { mode: "general", stats, tgds, rounds, threads: threads.max(1), replans },
-    ))
-}
-
-/// Reference (naive) general chase: every round re-evaluates every tgd
-/// body in full, by scan. Bit-identical to [`chase_general_governed`] —
-/// same tuples, same labeled-null ids, same [`ChaseStats`] — kept public
-/// as the differential-testing oracle and benchmark baseline.
-pub fn chase_general_reference(
-    db: &mut Database,
-    tgds: &[Tgd],
-    egds: &[Egd],
-    budget: &ExecBudget,
-) -> Result<ChaseOutcome, ChaseFailure> {
-    let program = ChaseProgram::compile(tgds, db);
-    chase_general_impl(db, &program, egds, budget, false, false, 1, None, &Telemetry::disabled(), None)
-        .map(|(o, ..)| o)
-}
-
-/// Telemetry shell around [`chase_general_impl`].
-#[allow(clippy::too_many_arguments)] // internal: the public wrappers curry
-fn run_general(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    semi_naive: bool,
-    use_indexes: bool,
-    threads: usize,
-    adapt: Option<f64>,
-    tel: &Telemetry,
-    trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(ChaseOutcome, Consumption, u32), ChaseFailure> {
-    if !tel.is_enabled() {
-        return chase_general_impl(
-            db, program, egds, budget, semi_naive, use_indexes, threads, adapt, tel, trace,
-        )
-        .map(|(o, c, _, r)| (o, c, r));
-    }
-    let started = mm_telemetry::clock::now();
-    let tuples_before = db.total_tuples();
-    let mut span = Span::enter(tel, "chase.general", db.name.as_str());
-    let result = chase_general_impl(
-        db, program, egds, budget, semi_naive, use_indexes, threads, adapt, tel, trace,
-    );
-    let stats = match &result {
-        Ok((ChaseOutcome::Done(s) | ChaseOutcome::BoundExceeded(s), ..)) => *s,
-        Ok((ChaseOutcome::Failed { .. }, ..)) => ChaseStats::default(),
-        Err(f) => f.stats,
-    };
-    if let Some(m) = tel.metrics() {
-        m.add(Counter::ChaseRounds, stats.rounds as u64);
-        m.add(Counter::ChaseFirings, stats.fired as u64);
-        m.add(Counter::ChaseNullsMinted, stats.nulls as u64);
-        m.add(
-            Counter::ChaseDeltaTuples,
-            db.total_tuples().saturating_sub(tuples_before) as u64,
-        );
-        m.observe_us(Timer::Chase, mm_telemetry::clock::elapsed_us(started));
-    }
-    span.field("tgds", program.len());
-    span.field("egds", egds.len());
-    span.field("rounds", stats.rounds);
-    span.field("fired", stats.fired);
-    span.field("nulls", stats.nulls);
-    if let Ok((_, _, par, replans)) = &result {
-        record_parallel(tel, &mut span, threads, par);
-        if *replans > 0 {
-            // only emitted when adaptive re-optimization fired, so
-            // non-adaptive spans keep their field set byte-for-byte
-            span.field("replans", *replans);
-            tel.count(Counter::PlanMisestimates, *replans as u64);
-            tel.count(Counter::PlanReplans, *replans as u64);
-        }
-    }
-    match &result {
-        Ok((_, c, _, _)) => {
-            tel.count(Counter::BudgetStepsConsumed, c.steps);
-            tel.count(Counter::BudgetRowsConsumed, c.rows);
-            span.field("steps", c.steps);
-            span.field("rows", c.rows);
-            span.field("wall_us", c.wall_us);
-        }
-        Err(f) => span.field("error", f.error.to_string()),
-    }
-    span.finish();
-    result.map(|(o, c, _, r)| (o, c, r))
-}
-
-#[allow(clippy::type_complexity)] // watermark alias would hide, not help
-#[allow(clippy::too_many_arguments)] // internal: run_general is the only caller
-fn chase_general_impl(
-    db: &mut Database,
-    program: &ChaseProgram,
-    egds: &[Egd],
-    budget: &ExecBudget,
-    semi_naive: bool,
-    use_indexes: bool,
-    threads: usize,
-    adapt: Option<f64>,
-    tel: &Telemetry,
+    ctx: &mut ExecCtx<'_>,
+    indexed: bool,
     mut trace: Option<&mut Vec<RoundExplain>>,
-) -> Result<(ChaseOutcome, Consumption, mm_parallel::PoolRun, u32), ChaseFailure> {
-    let mut gov = Governor::new(budget);
+) -> Result<Ran<ChaseOutcome>, ChaseFailure> {
+    let gov = &mut *ctx.governor;
+    let tel = &ctx.telemetry;
+    let threads = ctx.threads;
+    let max_rounds = gov.budget().max_rounds();
     let mut stats = ChaseStats::default();
     let mut par = mm_parallel::PoolRun::default();
     // per-tgd semi-naive watermarks: body-relation name → relation length
@@ -720,7 +472,7 @@ fn chase_general_impl(
     let mut overrides: Vec<Option<TgdPlan>> = vec![None; program.len()];
     let mut replans = 0u32;
     loop {
-        if let Some(limit) = budget.max_rounds() {
+        if let Some(limit) = max_rounds {
             if stats.rounds as u64 >= limit {
                 return Err(ChaseFailure {
                     error: ExecError::Diverged { rounds: limit },
@@ -729,7 +481,7 @@ fn chase_general_impl(
             }
         }
         gov.check_now().map_err(|error| ChaseFailure { error, stats })?;
-        if let Some(ratio) = adapt {
+        if let Some(ratio) = ctx.replan_ratio {
             // round boundaries are governor safepoints: compare each
             // costed plan's compile-time body cardinalities with the
             // live statistics; past the drift ratio, re-plan. recost()
@@ -761,7 +513,7 @@ fn chase_general_impl(
                 let rel_len =
                     |db: &Database, r: &str| db.relation(r).map_or(0, |rel| rel.tuples().len() as u32);
                 let mut matches = Vec::new();
-                match watermarks[ti].as_ref().filter(|_| semi_naive) {
+                let run = match watermarks[ti].as_ref().filter(|_| indexed) {
                     Some(wm) => {
                         let grew = plan
                             .body_rels()
@@ -773,33 +525,11 @@ fn chase_general_impl(
                             // fired) at this tgd's previous evaluation
                             continue;
                         }
-                        if threads > 1 {
-                            par.absorb(plan.body_matches_delta_parallel(
-                                db,
-                                wm,
-                                use_indexes,
-                                threads,
-                                &mut gov,
-                                &mut matches,
-                            )?);
-                        } else {
-                            plan.body_matches_delta(db, wm, use_indexes, &mut gov, &mut matches)?;
-                        }
+                        plan.body_matches_delta(db, wm, indexed, threads, gov, &mut matches)?
                     }
-                    None => {
-                        if threads > 1 {
-                            par.absorb(plan.body_matches_parallel(
-                                db,
-                                use_indexes,
-                                threads,
-                                &mut gov,
-                                &mut matches,
-                            )?);
-                        } else {
-                            plan.body_matches(db, use_indexes, &mut gov, &mut matches)?;
-                        }
-                    }
-                }
+                    None => plan.body_matches(db, indexed, threads, gov, &mut matches)?,
+                };
+                par.absorb(run);
                 // record the watermark before firing, so this tgd's own
                 // insertions count as next round's delta
                 watermarks[ti] = Some(
@@ -809,15 +539,15 @@ fn chase_general_impl(
                         .collect(),
                 );
                 for m in matches {
-                    if plan.head_satisfied(&m.binding, db, use_indexes, &mut gov)? {
+                    if plan.head_satisfied(&m.binding, db, indexed, gov)? {
                         continue;
                     }
-                    plan.fire(&m.binding, db, stats, &mut gov)?;
+                    plan.fire(&m.binding, db, stats, gov)?;
                     *changed = true;
                 }
             }
             let mut egd_changed = false;
-            if let Some(failed) = egd_pass(db, egds, use_indexes, &mut gov, &mut egd_changed)? {
+            if let Some(failed) = egd_pass(db, egds, indexed, gov, &mut egd_changed)? {
                 return Ok(Some(failed));
             }
             if egd_changed {
@@ -847,10 +577,10 @@ fn chase_general_impl(
             m.observe_hist(Hist::ChaseRoundUs, mm_telemetry::clock::elapsed_us(started));
         }
         if let Some(failed) = outcome {
-            return Ok((failed, gov.consumption(), par, replans));
+            return Ok(Ran { out: failed, stats: ChaseStats::default(), par, replans });
         }
         if !changed {
-            return Ok((ChaseOutcome::Done(stats), gov.consumption(), par, replans));
+            return Ok(Ran { out: ChaseOutcome::Done(stats), stats, par, replans });
         }
     }
 }
@@ -941,6 +671,9 @@ fn equate(db: &mut Database, from: Value, to: Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{chase_general_reference, chase_st_reference};
+    use mm_expr::Tgd;
+    use mm_guard::ExecBudget;
     use mm_metamodel::{DataType, SchemaBuilder};
 
     fn src_schema() -> Schema {
@@ -966,6 +699,38 @@ mod tests {
         db
     }
 
+    /// Compile and run the s-t chase at `threads` under `budget`.
+    fn st_chase(
+        target: &Schema,
+        tgds: &[Tgd],
+        src: &Database,
+        budget: &ExecBudget,
+        threads: usize,
+    ) -> Result<(Database, ChaseStats), ChaseFailure> {
+        let mut gov = Governor::new(budget);
+        let program = ChaseProgram::compile(tgds, src);
+        let run = program.run_st(target, src, &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) })?;
+        Ok((run.target, run.stats))
+    }
+
+    /// Compile and run the general chase at `threads` under `budget`.
+    fn general_chase(
+        db: &mut Database,
+        tgds: &[Tgd],
+        egds: &[Egd],
+        budget: &ExecBudget,
+        threads: usize,
+    ) -> Result<ChaseOutcome, ChaseFailure> {
+        let mut gov = Governor::new(budget);
+        let program = ChaseProgram::compile(tgds, db);
+        let ctx = &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) };
+        program.run_general(db, egds, ctx).map(|run| run.outcome)
+    }
+
+    fn rounds(n: u64) -> ExecBudget {
+        ExecBudget::unbounded().with_rounds(n)
+    }
+
     #[test]
     fn st_chase_invents_nulls_for_existentials() {
         // Emp(e) -> exists m . Mgr(e, m) & Person(m)
@@ -973,7 +738,8 @@ mod tests {
             vec![Atom::vars("Emp", &["e"])],
             vec![Atom::vars("Mgr", &["e", "m"]), Atom::vars("Person", &["m"])],
         );
-        let (tgt, stats) = chase_st(&tgt_schema(), &[tgd], &src_db());
+        let (tgt, stats) =
+            st_chase(&tgt_schema(), &[tgd], &src_db(), &ExecBudget::unbounded(), 1).unwrap();
         assert_eq!(stats.fired, 2);
         assert_eq!(stats.nulls, 2);
         let mgr = tgt.relation("Mgr").unwrap();
@@ -991,10 +757,23 @@ mod tests {
     fn st_chase_skips_satisfied_heads() {
         // full tgd: Emp(e) -> Person(e), chased twice adds nothing new
         let tgd = Tgd::new(vec![Atom::vars("Emp", &["e"])], vec![Atom::vars("Person", &["e"])]);
-        let (tgt, stats) = chase_st(&tgt_schema(), &[tgd.clone(), tgd], &src_db());
+        let (tgt, stats) =
+            st_chase(&tgt_schema(), &[tgd.clone(), tgd], &src_db(), &ExecBudget::unbounded(), 1)
+                .unwrap();
         assert_eq!(tgt.relation("Person").unwrap().len(), 2);
         // second copy of the tgd fires nothing
         assert_eq!(stats.fired, 2);
+    }
+
+    #[test]
+    fn st_chase_reports_function_terms_as_unsupported() {
+        let tgd = Tgd::new(
+            vec![Atom::vars("Emp", &["e"])],
+            vec![Atom::new("Person", vec![mm_expr::Term::Func("f".into(), vec![])])],
+        );
+        let err = st_chase(&tgt_schema(), &[tgd], &src_db(), &ExecBudget::unbounded(), 1)
+            .unwrap_err();
+        assert!(matches!(err.error, ExecError::Unsupported { .. }), "{err}");
     }
 
     #[test]
@@ -1013,13 +792,13 @@ mod tests {
             vec![Atom::vars("T", &["x", "y"]), Atom::vars("T", &["y", "z"])],
             vec![Atom::vars("T", &["x", "z"])],
         );
-        let out = chase_general(&mut db, &[copy, trans], &[], 10);
+        let out = general_chase(&mut db, &[copy, trans], &[], &rounds(10), 1).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)), "{out}");
         assert_eq!(db.relation("T").unwrap().len(), 3); // 12, 23, 13
     }
 
     #[test]
-    fn general_chase_bound_exceeded_on_nonterminating_tgd() {
+    fn general_chase_diverges_on_nonterminating_tgd() {
         // R(x,y) -> exists z . R(y,z): grows forever
         let s = SchemaBuilder::new("S")
             .relation("R", &[("a", DataType::Int), ("b", DataType::Int)])
@@ -1028,8 +807,9 @@ mod tests {
         let mut db = Database::empty_of(&s);
         db.insert("R", Tuple::from([Value::Int(1), Value::Int(2)]));
         let t = Tgd::new(vec![Atom::vars("R", &["x", "y"])], vec![Atom::vars("R", &["y", "z"])]);
-        let out = chase_general(&mut db, &[t], &[], 5);
-        assert!(matches!(out, ChaseOutcome::BoundExceeded(_)));
+        let err = general_chase(&mut db, &[t], &[], &rounds(5), 1).unwrap_err();
+        assert_eq!(err.error, ExecError::Diverged { rounds: 5 });
+        assert_eq!(err.stats.rounds, 5);
     }
 
     #[test]
@@ -1048,7 +828,7 @@ mod tests {
             left: "v1".into(),
             right: "v2".into(),
         };
-        let out = chase_general(&mut db, &[], &[egd], 10);
+        let out = general_chase(&mut db, &[], &[egd], &rounds(10), 1).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)));
         let r = db.relation("R").unwrap();
         assert_eq!(r.len(), 1);
@@ -1069,7 +849,7 @@ mod tests {
             left: "v1".into(),
             right: "v2".into(),
         };
-        let out = chase_general(&mut db, &[], &[egd], 10);
+        let out = general_chase(&mut db, &[], &[egd], &rounds(10), 1).unwrap();
         assert_eq!(out, ChaseOutcome::Failed { egd_index: 0 });
     }
 
@@ -1087,7 +867,7 @@ mod tests {
         let n2 = db.fresh_labeled();
         db.insert("R", Tuple::from([Value::Int(1), n1, Value::text("x")]));
         db.insert("R", Tuple::from([Value::Int(1), Value::text("v!"), n2]));
-        let out = chase_general(&mut db, &[], &egds, 10);
+        let out = general_chase(&mut db, &[], &egds, &rounds(10), 1).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)), "{out}");
         let r = db.relation("R").unwrap();
         assert_eq!(r.len(), 1, "{r}");
@@ -1108,8 +888,8 @@ mod tests {
         db.insert("R", Tuple::from([Value::Int(1), Value::text("a")]));
         db.insert("R", Tuple::from([Value::Int(1), Value::text("b")]));
         assert!(matches!(
-            chase_general(&mut db, &[], &egds, 10),
-            ChaseOutcome::Failed { .. }
+            general_chase(&mut db, &[], &egds, &rounds(10), 1),
+            Ok(ChaseOutcome::Failed { .. })
         ));
     }
 
@@ -1135,10 +915,10 @@ mod tests {
             ),
             Tgd::new(vec![Atom::vars("T", &["x", "y"])], vec![Atom::vars("W", &["y", "w"])]),
         ];
-        let budget = ExecBudget::unbounded().with_rounds(32);
+        let budget = rounds(32);
         let mut fast = db.clone();
         let mut slow = db;
-        let a = chase_general_governed(&mut fast, &tgds, &[], &budget).unwrap();
+        let a = general_chase(&mut fast, &tgds, &[], &budget, 1).unwrap();
         let b = chase_general_reference(&mut slow, &tgds, &[], &budget).unwrap();
         assert_eq!(a, b, "outcome (incl. fired/rounds/nulls stats) must match");
         assert_eq!(fast, slow, "instances must match tuple-for-tuple incl. null ids");
@@ -1163,10 +943,10 @@ mod tests {
             Tgd::new(vec![Atom::vars("Src", &["k"])], vec![Atom::vars("R", &["k", "w"])]),
         ];
         let egds = egds_from_keys(&s);
-        let budget = ExecBudget::unbounded().with_rounds(32);
+        let budget = rounds(32);
         let mut fast = db.clone();
         let mut slow = db;
-        let a = chase_general_governed(&mut fast, &tgds, &egds, &budget).unwrap();
+        let a = general_chase(&mut fast, &tgds, &egds, &budget, 1).unwrap();
         let b = chase_general_reference(&mut slow, &tgds, &egds, &budget).unwrap();
         assert_eq!(a, b);
         assert_eq!(fast, slow);
@@ -1180,12 +960,9 @@ mod tests {
             vec![Atom::vars("Mgr", &["e", "m"]), Atom::vars("Person", &["m"])],
         );
         let budget = ExecBudget::unbounded();
-        let (fast, fs) =
-            chase_st_governed(&tgt_schema(), std::slice::from_ref(&tgd), &src_db(), &budget)
-                .unwrap();
-        let (slow, ss) =
-            chase_st_reference(&tgt_schema(), std::slice::from_ref(&tgd), &src_db(), &budget)
-                .unwrap();
+        let tgds = std::slice::from_ref(&tgd);
+        let (fast, fs) = st_chase(&tgt_schema(), tgds, &src_db(), &budget, 1).unwrap();
+        let (slow, ss) = chase_st_reference(&tgt_schema(), tgds, &src_db(), &budget).unwrap();
         assert_eq!(fs, ss);
         assert_eq!(fast, slow);
     }
@@ -1196,7 +973,9 @@ mod tests {
             vec![Atom::vars("Emp", &["e"])],
             vec![Atom::vars("Person", &["e"])],
         );
-        let (tgt, _) = chase_st(&tgt_schema(), std::slice::from_ref(&tgd), &src_db());
+        let tgds = std::slice::from_ref(&tgd);
+        let (tgt, _) =
+            st_chase(&tgt_schema(), tgds, &src_db(), &ExecBudget::unbounded(), 1).unwrap();
         // merge source+target and chase again: nothing fires
         let s2 = SchemaBuilder::new("Both")
             .relation("Emp", &[("e", DataType::Text)])
@@ -1216,7 +995,7 @@ mod tests {
             }
         }
         let before = both.total_tuples();
-        let out = chase_general(&mut both, &[tgd], &[], 10);
+        let out = general_chase(&mut both, tgds, &[], &rounds(10), 1).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(st) if st.fired == 0));
         assert_eq!(both.total_tuples(), before);
     }
@@ -1242,13 +1021,12 @@ mod tests {
             vec![Atom::vars("E", &["x", "y"]), Atom::vars("E", &["y", "z"])],
             vec![Atom::vars("M", &["x", "z", "w"])],
         );
-        let program = ChaseProgram::compile(std::slice::from_ref(&tgd), &src);
+        let tgds = std::slice::from_ref(&tgd);
         let budget = ExecBudget::unbounded();
-        let (seq, seq_stats) = chase_st_prepared(&tgt_s, &program, &src, &budget).unwrap();
+        let (seq, seq_stats) = st_chase(&tgt_s, tgds, &src, &budget, 1).unwrap();
         assert_eq!(seq_stats.nulls, 299, "every join match mints a null");
         for threads in [2, 4, 8] {
-            let (par, par_stats) =
-                chase_st_parallel(&tgt_s, &program, &src, &budget, threads).unwrap();
+            let (par, par_stats) = st_chase(&tgt_s, tgds, &src, &budget, threads).unwrap();
             assert_eq!(par_stats, seq_stats, "stats must match at threads={threads}");
             assert_eq!(par, seq, "instances must match at threads={threads}");
         }
@@ -1277,14 +1055,12 @@ mod tests {
             ),
             Tgd::new(vec![Atom::vars("T", &["x", "y"])], vec![Atom::vars("W", &["y", "w"])]),
         ];
-        let program = ChaseProgram::compile(&tgds, &db);
-        let budget = ExecBudget::unbounded().with_rounds(64);
+        let budget = rounds(64);
         let mut seq = db.clone();
-        let seq_out = chase_general_prepared(&mut seq, &program, &[], &budget).unwrap();
+        let seq_out = general_chase(&mut seq, &tgds, &[], &budget, 1).unwrap();
         for threads in [2, 4, 8] {
             let mut par = db.clone();
-            let par_out =
-                chase_general_parallel(&mut par, &program, &[], &budget, threads).unwrap();
+            let par_out = general_chase(&mut par, &tgds, &[], &budget, threads).unwrap();
             assert_eq!(par_out, seq_out, "outcome must match at threads={threads}");
             assert_eq!(par, seq, "instances must match at threads={threads}");
         }
@@ -1307,17 +1083,8 @@ mod tests {
         }
         let program = ChaseProgram::compile(std::slice::from_ref(&tgd), &src);
         let solo_steps = {
-            let budget = ExecBudget::unbounded();
-            let mut gov = Governor::new(&budget);
-            chase_st_prepared_governed(
-                &tgt_schema(),
-                &program,
-                &src,
-                &mut gov,
-                1,
-                &Telemetry::disabled(),
-            )
-            .unwrap();
+            let mut gov = Governor::new(&ExecBudget::unbounded());
+            program.run_st(&tgt_schema(), &src, &mut ExecCtx::new(&mut gov)).unwrap();
             gov.steps_consumed()
         };
         assert!(solo_steps > 4096, "workload must span several safepoints: {solo_steps}");
@@ -1326,15 +1093,7 @@ mod tests {
         let (_, mut govs) = lead.fork_shared(2);
         let mut trips = 0;
         for g in govs.iter_mut() {
-            let r = chase_st_prepared_governed(
-                &tgt_schema(),
-                &program,
-                &src,
-                g,
-                1,
-                &Telemetry::disabled(),
-            );
-            if let Err(f) = r {
+            if let Err(f) = program.run_st(&tgt_schema(), &src, &mut ExecCtx::new(g)) {
                 assert!(matches!(f.error, ExecError::BudgetExhausted { .. }), "{f}");
                 trips += 1;
             }

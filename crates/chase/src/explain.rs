@@ -58,7 +58,7 @@ pub struct ChaseExplain {
     /// report stays byte-identical across machines.
     pub threads: usize,
     /// Mid-run adaptive re-optimizations performed (see
-    /// [`crate::chase_general_adaptive`]). Zero for non-adaptive runs and
+    /// [`mm_guard::ExecCtx::replan_ratio`]). Zero for non-adaptive runs and
     /// rendered only when non-zero, keeping pre-existing reports
     /// byte-identical.
     pub replans: u32,

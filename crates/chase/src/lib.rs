@@ -7,15 +7,20 @@
 //! queries but are not allowed to be returned as part of the answer".
 //! This crate implements that machinery:
 //!
-//! * [`chase::chase_st`] — the standard (restricted) chase of a source
-//!   instance with st-tgds, producing a universal target instance;
-//! * [`chase::chase_general`] — the bounded chase for arbitrary tgds
-//!   (target tgds included), which may not terminate and is therefore
-//!   step-bounded (composition of non-s-t tgds is undecidable, §6.1);
+//! * [`ChaseProgram::run_st`] — the standard (restricted) chase of a
+//!   source instance with st-tgds, producing a universal target instance;
+//! * [`ChaseProgram::run_general`] — the bounded chase for arbitrary tgds
+//!   (target tgds included) and egds, which may not terminate and is
+//!   therefore round-capped (composition of non-s-t tgds is undecidable,
+//!   §6.1);
 //! * [`certain::certain_answers`] — query evaluation with labeled-null
 //!   filtering;
 //! * [`core::core_of`] — greedy core minimization of a universal instance
 //!   ("Data exchange: getting to the core").
+//!
+//! Both chases run under an [`mm_guard::ExecCtx`]: budget, telemetry,
+//! threads, adaptive re-planning and EXPLAIN are its fields, and no
+//! combination of them changes a result.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -26,17 +31,15 @@ pub mod core;
 pub mod explain;
 pub mod hom;
 pub mod plan;
+#[doc(hidden)]
+pub mod testkit;
 
 pub use crate::core::core_of;
 pub use certain::certain_answers;
+#[doc(hidden)]
+pub use chase::chase_st_prepared_governed;
 pub use chase::{
-    chase_general, chase_general_adaptive, chase_general_adaptive_explained,
-    chase_general_explained, chase_general_governed, chase_general_parallel,
-    chase_general_parallel_traced, chase_general_prepared, chase_general_prepared_traced,
-    chase_general_reference, chase_st, chase_st_explained, chase_st_governed, chase_st_parallel,
-    chase_st_parallel_traced, chase_st_prepared, chase_st_prepared_governed,
-    chase_st_prepared_traced, chase_st_reference, egds_from_keys, ChaseFailure, ChaseOutcome,
-    ChaseStats, Egd,
+    egds_from_keys, ChaseFailure, ChaseOutcome, ChaseStats, Egd, GeneralRun, StRun,
 };
 pub use explain::{ChaseExplain, RoundExplain, TgdExplain};
 pub use hom::{exists_hom, hom_equivalent};

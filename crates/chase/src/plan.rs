@@ -229,31 +229,12 @@ impl TgdPlan {
         })
     }
 
-    /// Full body evaluation (every binding, naive-identical order).
+    /// Full body evaluation (every binding, naive-identical order), with
+    /// the driver atom's range fanned across up to `threads` workers.
+    /// Same bindings, same order, same metered step totals at every
+    /// thread count ([`CqPlan::execute_parallel`]'s contract); `threads
+    /// <= 1` and small driver relations run sequentially.
     pub fn body_matches(
-        &self,
-        db: &Database,
-        use_indexes: bool,
-        gov: &mut Governor,
-        out: &mut Vec<PlanMatch>,
-    ) -> Result<(), ExecError> {
-        let mut scratch = vec![None; self.table.len()];
-        let opts = ExecOptions { use_indexes, ..Default::default() };
-        let before = out.len();
-        self.body.execute_governed(db, &mut scratch, &opts, gov, out)?;
-        if self.body.is_costed() {
-            // a costed walk may enumerate out of canonical order; the
-            // emitted positions sort it back into the naive sequence
-            out[before..].sort_by(|a, b| a.positions.cmp(&b.positions));
-        }
-        Ok(())
-    }
-
-    /// [`TgdPlan::body_matches`] with the driver atom's range fanned
-    /// across up to `threads` workers. Same bindings, same order, same
-    /// metered step totals ([`CqPlan::execute_parallel`]'s contract);
-    /// degrades to the sequential path for small driver relations.
-    pub fn body_matches_parallel(
         &self,
         db: &Database,
         use_indexes: bool,
@@ -266,6 +247,8 @@ impl TgdPlan {
         let before = out.len();
         let run = self.body.execute_parallel(db, &mut scratch, &opts, threads, gov, out)?;
         if self.body.is_costed() {
+            // a costed walk may enumerate out of canonical order; the
+            // emitted positions sort it back into the naive sequence
             out[before..].sort_by(|a, b| a.positions.cmp(&b.positions));
         }
         Ok(run)
@@ -273,52 +256,11 @@ impl TgdPlan {
 
     /// Semi-naive body evaluation: only bindings that touch at least one
     /// tuple inserted at or after its relation's watermark, in the exact
-    /// order a full evaluation would have enumerated them.
+    /// order a full evaluation would have enumerated them. Each delta
+    /// split's driver range fans across up to `threads` workers; the
+    /// final position-vector sort restores the naive enumeration order
+    /// whichever way the splits were chunked.
     pub fn body_matches_delta(
-        &self,
-        db: &Database,
-        watermarks: &HashMap<String, u32>,
-        use_indexes: bool,
-        gov: &mut Governor,
-        out: &mut Vec<PlanMatch>,
-    ) -> Result<(), ExecError> {
-        let n = self.body.atoms().len();
-        let wm_of = |relation: &str| watermarks.get(relation).copied().unwrap_or(0);
-        let len_of =
-            |relation: &str| db.relation(relation).map_or(0, |r| r.tuples().len() as u32);
-        let mut scratch = vec![None; self.table.len()];
-        let mut acc: Vec<PlanMatch> = Vec::new();
-        for d in 0..n {
-            let d_rel = &self.body.atoms()[d].relation;
-            if len_of(d_rel) <= wm_of(d_rel) {
-                continue; // this split's delta is empty
-            }
-            let ranges: Vec<AtomRange> = (0..n)
-                .map(|i| {
-                    let wm = wm_of(&self.body.atoms()[i].relation);
-                    match i.cmp(&d) {
-                        std::cmp::Ordering::Less => AtomRange::Below(wm),
-                        std::cmp::Ordering::Equal => AtomRange::AtOrAbove(wm),
-                        std::cmp::Ordering::Greater => AtomRange::Full,
-                    }
-                })
-                .collect();
-            let opts = ExecOptions { ranges: Some(&ranges), use_indexes, limit: None };
-            self.body.execute_governed(db, &mut scratch, &opts, gov, &mut acc)?;
-        }
-        // splits are disjoint; position vectors sort them back into the
-        // naive nested-loop enumeration order
-        acc.sort_by(|a, b| a.positions.cmp(&b.positions));
-        out.append(&mut acc);
-        Ok(())
-    }
-
-    /// [`TgdPlan::body_matches_delta`] with each delta split's driver
-    /// range fanned across up to `threads` workers. The final
-    /// position-vector sort is what already restores the naive
-    /// enumeration order for the sequential path, so chunked splits
-    /// merge to the identical binding sequence.
-    pub fn body_matches_delta_parallel(
         &self,
         db: &Database,
         watermarks: &HashMap<String, u32>,

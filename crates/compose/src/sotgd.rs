@@ -378,7 +378,8 @@ fn eval_term_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_chase::{chase_st, hom_equivalent};
+    use crate::transport::transport_via;
+    use mm_chase::hom_equivalent;
     use mm_metamodel::{DataType, SchemaBuilder};
 
     // The canonical Fagin et al. example:
@@ -495,8 +496,7 @@ mod tests {
         d1.insert("Emp", Tuple::from([Value::text("bob")]));
 
         // transport: chase through S2 then S3
-        let (d2, _) = chase_st(&s2, &m12(), &d1);
-        let (d3_chase, _) = chase_st(&s3, &m23(), &d2);
+        let (d3_chase, _, _) = transport_via(&s2, &m12(), &s3, &m23(), &d1).unwrap();
 
         // direct: apply composed SO-tgd
         let so = compose_st_tgds(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();

@@ -1,25 +1,32 @@
 //! Instance transport through an intermediate schema — the semantic
 //! oracle for composition.
 
-use mm_chase::{chase_st, ChaseStats};
+use mm_chase::{ChaseFailure, ChaseProgram, ChaseStats};
 use mm_expr::Tgd;
+use mm_guard::{ExecBudget, ExecCtx, Governor};
 use mm_instance::Database;
 use mm_metamodel::Schema;
 
 /// Chase `d1` through `m12` into S2, then through `m23` into S3 — the
 /// instance-level composition ⟨D1, D3⟩ realized by the canonical universal
 /// intermediate instance. Returns the final instance plus both chase
-/// stats (the EQ1/EQ7 benchmarks report these).
+/// stats (the EQ1/EQ7 benchmarks report these); a tgd the chase cannot
+/// instantiate (a function term in a head) is a typed [`ChaseFailure`].
 pub fn transport_via(
     s2: &Schema,
     m12: &[Tgd],
     s3: &Schema,
     m23: &[Tgd],
     d1: &Database,
-) -> (Database, ChaseStats, ChaseStats) {
-    let (d2, st12) = chase_st(s2, m12, d1);
-    let (d3, st23) = chase_st(s3, m23, &d2);
-    (d3, st12, st23)
+) -> Result<(Database, ChaseStats, ChaseStats), ChaseFailure> {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let d2 = ChaseProgram::compile(m12, d1).run_st(s2, d1, &mut ExecCtx::new(&mut gov))?;
+    let d3 = ChaseProgram::compile(m23, &d2.target).run_st(
+        s3,
+        &d2.target,
+        &mut ExecCtx::new(&mut gov),
+    )?;
+    Ok((d3.target, d2.stats, d3.stats))
 }
 
 #[cfg(test)]
@@ -58,7 +65,7 @@ mod tests {
             d1.insert("A", Tuple::from([Value::Int(i)]));
         }
 
-        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1);
+        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
         let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
@@ -93,7 +100,7 @@ mod tests {
         d1.insert("E", Tuple::from([Value::Int(2), Value::Int(3)]));
         d1.insert("E", Tuple::from([Value::Int(3), Value::Int(1)]));
 
-        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1);
+        let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
         let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));

@@ -2,7 +2,7 @@
 
 use mm_chase::{ChaseExplain, ChaseProgram};
 use mm_expr::{CorrespondenceSet, Expr, Mapping, SoTgd, Tgd, ViewSet};
-use mm_guard::{ExecBudget, Governor};
+use mm_guard::{ExecBudget, ExecCtx, Governor};
 use mm_instance::{Database, Tuple};
 use mm_match::MatchConfig;
 use mm_metamodel::Schema;
@@ -80,22 +80,13 @@ pub struct EngineConfig {
     /// to force per-call compilation (e.g. when benchmarking compile
     /// cost).
     pub cache_plans: bool,
-    /// Compile chase programs with the cost-based planner
-    /// ([`mm_chase::ChaseProgram::compile_costed`]): tgd-body join orders
-    /// are chosen by cardinality/selectivity estimates from per-relation
-    /// statistics instead of the greedy size heuristic, and cached plans
-    /// whose compile-time statistics have drifted beyond
-    /// [`EngineConfig::replan_ratio`] are invalidated and recompiled on
-    /// their next use. Results are bit-identical either way — cost-based
-    /// plans re-emit matches in the canonical enumeration order — so this
-    /// only changes how much work a chase does. Defaults to `true`.
-    pub cost_based_plans: bool,
     /// Drift threshold for adaptive re-optimization, as a ratio between a
     /// plan's compile-time body-relation cardinalities and the live ones
-    /// (either direction, +1 smoothed). A cached or mid-run plan past the
-    /// threshold is re-planned against current statistics. Defaults to
-    /// `8.0`; only consulted when [`EngineConfig::cost_based_plans`] is
-    /// on.
+    /// (either direction, +1 smoothed). Chase programs are compiled by
+    /// the cost-based planner ([`mm_chase::ChaseProgram::compile_costed`]);
+    /// a cached or mid-run plan past the threshold is re-planned against
+    /// current statistics. Re-planning changes how much work a chase
+    /// does, never its result. Defaults to `8.0`.
     pub replan_ratio: f64,
     /// Degree of parallelism for chase and batch operators: the worker
     /// count for [`Engine::exchange_batch`] and for the within-round
@@ -124,7 +115,6 @@ impl Default for EngineConfig {
             compose_clause_bound: mm_compose::DEFAULT_CLAUSE_BOUND,
             budget: ExecBudget::unbounded(),
             cache_plans: true,
-            cost_based_plans: true,
             replan_ratio: 8.0,
             threads: mm_parallel::available_parallelism(),
             durability: Durability::Ephemeral,
@@ -303,9 +293,8 @@ impl Engine {
     /// The compiled chase program for mapping `name` at version `id`,
     /// compiling (and caching, unless [`EngineConfig::cache_plans`] is
     /// off) on first use. A cached plan compiled from an *older* version
-    /// of the same name is treated as a miss and replaced, and — under
-    /// [`EngineConfig::cost_based_plans`] — a cached plan whose
-    /// compile-time statistics have drifted from `db` beyond
+    /// of the same name is treated as a miss and replaced, and a cached
+    /// plan whose compile-time statistics have drifted from `db` beyond
     /// [`EngineConfig::replan_ratio`] is invalidated and recompiled
     /// against current cardinalities (counted as a plan misestimate plus
     /// a re-plan). `db` only supplies cardinality statistics for the
@@ -318,21 +307,14 @@ impl Engine {
         db: &Database,
     ) -> Arc<ChaseProgram> {
         let tel = &self.config.telemetry;
-        let compile = |tgds: &[Tgd], db: &Database| {
-            if self.config.cost_based_plans {
-                Arc::new(ChaseProgram::compile_costed(tgds, db))
-            } else {
-                Arc::new(ChaseProgram::compile(tgds, db))
-            }
-        };
+        let compile =
+            |tgds: &[Tgd], db: &Database| Arc::new(ChaseProgram::compile_costed(tgds, db));
         if !self.config.cache_plans {
             tel.count(Counter::PlanCacheMisses, 1);
             return compile(tgds, db);
         }
         if let Some(program) = self.chase_plans.get(name, id) {
-            if self.config.cost_based_plans
-                && program.misestimated(db, self.config.replan_ratio)
-            {
+            if program.misestimated(db, self.config.replan_ratio) {
                 tel.count(Counter::PlanMisestimates, 1);
                 self.chase_plans.invalidate(name);
                 let fresh = compile(tgds, db);
@@ -391,6 +373,19 @@ impl Engine {
             b.with_rounds(self.config.chase_max_rounds)
         } else {
             b
+        }
+    }
+
+    /// The context every chase the engine runs executes under: the
+    /// configured telemetry, threads and re-plan ratio, metering through
+    /// `gov`.
+    fn chase_ctx<'g>(&self, gov: &'g mut Governor) -> ExecCtx<'g> {
+        ExecCtx {
+            governor: gov,
+            telemetry: self.config.telemetry.clone(),
+            threads: self.config.threads,
+            replan_ratio: Some(self.config.replan_ratio),
+            explain: false,
         }
     }
 
@@ -678,15 +673,11 @@ impl Engine {
         let tel = &self.config.telemetry;
         let mut span = Span::enter(tel, "engine.exchange", mid.to_string());
         let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        let result = mm_chase::chase_st_parallel_traced(
-            &t,
-            &program,
-            source_db,
-            &self.config.budget,
-            self.config.threads,
-            tel,
-        )
-        .map_err(|f| EngineError::Exec(f.into()));
+        let mut gov = Governor::new(&self.config.budget);
+        let result = program
+            .run_st(&t, source_db, &mut self.chase_ctx(&mut gov))
+            .map(|run| (run.target, run.stats))
+            .map_err(|f| EngineError::Exec(f.into()));
         match &result {
             Ok((db, stats)) => {
                 span.field("fired", stats.fired);
@@ -719,9 +710,10 @@ impl Engine {
         let tel = &self.config.telemetry;
         let mut span = Span::enter(tel, "engine.exchange", mid.to_string());
         let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        let result =
-            mm_chase::chase_st_prepared_governed(&t, &program, source_db, gov, 1, tel)
-                .map_err(|f| EngineError::Exec(f.into()));
+        let result = program
+            .run_st(&t, source_db, &mut ExecCtx { threads: 1, ..self.chase_ctx(gov) })
+            .map(|run| (run.target, run.stats))
+            .map_err(|f| EngineError::Exec(f.into()));
         match &result {
             Ok((db, stats)) => {
                 span.field("fired", stats.fired);
@@ -896,15 +888,11 @@ impl Engine {
         let (t, _) = self.schema(target_schema)?;
         let tgds = Self::tgds_of(&m)?;
         let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        mm_chase::chase_st_explained(
-            &t,
-            &program,
-            source_db,
-            &self.config.budget,
-            self.config.threads,
-            &self.config.telemetry,
-        )
-        .map_err(|f| EngineError::Exec(f.into()))
+        let mut gov = Governor::new(&self.config.budget);
+        let run = program
+            .run_st(&t, source_db, &mut ExecCtx { explain: true, ..self.chase_ctx(&mut gov) })
+            .map_err(|f| EngineError::Exec(f.into()))?;
+        Ok((run.target, run.stats, explained(run.explain)?))
     }
 
     /// A plan-only EXPLAIN of the exchange `mapping` would run over
@@ -950,30 +938,13 @@ impl Engine {
         let tel = &self.config.telemetry;
         let mut span = Span::enter(tel, "engine.chase_general", mid.to_string());
         let program = self.chase_program(mapping, &mid, &tgds, &db);
-        let result = if self.config.cost_based_plans {
-            // adaptive: at each round boundary, plans whose statistics
-            // drifted past the configured ratio are re-planned mid-run
-            mm_chase::chase_general_adaptive(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                tel,
-                self.config.replan_ratio,
-            )
-            .map(|(o, _)| o)
-        } else {
-            mm_chase::chase_general_parallel_traced(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                tel,
-            )
-        }
-        .map_err(|f| EngineError::Exec(f.into()));
+        // adaptive: at each round boundary, plans whose statistics
+        // drifted past the configured ratio are re-planned mid-run
+        let mut gov = Governor::new(&self.chase_budget());
+        let result = program
+            .run_general(&mut db, &egds, &mut self.chase_ctx(&mut gov))
+            .map(|run| run.outcome)
+            .map_err(|f| EngineError::Exec(f.into()));
         match &result {
             Ok(outcome) => span.field("outcome", outcome.to_string()),
             Err(e) => span.field("error", e.to_string()),
@@ -999,28 +970,11 @@ impl Engine {
         let egds = mm_chase::egds_from_keys(&s);
         let mut db = source_db.clone();
         let program = self.chase_program(mapping, &mid, &tgds, &db);
-        let (outcome, explain) = if self.config.cost_based_plans {
-            mm_chase::chase_general_adaptive_explained(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                &self.config.telemetry,
-                self.config.replan_ratio,
-            )
-        } else {
-            mm_chase::chase_general_explained(
-                &mut db,
-                &program,
-                &egds,
-                &self.chase_budget(),
-                self.config.threads,
-                &self.config.telemetry,
-            )
-        }
-        .map_err(|f| EngineError::Exec(f.into()))?;
-        Ok((db, outcome, explain))
+        let mut gov = Governor::new(&self.chase_budget());
+        let run = program
+            .run_general(&mut db, &egds, &mut ExecCtx { explain: true, ..self.chase_ctx(&mut gov) })
+            .map_err(|f| EngineError::Exec(f.into()))?;
+        Ok((db, run.outcome, explained(run.explain)?))
     }
 
     /// Serve a batch of data-exchange requests, fanning the chases
@@ -1102,15 +1056,14 @@ impl Engine {
                 };
                 let mut gov = govs[i].lock();
                 Ok(Some(
-                    mm_chase::chase_st_prepared_governed(
-                        schema,
-                        program,
-                        requests[i].source_db,
-                        &mut gov,
-                        1,
-                        tel,
-                    )
-                    .map_err(|f| EngineError::Exec(f.into())),
+                    program
+                        .run_st(
+                            schema,
+                            requests[i].source_db,
+                            &mut ExecCtx { threads: 1, ..self.chase_ctx(&mut gov) },
+                        )
+                        .map(|run| (run.target, run.stats))
+                        .map_err(|f| EngineError::Exec(f.into())),
                 ))
             },
         );
@@ -1168,6 +1121,13 @@ impl Engine {
         }
         out
     }
+}
+
+/// The report of a chase run with [`ExecCtx::explain`] set.
+fn explained(explain: Option<ChaseExplain>) -> Result<ChaseExplain, EngineError> {
+    explain.ok_or_else(|| {
+        EngineError::Exec(mm_guard::ExecError::internal("an explained chase returned no report"))
+    })
 }
 
 /// One request in an [`Engine::exchange_batch`] call: the same triple
@@ -1467,28 +1427,16 @@ mod tests {
         // the corrected plan fits current statistics: no further re-plan
         assert_eq!(tel.metrics().unwrap().snapshot().value("plan_replans"), 1);
 
-        // bit-identity against a greedy (non-cost-based) engine
-        let greedy = Engine::with_config(EngineConfig {
-            cost_based_plans: false,
-            threads: 1,
-            ..Default::default()
-        })
-        .unwrap();
-        greedy.add_schema(s).unwrap();
-        greedy.add_schema(
-            SchemaBuilder::new("T")
-                .relation("U", &[("a", DataType::Int), ("b", DataType::Int)])
-                .build()
-                .unwrap(),
+        // bit-identity against the naive scanning oracle
+        let (t, _) = engine.repo.latest_schema("T").unwrap();
+        let (m, _) = engine.repo.latest_mapping("m").unwrap();
+        let (ref_out, _) = mm_chase::testkit::chase_st_reference(
+            &t,
+            &Engine::tgds_of(&m).unwrap(),
+            &db2,
+            &ExecBudget::unbounded(),
         )
         .unwrap();
-        let mut m2 = Mapping::new("S", "T");
-        m2.push_tgd(mm_expr::Tgd::new(
-            vec![mm_expr::Atom::vars("Big", &["x", "y"]), mm_expr::Atom::vars("Tiny", &["x"])],
-            vec![mm_expr::Atom::vars("U", &["x", "y"])],
-        ));
-        greedy.add_mapping("m", m2).unwrap();
-        let (ref_out, _) = greedy.exchange("m", "T", &db2).unwrap();
         assert_eq!(out, ref_out);
     }
 

@@ -32,15 +32,12 @@ pub mod prelude {
     };
     pub use crate::plan_cache::{PlanCache, PLAN_CACHE_SHARDS};
     pub use crate::script::{run_script, ScriptError};
+    #[doc(hidden)]
+    pub use mm_chase::chase_st_prepared_governed;
     pub use mm_chase::{
-        certain_answers, chase_general, chase_general_adaptive, chase_general_adaptive_explained,
-        chase_general_explained, chase_general_governed,
-        chase_general_parallel, chase_general_parallel_traced, chase_general_prepared,
-        chase_general_prepared_traced, chase_general_reference, chase_st, chase_st_explained,
-        chase_st_governed, chase_st_parallel, chase_st_parallel_traced, chase_st_prepared,
-        chase_st_prepared_governed, chase_st_prepared_traced, chase_st_reference, core_of,
-        egds_from_keys, exists_hom, hom_equivalent, ChaseExplain, ChaseFailure, ChaseOutcome,
-        ChaseProgram, ChaseStats, Egd, RoundExplain, TgdExplain,
+        certain_answers, core_of, egds_from_keys, exists_hom, hom_equivalent, ChaseExplain,
+        ChaseFailure, ChaseOutcome, ChaseProgram, ChaseStats, Egd, GeneralRun, RoundExplain,
+        StRun, TgdExplain,
     };
     pub use mm_compose::{
         apply_sotgd, apply_sotgd_governed, compose_expr_mappings, compose_st_tgds,
@@ -56,8 +53,8 @@ pub mod prelude {
         VarTable,
     };
     pub use mm_guard::{
-        CancelToken, Consumption, Degradation, DegradationKind, ExecBudget, ExecError, Governor,
-        Resource,
+        CancelToken, Consumption, Degradation, DegradationKind, ExecBudget, ExecCtx, ExecError,
+        Governor, Resource,
     };
     pub use mm_telemetry::{
         Cause, Collector, Counter, DegradationSite, EngineMetrics, Event, EventKind, ExplainNode,

@@ -17,10 +17,12 @@
 
 mod budget;
 mod cancel;
+mod ctx;
 mod error;
 mod governor;
 
 pub use budget::{deadline_in, ExecBudget};
 pub use cancel::CancelToken;
+pub use ctx::ExecCtx;
 pub use error::{Degradation, DegradationKind, ExecError, Resource};
 pub use governor::{Consumption, Governor, SharedMeter};

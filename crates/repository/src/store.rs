@@ -271,11 +271,9 @@ const SNAPSHOT_MAGIC: u32 = 0x4D4D5232; // "MMR2"
 /// subscription registry and tracked instances; v4 prepends the interner
 /// pool section (the distinct poolable text values of all stored
 /// instances, bulk pre-interned on load so recovered databases come up
-/// with a warm symbol pool). Snapshots are written at the current
-/// version; v3 snapshots (no pool section) are still read.
+/// with a warm symbol pool). Snapshots are written and read at this
+/// version only; any other version byte is refused as a bad snapshot.
 const SNAPSHOT_VERSION: u8 = 4;
-/// Oldest snapshot version this build still decodes.
-const MIN_SNAPSHOT_VERSION: u8 = 3;
 /// Snapshot header: magic (4) + version (1) + seq (8) + crc (4).
 const SNAPSHOT_HEADER_LEN: usize = 17;
 
@@ -1026,7 +1024,7 @@ fn decode_snapshot(bytes: Bytes) -> Result<(Store, u64), RepositoryError> {
         });
     }
     let version = r.u8()?;
-    if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(RepositoryError::BadSnapshot {
             detail: format!("unsupported format version {version} at offset 4"),
         });
@@ -1045,15 +1043,13 @@ fn decode_snapshot(bytes: Bytes) -> Result<(Store, u64), RepositoryError> {
         });
     }
     let mut r = Reader::new(body);
-    if version >= 4 {
-        // pool section: bulk pre-intern. Interning is bounded (length and
-        // pool-capacity caps) and infallible, so a corrupted section can
-        // waste pool entries but never panic or fail recovery by itself —
-        // the CRC above is the integrity gate.
-        let n = r.seq_len()?;
-        for _ in 0..n {
-            let _ = mm_instance::intern::intern(r.str_ref()?);
-        }
+    // pool section: bulk pre-intern. Interning is bounded (length and
+    // pool-capacity caps) and infallible, so a corrupted section can
+    // waste pool entries but never panic or fail recovery by itself —
+    // the CRC above is the integrity gate.
+    let n = r.seq_len()?;
+    for _ in 0..n {
+        let _ = mm_instance::intern::intern(r.str_ref()?);
     }
     let schemas = decode_versions::<Schema>(&mut r)?;
     let mappings = decode_versions::<Mapping>(&mut r)?;
@@ -1298,6 +1294,22 @@ mod tests {
         match Repository::restore(Bytes::from(bytes)) {
             Err(RepositoryError::BadSnapshot { detail }) => {
                 assert!(detail.contains("version 9"), "{detail}");
+            }
+            other => panic!("expected BadSnapshot, got {:?}", other.map(|_| ()).err()),
+        }
+    }
+
+    #[test]
+    fn v3_snapshot_is_refused() {
+        // the header is outside the CRC, so this body still checksums:
+        // only the version gate can refuse it
+        let repo = Repository::new();
+        repo.store_schema("S", sample_schema("S")).unwrap();
+        let mut bytes = repo.snapshot().to_vec();
+        bytes[4] = 3;
+        match Repository::restore(Bytes::from(bytes)) {
+            Err(RepositoryError::BadSnapshot { detail }) => {
+                assert_eq!(detail, "unsupported format version 3 at offset 4");
             }
             other => panic!("expected BadSnapshot, got {:?}", other.map(|_| ()).err()),
         }

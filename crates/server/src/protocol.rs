@@ -385,7 +385,18 @@ fn decode_exchange_triple(r: &mut Reader) -> DecodeResult<(String, String, Datab
     Ok((mapping, target, db))
 }
 
-/// Decode a request body for `op` (the bytes after the prelude).
+/// Refuse bytes left unread after a complete body: a frame carries one
+/// body, so a tail means a length field and the bytes disagree.
+fn at_end(r: &Reader) -> DecodeResult<()> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(DecodeError("trailing bytes after the body".into()))
+    }
+}
+
+/// Decode a request body for `op` (the bytes after the prelude). The
+/// body must use every byte: trailing bytes are a decode error.
 pub fn decode_request(op: u8, r: &mut Reader) -> Result<Request, BodyError> {
     let decoded = match op {
         x if x == Op::Ping as u8 => Ok(Request::Ping),
@@ -455,7 +466,7 @@ pub fn decode_request(op: u8, r: &mut Reader) -> Result<Request, BodyError> {
         x if x == Op::TraceGet as u8 => r.u64().map(|trace_id| Request::TraceGet { trace_id }),
         other => return Err(BodyError::UnknownOp(other)),
     };
-    decoded.map_err(BodyError::Decode)
+    decoded.and_then(|request| at_end(r).map(|()| request)).map_err(BodyError::Decode)
 }
 
 impl Request {
@@ -868,7 +879,8 @@ pub fn encode_err(req_id: u64, code: u32, message: &str) -> Bytes {
 pub type DecodedResponse = (u64, Result<OkBody, (u32, String)>);
 
 /// Decode a response payload (the client side of [`encode_ok`]/
-/// [`encode_err`]).
+/// [`encode_err`]). The payload must use every byte: trailing bytes are
+/// a decode error.
 pub fn decode_response(payload: Bytes) -> DecodeResult<DecodedResponse> {
     let mut r = Reader::new(payload);
     let req_id = r.u64()?;
@@ -876,6 +888,7 @@ pub fn decode_response(payload: Bytes) -> DecodeResult<DecodedResponse> {
     if status == 1 {
         let code = r.u32()?;
         let message = r.str()?;
+        at_end(&r)?;
         return Ok((req_id, Err((code, message))));
     }
     let op = r.u8()?;
@@ -930,6 +943,7 @@ pub fn decode_response(payload: Bytes) -> DecodeResult<DecodedResponse> {
         x if x == Op::TraceGet as u8 => OkBody::Trace { lines: r.seq(|r| r.str())? },
         other => return Err(DecodeError(format!("unknown response op tag {other}"))),
     };
+    at_end(&r)?;
     Ok((req_id, Ok(body)))
 }
 
@@ -1330,18 +1344,19 @@ mod tests {
         assert_eq!(payload[PRELUDE_LEN..], probe.bytes[..], "the probe speaks the wire format");
 
         let decode = |bytes: &[u8]| {
-            let mut r = Reader::new(Bytes::copy_from_slice(bytes));
-            decode_request(Op::ExchangeBatch as u8, &mut r).map(|req| (req, r.is_empty()))
+            decode_request(Op::ExchangeBatch as u8, &mut Reader::new(Bytes::copy_from_slice(bytes)))
         };
-        assert!(matches!(decode(&probe.bytes), Ok((_, true))));
+        assert!(decode(&probe.bytes).is_ok());
         for cut in 0..probe.bytes.len() {
             assert!(decode(&probe.bytes[..cut]).is_err(), "prefix of {cut} bytes");
         }
         for bytes in probe.corrupted_lengths() {
-            // the only corruption that can decode is a count lowered at the
-            // tail of the body, and it shows in the bytes left unread
-            assert!(!matches!(decode(&bytes), Ok((_, true))));
+            // a lowered count leaves bytes unread, which is refused too
+            assert!(decode(&bytes).is_err());
         }
+        let mut trailing = probe.bytes.clone();
+        trailing.push(0);
+        assert!(matches!(decode(&trailing), Err(BodyError::Decode(_))), "one trailing byte");
     }
 
     /// The same sweep over a batch response (the client-side decoder).
@@ -1372,12 +1387,12 @@ mod tests {
             assert!(decode(&probe.bytes[..cut]).is_err(), "prefix of {cut} bytes");
         }
         for bytes in probe.corrupted_lengths() {
-            // the only corruption that can decode is a count lowered at the
-            // tail of the body: the reply it yields is short of the original
-            if let Ok((id, Ok(reply))) = decode(&bytes) {
-                assert!(encode_ok(id, &reply).len() < payload.len());
-            }
+            // a lowered count leaves bytes unread, which is refused too
+            assert!(decode(&bytes).is_err());
         }
+        let mut trailing = probe.bytes.clone();
+        trailing.push(0);
+        assert!(decode(&trailing).is_err(), "one trailing byte");
     }
 
     /// The issue-13 amplification payload through the request decoder: a

@@ -334,32 +334,26 @@ pub fn repo_ops(seed: u64, len: usize, names: usize) -> Vec<RepoOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_chase::{chase_general_governed, ChaseOutcome};
-    use mm_guard::ExecBudget;
+    use mm_chase::{ChaseFailure, ChaseOutcome, ChaseProgram};
+    use mm_guard::{ExecBudget, ExecCtx, Governor};
+
+    fn chase(db: &mut Database, tgds: &[Tgd], rounds: u64) -> Result<ChaseOutcome, ChaseFailure> {
+        let mut gov = Governor::new(&ExecBudget::unbounded().with_rounds(rounds));
+        let program = ChaseProgram::compile(tgds, db);
+        program.run_general(db, &[], &mut ExecCtx::new(&mut gov)).map(|run| run.outcome)
+    }
 
     #[test]
     fn divergent_set_never_closes_under_round_cap() {
         let (_, mut db, tgds) = divergent_tgds();
-        let err = chase_general_governed(
-            &mut db,
-            &tgds,
-            &[],
-            &ExecBudget::unbounded().with_rounds(8),
-        )
-        .unwrap_err();
+        let err = chase(&mut db, &tgds, 8).unwrap_err();
         assert!(err.error.is_resource(), "{err}");
     }
 
     #[test]
     fn terminating_chain_closes() {
         let (_, mut db, tgds) = terminating_chain(4);
-        let out = chase_general_governed(
-            &mut db,
-            &tgds,
-            &[],
-            &ExecBudget::unbounded().with_rounds(64),
-        )
-        .unwrap();
+        let out = chase(&mut db, &tgds, 64).unwrap();
         assert!(matches!(out, ChaseOutcome::Done(_)));
         assert_eq!(db.relation("R3").unwrap().len(), 1);
     }

@@ -381,9 +381,18 @@ pub fn evolution_scale(tuples: usize, seed: u64) -> ScaleScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_chase::chase_st;
+    use mm_chase::{ChaseProgram, ChaseStats};
     use mm_eval::find_homomorphisms;
+    use mm_guard::{ExecBudget, ExecCtx, Governor};
     use mm_instance::intern::with_compact;
+
+    fn chase(sc: &ScaleScenario) -> (Database, ChaseStats) {
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let run = ChaseProgram::compile(&sc.tgds, &sc.db)
+            .run_st(&sc.target, &sc.db, &mut ExecCtx::new(&mut gov))
+            .unwrap();
+        (run.target, run.stats)
+    }
 
     #[test]
     fn scenarios_hit_requested_scale() {
@@ -411,9 +420,8 @@ mod tests {
                 .into_iter()
                 .zip(with_compact(false, || scale_scenarios(tuples, 11)))
             {
-                let (fast, _) = chase_st(&compact.target, &compact.tgds, &compact.db);
-                let (slow, _) =
-                    with_compact(false, || chase_st(&baseline.target, &baseline.tgds, &baseline.db));
+                let (fast, _) = chase(&compact);
+                let (slow, _) = with_compact(false, || chase(&baseline));
                 assert_eq!(fast, slow, "{} chase diverged", compact.name);
                 let hq = find_homomorphisms(&compact.query, &compact.db);
                 let hb = with_compact(false, || find_homomorphisms(&baseline.query, &baseline.db));
@@ -426,7 +434,7 @@ mod tests {
     #[test]
     fn chase_produces_target_rows_and_nulls() {
         let sc = evolution_scale(500, 1);
-        let (out, stats) = chase_st(&sc.target, &sc.tgds, &sc.db);
+        let (out, stats) = chase(&sc);
         assert_eq!(
             out.relation("orders_v2").map(|r| r.len()),
             sc.db.relation("orders_v1").map(|r| r.len()),

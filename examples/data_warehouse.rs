@@ -86,7 +86,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Tuple::from([Value::Int(aid), Value::text(city), Value::text(zip)]),
         );
     }
-    let (mut staff_db, stats) = chase_st(&warehouse, &tgds, &ops_db);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let chased = ChaseProgram::compile(&tgds, &ops_db)
+        .run_st(&warehouse, &ops_db, &mut ExecCtx::new(&mut gov))
+        .expect("first-order tgds chase");
+    let (mut staff_db, stats) = (chased.target, chased.stats);
     println!("== Chase: {stats:?} ==");
     println!("Staff rows: {}", staff_db.relation("Staff").expect("chased").len());
 

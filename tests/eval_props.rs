@@ -16,16 +16,13 @@
 //!   order, and labeled-null identities all stay bit-identical to the
 //!   naive reference.
 
-use mm_chase::{
-    chase_general_adaptive, chase_general_governed, chase_general_reference, chase_st_governed,
-    chase_st_prepared, chase_st_reference, egds_from_keys, ChaseOutcome, ChaseProgram,
-};
+use mm_chase::testkit::{chase_general_reference, chase_st_reference};
+use mm_chase::{egds_from_keys, ChaseFailure, ChaseOutcome, ChaseProgram, ChaseStats, Egd};
 use mm_eval::{find_homomorphisms_costed, find_homomorphisms_governed, find_homomorphisms_naive, Binding};
 use mm_expr::{Atom, Lit, Term, Tgd};
-use mm_guard::{ExecBudget, Governor};
+use mm_guard::{ExecBudget, ExecCtx, Governor};
 use mm_instance::{Database, Tuple, Value};
 use mm_metamodel::{DataType, Schema, SchemaBuilder};
-use mm_telemetry::Telemetry;
 use mm_workload::{faults, skew};
 use proptest::prelude::*;
 
@@ -85,6 +82,30 @@ fn unbounded() -> ExecBudget {
     ExecBudget::unbounded()
 }
 
+/// The indexed s-t chase of a compiled `program` under `budget`.
+fn run_st(
+    tgt: &Schema,
+    program: &ChaseProgram,
+    db: &Database,
+    budget: &ExecBudget,
+) -> Result<(Database, ChaseStats), ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    let run = program.run_st(tgt, db, &mut ExecCtx::new(&mut gov))?;
+    Ok((run.target, run.stats))
+}
+
+/// The semi-naive, indexed general chase of `tgds` under `budget`.
+fn run_general(
+    db: &mut Database,
+    tgds: &[Tgd],
+    egds: &[Egd],
+    budget: &ExecBudget,
+) -> Result<ChaseOutcome, ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    let program = ChaseProgram::compile(tgds, db);
+    program.run_general(db, egds, &mut ExecCtx::new(&mut gov)).map(|run| run.outcome)
+}
+
 // --- (a) indexed CQ evaluation == naive scan --------------------------------
 
 proptest! {
@@ -133,7 +154,7 @@ proptest! {
         let (_, db, tgds) = faults::terminating_chain(n);
         let budget = unbounded().with_rounds(64);
         let mut fast_db = db.clone();
-        let fast = chase_general_governed(&mut fast_db, &tgds, &[], &budget).unwrap();
+        let fast = run_general(&mut fast_db, &tgds, &[], &budget).unwrap();
         let mut ref_db = db;
         let reference = chase_general_reference(&mut ref_db, &tgds, &[], &budget).unwrap();
         prop_assert_eq!(fast, reference);
@@ -147,7 +168,8 @@ proptest! {
     fn indexed_st_chase_matches_reference_on_quadratic_join(rows in 3usize..24) {
         let (_, tgt, db, tgds) = faults::quadratic_join(rows);
         let budget = unbounded();
-        let (fast_db, fast_stats) = chase_st_governed(&tgt, &tgds, &db, &budget).unwrap();
+        let (fast_db, fast_stats) =
+            run_st(&tgt, &ChaseProgram::compile(&tgds, &db), &db, &budget).unwrap();
         let (ref_db, ref_stats) = chase_st_reference(&tgt, &tgds, &db, &budget).unwrap();
         prop_assert_eq!(fast_stats, ref_stats);
         prop_assert_eq!(fast_db, ref_db);
@@ -170,7 +192,8 @@ proptest! {
             Tgd::new(vec![Atom::vars("R0", &["x", "y"])], vec![Atom::vars("C1", &["x", "u"])]),
         ];
         let budget = unbounded();
-        let (fast_db, fast_stats) = chase_st_governed(&tgt, &tgds, &db, &budget).unwrap();
+        let (fast_db, fast_stats) =
+            run_st(&tgt, &ChaseProgram::compile(&tgds, &db), &db, &budget).unwrap();
         let (ref_db, ref_stats) = chase_st_reference(&tgt, &tgds, &db, &budget).unwrap();
         prop_assert_eq!(fast_stats, ref_stats);
         prop_assert_eq!(fast_db, ref_db);
@@ -206,7 +229,7 @@ proptest! {
         let egds = egds_from_keys(&tgt);
         let budget = unbounded().with_rounds(64);
         let mut fast_db = db.clone();
-        let fast = chase_general_governed(&mut fast_db, &tgds, &egds, &budget).unwrap();
+        let fast = run_general(&mut fast_db, &tgds, &egds, &budget).unwrap();
         let mut ref_db = db;
         let reference = chase_general_reference(&mut ref_db, &tgds, &egds, &budget).unwrap();
         prop_assert!(matches!(fast, ChaseOutcome::Done(_)), "{fast:?}");
@@ -294,7 +317,7 @@ proptest! {
         let tgds = vec![Tgd::new(atoms, vec![Atom::vars("Out", &["x", "y", "u"])])];
         let budget = unbounded();
         let program = ChaseProgram::compile_costed(&tgds, &db);
-        let (fast_db, fast_stats) = chase_st_prepared(&tgt, &program, &db, &budget).unwrap();
+        let (fast_db, fast_stats) = run_st(&tgt, &program, &db, &budget).unwrap();
         let (ref_db, ref_stats) = chase_st_reference(&tgt, &tgds, &db, &budget).unwrap();
         prop_assert_eq!(fast_stats, ref_stats);
         prop_assert_eq!(fast_db, ref_db);
@@ -311,16 +334,10 @@ proptest! {
         let budget = unbounded().with_rounds(64);
         let mut fast_db = db.clone();
         let program = ChaseProgram::compile_costed(&tgds, &fast_db);
-        let (fast, replans) = chase_general_adaptive(
-            &mut fast_db,
-            &program,
-            &[],
-            &budget,
-            1,
-            &Telemetry::disabled(),
-            1.5,
-        )
-        .unwrap();
+        let mut gov = Governor::new(&budget);
+        let ctx = &mut ExecCtx { replan_ratio: Some(1.5), ..ExecCtx::new(&mut gov) };
+        let run = program.run_general(&mut fast_db, &[], ctx).unwrap();
+        let (fast, replans) = (run.outcome, run.replans);
         let mut ref_db = db;
         let reference = chase_general_reference(&mut ref_db, &tgds, &[], &budget).unwrap();
         prop_assert!(replans > 0, "chain growth from empty must trigger a re-plan");

@@ -114,7 +114,7 @@ fn exchange_respects_row_budget() {
 }
 
 /// Under the default (permissive) config the governed exchange agrees
-/// with the legacy ungoverned chase.
+/// with the naive scanning chase.
 #[test]
 fn governed_exchange_matches_legacy_chase() {
     let (src, db) = faults::oversized_instance(50);
@@ -128,7 +128,8 @@ fn governed_exchange_matches_legacy_chase() {
     engine.add_schema(tgt.clone()).unwrap();
     store_tgd_mapping(&engine, "copy", "Big", "TgtBig", tgds.clone());
     let (governed, stats) = engine.exchange("copy", "TgtBig", &db).unwrap();
-    let (legacy, legacy_stats) = chase_st(&tgt, &tgds, &db);
+    let (legacy, legacy_stats) =
+        mm_chase::testkit::chase_st_reference(&tgt, &tgds, &db, &ExecBudget::unbounded()).unwrap();
     assert!(governed.relation("T0").unwrap().set_eq(legacy.relation("T0").unwrap()));
     assert_eq!(stats.fired, legacy_stats.fired);
 }
@@ -203,7 +204,10 @@ fn malformed_sotgd_yields_typed_error() {
 fn eval_and_hom_search_respect_budgets() {
     let (src, tgt, db, tgds) = faults::quadratic_join(60);
     let tight = ExecBudget::unbounded().with_steps(200);
-    let err = chase_st_governed(&tgt, &tgds, &db, &tight).unwrap_err();
+    let mut gov = Governor::new(&tight);
+    let err = ChaseProgram::compile(&tgds, &db)
+        .run_st(&tgt, &db, &mut ExecCtx::new(&mut gov))
+        .unwrap_err();
     assert!(err.error.is_resource(), "{err}");
     assert!(err.stats.rounds <= 1);
 

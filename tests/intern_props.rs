@@ -177,22 +177,16 @@ fn observe(w: &TextWorkload) -> Observation {
     let db = w.build();
     let tgds = workload_tgds();
     let program = ChaseProgram::compile(&tgds, &db);
-    let budget = ExecBudget::unbounded();
-    let (chased, stats, explain) = chase_st_explained(
-        &target_schema(),
-        &program,
-        &db,
-        &budget,
-        1,
-        &Telemetry::disabled(),
-    )
-    .expect("unbounded chase on a bounded workload");
-    let homs = find_homomorphisms(&query_atoms(), &chased);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let run = program
+        .run_st(&target_schema(), &db, &mut ExecCtx { explain: true, ..ExecCtx::new(&mut gov) })
+        .expect("unbounded chase on a bounded workload");
+    let homs = find_homomorphisms(&query_atoms(), &run.target);
     Observation {
         source: db_bytes(&db),
-        chased: db_bytes(&chased),
-        nulls: stats.nulls,
-        explain: explain.to_string(),
+        chased: db_bytes(&run.target),
+        nulls: run.stats.nulls,
+        explain: run.explain.expect("explain requested").to_string(),
         answers: homs_bytes(&homs),
     }
 }

@@ -24,6 +24,32 @@ use proptest::prelude::*;
 /// agree with `threads = 1`; 8 oversubscribes the container on purpose.
 const THREADS: [usize; 3] = [2, 4, 8];
 
+/// The s-t chase of a compiled `program` on `threads` workers.
+fn run_st(
+    tgt: &Schema,
+    program: &ChaseProgram,
+    db: &Database,
+    budget: &ExecBudget,
+    threads: usize,
+) -> Result<(Database, ChaseStats), ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    let run = program.run_st(tgt, db, &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) })?;
+    Ok((run.target, run.stats))
+}
+
+/// The general chase (no egds) of a compiled `program` on `threads`
+/// workers.
+fn run_general(
+    db: &mut Database,
+    program: &ChaseProgram,
+    budget: &ExecBudget,
+    threads: usize,
+) -> Result<ChaseOutcome, ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    let ctx = &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) };
+    program.run_general(db, &[], ctx).map(|run| run.outcome)
+}
+
 // --- generators -------------------------------------------------------------
 
 /// The fixed schema random databases and queries range over: two binary
@@ -112,11 +138,10 @@ proptest! {
         let (_, tgt, db, tgds) = faults::quadratic_join(rows);
         let program = ChaseProgram::compile(&tgds, &db);
         let budget = ExecBudget::unbounded();
-        let (seq_db, seq_stats) =
-            chase_st_prepared(&tgt, &program, &db, &budget).expect("unbounded");
+        let (seq_db, seq_stats) = run_st(&tgt, &program, &db, &budget, 1).expect("unbounded");
         for threads in THREADS {
-            let (par_db, par_stats) = chase_st_parallel(&tgt, &program, &db, &budget, threads)
-                .expect("unbounded");
+            let (par_db, par_stats) =
+                run_st(&tgt, &program, &db, &budget, threads).expect("unbounded");
             prop_assert_eq!(&par_stats, &seq_stats, "threads={}", threads);
             prop_assert_eq!(&par_db, &seq_db, "threads={}", threads);
         }
@@ -131,11 +156,10 @@ proptest! {
         let program = ChaseProgram::compile(&tgds, &db);
         let budget = ExecBudget::unbounded().with_rounds(64);
         let mut seq_db = db.clone();
-        let seq = chase_general_prepared(&mut seq_db, &program, &[], &budget).expect("terminates");
+        let seq = run_general(&mut seq_db, &program, &budget, 1).expect("terminates");
         for threads in THREADS {
             let mut par_db = db.clone();
-            let par = chase_general_parallel(&mut par_db, &program, &[], &budget, threads)
-                .expect("terminates");
+            let par = run_general(&mut par_db, &program, &budget, threads).expect("terminates");
             prop_assert_eq!(&par, &seq, "threads={}", threads);
             prop_assert_eq!(&par_db, &seq_db, "threads={}", threads);
         }
@@ -218,7 +242,7 @@ fn cancellation_mid_parallel_chase_surfaces_cleanly() {
     let program = ChaseProgram::compile(&tgds, &db);
     for threads in [1, 2, 4, 8] {
         let budget = ExecBudget::unbounded().with_cancel(faults::cancel_after(2));
-        let failure = match chase_st_parallel(&tgt, &program, &db, &budget, threads) {
+        let failure = match run_st(&tgt, &program, &db, &budget, threads) {
             Err(f) => f,
             Ok(_) => panic!("cancel_after(2) must trip at threads={threads}"),
         };
@@ -240,14 +264,13 @@ fn step_budget_trips_inside_the_parallel_chase() {
     let program = ChaseProgram::compile(&tgds, &db);
     let solo_steps = {
         let mut gov = Governor::new(&ExecBudget::unbounded());
-        chase_st_prepared_governed(&tgt, &program, &db, &mut gov, 1, &Telemetry::disabled())
-            .expect("unbounded");
+        program.run_st(&tgt, &db, &mut ExecCtx::new(&mut gov)).expect("unbounded");
         gov.steps_consumed()
     };
     assert!(solo_steps > 2048, "workload must span safepoints: {solo_steps}");
     for threads in [1, 2, 4, 8] {
         let budget = ExecBudget::unbounded().with_steps(solo_steps / 2);
-        let failure = match chase_st_parallel(&tgt, &program, &db, &budget, threads) {
+        let failure = match run_st(&tgt, &program, &db, &budget, threads) {
             Err(f) => f,
             Ok(_) => panic!("half the sequential step cost must trip at threads={threads}"),
         };

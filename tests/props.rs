@@ -4,6 +4,24 @@ use mm_repository::codec::{Decode, Encode, Reader, Writer};
 use model_management::prelude::*;
 use proptest::prelude::*;
 
+/// Compile and run the s-t chase under an unbounded budget.
+fn st_chase(tgt: &Schema, tgds: &[Tgd], db: &Database) -> Database {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let program = ChaseProgram::compile(tgds, db);
+    program.run_st(tgt, db, &mut ExecCtx::new(&mut gov)).expect("first-order tgds").target
+}
+
+/// Compile and run the general chase (no egds) under `budget`.
+fn general_chase(
+    db: &mut Database,
+    tgds: &[Tgd],
+    budget: &ExecBudget,
+) -> Result<ChaseOutcome, ChaseFailure> {
+    let mut gov = Governor::new(budget);
+    let program = ChaseProgram::compile(tgds, db);
+    program.run_general(db, &[], &mut ExecCtx::new(&mut gov)).map(|run| run.outcome)
+}
+
 // --- generators -------------------------------------------------------------
 
 fn arb_lit() -> impl Strategy<Value = Lit> {
@@ -192,7 +210,7 @@ proptest! {
             vec![Atom::vars("U", &["x", "w"])],
         )];
         let db = db_from(&rows_r, &[]);
-        let (out, _) = chase_st(&tgt, &tgds, &db);
+        let out = st_chase(&tgt, &tgds, &db);
         // satisfaction: every R row has a U witness
         for t in db.relation("R").expect("R").iter() {
             let a = t.values()[0].clone();
@@ -218,8 +236,8 @@ proptest! {
             }
         }
         merged.set_label_watermark(out.label_watermark());
-        let outcome = chase_general(&mut merged, &tgds, &[], 5);
-        prop_assert!(matches!(outcome, ChaseOutcome::Done(st) if st.fired == 0));
+        let outcome = general_chase(&mut merged, &tgds, &ExecBudget::unbounded().with_rounds(5));
+        prop_assert!(matches!(outcome, Ok(ChaseOutcome::Done(st)) if st.fired == 0));
     }
 
     // --- composition agrees with transport on copy chains -------------------
@@ -234,7 +252,7 @@ proptest! {
             let rel = format!("S{}", i % 2);
             d1.insert(&rel, Tuple::from([Value::Int(*a), Value::Int(*b)]));
         }
-        let (chased, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1);
+        let (chased, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).expect("transport");
         let so = compose_st_tgds(&m12, &m23, 1 << 12).expect("compose");
         let direct = apply_sotgd(&so, &d1, &s3).expect("apply");
         prop_assert!(hom_equivalent(&chased, &direct));
@@ -258,7 +276,7 @@ proptest! {
             d1.insert(&format!("A{}", i % 2), Tuple::from([Value::Int(*a), Value::Int(*b)]));
         }
         let via_so = apply_sotgd(&so, &d1, &s3).expect("apply");
-        let (via_fo, _) = chase_st(&s3, &tgds, &d1);
+        let via_fo = st_chase(&s3, &tgds, &d1);
         prop_assert!(hom_equivalent(&via_so, &via_fo));
     }
 
@@ -345,7 +363,7 @@ proptest! {
         use mm_workload::faults;
         let (_, mut db, tgds) = faults::terminating_chain(hops);
         let budget = ExecBudget::unbounded().with_rounds(64).with_steps(1_000_000);
-        let out = chase_general_governed(&mut db, &tgds, &[], &budget).expect("terminates");
+        let out = general_chase(&mut db, &tgds, &budget).expect("terminates");
         prop_assert!(matches!(out, ChaseOutcome::Done(st) if st.fired == hops - 1));
         prop_assert_eq!(db.relation(&format!("R{}", hops - 1)).expect("last hop").len(), 1);
     }
@@ -356,8 +374,7 @@ proptest! {
         use mm_workload::faults;
         let (_, mut db, tgds) = faults::divergent_tgds();
         let budget = ExecBudget::unbounded().with_rounds(cap);
-        let failure = chase_general_governed(&mut db, &tgds, &[], &budget)
-            .expect_err("must not converge");
+        let failure = general_chase(&mut db, &tgds, &budget).expect_err("must not converge");
         prop_assert!(
             matches!(
                 failure.error,
@@ -375,8 +392,8 @@ proptest! {
         // chase: no round cap — the token alone must stop the divergent run
         let (_, mut db, tgds) = faults::divergent_tgds();
         let budget = ExecBudget::unbounded().with_cancel(faults::cancel_after(polls));
-        let failure = chase_general_governed(&mut db, &tgds, &[], &budget)
-            .expect_err("cancellation must stop the chase");
+        let failure =
+            general_chase(&mut db, &tgds, &budget).expect_err("cancellation must stop the chase");
         prop_assert!(matches!(failure.error, ExecError::Cancelled { .. }), "{}", failure.error);
 
         // eval: the token trips inside the join loops of a large self-join

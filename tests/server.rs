@@ -416,6 +416,30 @@ fn payload_corruption_yields_typed_error_and_live_session() {
 }
 
 #[test]
+fn trailing_body_byte_is_a_decode_error_and_the_session_lives() {
+    let engine = test_engine(EngineConfig::default());
+    let handle = Server::start(engine, fast_config()).expect("start");
+    let mut conn = RawConn::connect(handle.addr());
+
+    // A valid exchange plus one byte after its body, framed with a CRC
+    // over the whole payload: the frame is sound, the body is not.
+    let request = Request::Exchange {
+        mapping: "copy".into(),
+        target_schema: "Dst".into(),
+        source_db: small_source(),
+    };
+    let mut payload = encode_request(5, 0, 0, &request).to_vec();
+    payload.push(0);
+    write_frame(&mut conn.stream, &payload).expect("send frame");
+    assert_eq!(conn.read_reply(), (5, Err(protocol::ERR_DECODE)));
+
+    // Same connection: the untouched request is answered.
+    conn.send(6, 0, &request);
+    assert_eq!(conn.read_reply(), (6, Ok(())));
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
 fn mutated_frames_never_kill_the_server() {
     let engine = test_engine(EngineConfig::default());
     let handle = Server::start(engine, fast_config()).expect("start");
