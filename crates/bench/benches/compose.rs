@@ -14,7 +14,11 @@ fn bench_sotgd_composition(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("p{producers}_b{body_atoms}")),
             &(m12, m23),
             |b, (m12, m23)| {
-                b.iter(|| compose_st_tgds(m12, m23, 1 << 22).expect("within bound"))
+                b.iter(|| {
+                    let mut gov = Governor::new(&ExecBudget::unbounded());
+                    compose_st_tgds(m12, m23, 1 << 22, &mut ExecCtx::new(&mut gov))
+                        .expect("within bound")
+                })
             },
         );
     }
@@ -23,8 +27,12 @@ fn bench_sotgd_composition(c: &mut Criterion) {
 
 fn bench_deskolemize(c: &mut Criterion) {
     let (_, _, _, m12, m23) = composition_chain(2, 6);
-    let so = compose_st_tgds(&m12, &m23, 1 << 22).expect("compose");
-    c.bench_function("eq1_deskolemize_attempt", |b| b.iter(|| try_deskolemize(&so)));
+    let unbounded = || Governor::new(&ExecBudget::unbounded());
+    let so =
+        compose_st_tgds(&m12, &m23, 1 << 22, &mut ExecCtx::new(&mut unbounded())).expect("compose");
+    c.bench_function("eq1_deskolemize_attempt", |b| {
+        b.iter(|| try_deskolemize(&so, &mut unbounded()))
+    });
 }
 
 fn bench_view_composition(c: &mut Criterion) {

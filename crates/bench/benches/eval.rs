@@ -23,6 +23,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use mm_bench::{compile_and_chase, timed};
 use mm_chase::testkit::chase_st_reference;
 use mm_engine::prelude::*;
+use mm_eval::testkit::find_homomorphisms_naive;
 use mm_workload::{copy_tgds, faults, skew, tgds::binary_schema};
 use std::io::Write as _;
 

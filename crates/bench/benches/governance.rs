@@ -95,6 +95,22 @@ fn mediation_setup(hops: usize, rows: usize) -> (Schema, Vec<ViewSet>, Database)
     (schema, chain, db)
 }
 
+/// Plan the chain under `budget` and answer `query` through the plan; a
+/// degraded plan answers under a fresh meter from the same budget.
+fn mediate(
+    mediator: &Mediator<'_>,
+    query: &Expr,
+    db: &Database,
+    budget: &ExecBudget,
+) -> MediationResult {
+    let mut gov = Governor::new(budget);
+    let plan = mediator.plan_governed(&mut ExecCtx::new(&mut gov)).expect("plan");
+    if plan.degradation().is_some() {
+        gov = Governor::new(budget);
+    }
+    mediator.answer_with_plan(&plan, query, db, &mut gov).expect("mediation")
+}
+
 /// Collapsed mediation vs the degraded (collapse budget trips → chained
 /// fallback) path for the same query. The degraded run pays for the
 /// partial collapse attempt plus a full chained evaluation.
@@ -110,9 +126,7 @@ fn bench_degraded_mediation(c: &mut Criterion) {
         let unbounded = ExecBudget::unbounded();
         group.bench_with_input(BenchmarkId::new("collapsed", hops), &(), |b, _| {
             b.iter(|| {
-                let r = mediator
-                    .answer_governed(&query, &db, &unbounded)
-                    .expect("collapsed mediation");
+                let r = mediate(&mediator, &query, &db, &unbounded);
                 assert!(r.degradation.is_none());
                 r.rows
             })
@@ -122,9 +136,7 @@ fn bench_degraded_mediation(c: &mut Criterion) {
         let tight = ExecBudget::unbounded().with_clauses(1);
         group.bench_with_input(BenchmarkId::new("degraded_chained", hops), &(), |b, _| {
             b.iter(|| {
-                let r = mediator
-                    .answer_governed(&query, &db, &tight)
-                    .expect("degraded mediation");
+                let r = mediate(&mediator, &query, &db, &tight);
                 assert!(r.degradation.is_some());
                 r.rows
             })

@@ -35,6 +35,19 @@ fn cq_setup() -> (Database, Vec<Atom>) {
     (db, tgds[0].body.clone())
 }
 
+/// Compile `body` and execute it on `threads` workers: the slot bindings
+/// of every match, in enumeration order.
+fn cq(db: &Database, body: &[Atom], threads: usize) -> Vec<Vec<Option<Value>>> {
+    let mut table = VarTable::new();
+    let plan = CqPlan::compile(body, &mut table, db, &[]);
+    let mut scratch = vec![None; table.len()];
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let mut out = Vec::new();
+    let opts = mm_eval::ExecOptions::default();
+    plan.execute(db, &mut scratch, &opts, threads, &mut gov, &mut out).expect("unbounded");
+    out.into_iter().map(|m| m.binding).collect()
+}
+
 /// The mediation workload: a two-hop view chain over a wide base, with
 /// `BATCH_QUERIES` projections of the top view to answer as one batch.
 fn mediation_setup() -> (Schema, Database, ViewSet, ViewSet, Vec<Expr>) {
@@ -91,6 +104,18 @@ fn mediation_setup() -> (Schema, Database, ViewSet, ViewSet, Vec<Expr>) {
     (s, db, l1, l2, queries)
 }
 
+/// Answer `queries` through `plan` as one batch on `threads` workers.
+fn batch(
+    m: &Mediator<'_>,
+    plan: &MediationPlan,
+    queries: &[Expr],
+    db: &Database,
+    threads: usize,
+) -> Vec<Result<MediationResult, EvalError>> {
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    m.answer_batch(plan, queries, db, &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) })
+}
+
 /// One s-t chase of the precompiled program on `threads` workers.
 fn chase(tgt: &Schema, program: &ChaseProgram, db: &Database, threads: usize) -> StRun {
     let mut gov = Governor::new(&ExecBudget::unbounded());
@@ -114,20 +139,9 @@ fn bench_parallel_cq(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_cq_self_join");
     group.sample_size(10);
     let (db, body) = cq_setup();
-    let budget = ExecBudget::unbounded();
-    let seed = std::collections::HashMap::new();
     for threads in THREAD_CURVE {
         group.bench_with_input(BenchmarkId::new("threads", threads), &(), |b, _| {
-            b.iter(|| {
-                find_homomorphisms_parallel(
-                    &body,
-                    &db,
-                    &seed,
-                    threads,
-                    &mut Governor::new(&budget),
-                )
-                .expect("unbounded")
-            })
+            b.iter(|| cq(&db, &body, threads))
         });
     }
     group.finish();
@@ -142,7 +156,7 @@ fn bench_batch_mediation(c: &mut Criterion) {
     let plan = m.plan(&budget).expect("unbounded");
     for threads in THREAD_CURVE {
         group.bench_with_input(BenchmarkId::new("threads", threads), &(), |b, _| {
-            b.iter(|| m.answer_batch(&plan, &queries, &db, &budget, threads))
+            b.iter(|| batch(&m, &plan, &queries, &db, threads))
         });
     }
     group.finish();
@@ -180,19 +194,10 @@ fn emit_baseline() {
 
     {
         let (db, body) = cq_setup();
-        let seed = std::collections::HashMap::new();
-        let (oracle, base_t) = timed(|| {
-            find_homomorphisms_parallel(&body, &db, &seed, 1, &mut Governor::new(&budget))
-                .expect("unbounded")
-                .0
-        });
+        let (oracle, base_t) = timed(|| cq(&db, &body, 1));
         points.push(point_json("cq_self_join", 1, ms(base_t), 1.0));
         for threads in &THREAD_CURVE[1..] {
-            let (par, t) = timed(|| {
-                find_homomorphisms_parallel(&body, &db, &seed, *threads, &mut Governor::new(&budget))
-                    .expect("unbounded")
-                    .0
-            });
+            let (par, t) = timed(|| cq(&db, &body, *threads));
             assert_eq!(par, oracle, "parallel CQ eval diverged at threads={threads}");
             let speedup = ms(base_t) / ms(t).max(1e-6);
             points.push(point_json("cq_self_join", *threads, ms(t), speedup));
@@ -209,12 +214,10 @@ fn emit_baseline() {
         let unwrap_rows = |batch: Vec<Result<MediationResult, EvalError>>| -> Vec<Relation> {
             batch.into_iter().map(|r| r.expect("unbounded").rows).collect()
         };
-        let (oracle, base_t) =
-            timed(|| unwrap_rows(m.answer_batch(&plan, &queries, &db, &budget, 1)));
+        let (oracle, base_t) = timed(|| unwrap_rows(batch(&m, &plan, &queries, &db, 1)));
         points.push(point_json("batch_mediation_64q", 1, ms(base_t), 1.0));
         for threads in &THREAD_CURVE[1..] {
-            let (par, t) =
-                timed(|| unwrap_rows(m.answer_batch(&plan, &queries, &db, &budget, *threads)));
+            let (par, t) = timed(|| unwrap_rows(batch(&m, &plan, &queries, &db, *threads)));
             assert_eq!(par, oracle, "batch mediation diverged at threads={threads}");
             let speedup = ms(base_t) / ms(t).max(1e-6);
             points.push(point_json("batch_mediation_64q", *threads, ms(t), speedup));

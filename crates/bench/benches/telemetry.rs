@@ -1,6 +1,6 @@
-//! Telemetry overhead (PR 4): the instrumented hot paths with a
-//! disabled handle vs the un-instrumented baseline, and the fully
-//! enabled cost (ring collector + metrics), on the PR 2 eval workloads.
+//! Telemetry overhead: the instrumented chase with a disabled
+//! handle vs the un-instrumented baseline, and the fully enabled cost
+//! (ring collector + metrics), on the EQ7 exchange workload.
 //!
 //! The claim the committed `BENCH_telemetry.json` records: a disabled
 //! `Telemetry` handle costs one `Option` branch per instrumentation
@@ -12,11 +12,10 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mm_engine::prelude::*;
-use mm_workload::{copy_tgds, faults, tgds::binary_schema};
+use mm_workload::{copy_tgds, tgds::binary_schema};
 use std::io::Write as _;
 
 const CHASE_SIZES: [usize; 3] = [250, 1_000, 4_000];
-const CQ_SIZES: [usize; 2] = [200, 1_000];
 
 /// The EQ7 exchange workload of `BENCH_eval.json`: 4 copy tgds over
 /// `rows` tuples each, chased through a precompiled program.
@@ -62,31 +61,6 @@ fn bench_chase_overhead(c: &mut Criterion) {
         let on = enabled_handle();
         group.bench_with_input(BenchmarkId::new("enabled", rows), &(), |b, _| {
             b.iter(|| chase(&tgt, &program, &db, &on))
-        });
-    }
-    group.finish();
-}
-
-fn bench_cq_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry_cq_self_join");
-    group.sample_size(10);
-    let budget = ExecBudget::unbounded();
-    for rows in CQ_SIZES {
-        let (_, _, db, tgds) = faults::quadratic_join(rows);
-        let body = tgds[0].body.clone();
-        let seed = std::collections::HashMap::new();
-        group.bench_with_input(BenchmarkId::new("baseline", rows), &(), |b, _| {
-            b.iter(|| {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
-                    .expect("unbounded")
-            })
-        });
-        let off = Telemetry::disabled();
-        group.bench_with_input(BenchmarkId::new("disabled", rows), &(), |b, _| {
-            b.iter(|| {
-                find_homomorphisms_traced(&body, &db, &seed, &mut Governor::new(&budget), &off)
-                    .expect("unbounded")
-            })
         });
     }
     group.finish();
@@ -158,7 +132,6 @@ fn overhead_pct(baseline: std::time::Duration, variant: std::time::Duration) -> 
 }
 
 fn emit_baseline() {
-    let budget = ExecBudget::unbounded();
     let mut points: Vec<String> = Vec::new();
 
     for rows in CHASE_SIZES {
@@ -200,31 +173,6 @@ fn emit_baseline() {
             || wrapped(&on),
         );
         points.push(point_json("chase_exchange_hist_trace", rows, base_t, noop_t, full_t));
-    }
-
-    for rows in CQ_SIZES {
-        let (_, _, db, tgds) = faults::quadratic_join(rows);
-        let body = tgds[0].body.clone();
-        let seed = std::collections::HashMap::new();
-        let reps = 40;
-        let off = Telemetry::disabled();
-        let on = enabled_handle();
-        let (base_t, noop_t, full_t) = interleaved(
-            reps,
-            || {
-                find_homomorphisms_governed(&body, &db, &seed, &mut Governor::new(&budget))
-                    .expect("ok")
-            },
-            || {
-                find_homomorphisms_traced(&body, &db, &seed, &mut Governor::new(&budget), &off)
-                    .expect("ok")
-            },
-            || {
-                find_homomorphisms_traced(&body, &db, &seed, &mut Governor::new(&budget), &on)
-                    .expect("ok")
-            },
-        );
-        points.push(point_json("cq_self_join", rows, base_t, noop_t, full_t));
     }
 
     let (alloc_tuples, alloc_interned) = alloc_gauges();
@@ -342,7 +290,7 @@ fn point_json(
     )
 }
 
-criterion_group!(benches, bench_chase_overhead, bench_cq_overhead);
+criterion_group!(benches, bench_chase_overhead);
 
 fn main() {
     benches();

@@ -55,10 +55,11 @@ pub struct Eq1Row {
 
 pub fn eq1_compose_point(producers: usize, body_atoms: usize) -> Eq1Row {
     let (_, _, _, m12, m23) = wl::composition_chain(producers, body_atoms);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
     let (so, took) = timed(|| {
-        compose_st_tgds(&m12, &m23, 1 << 22).expect("within bound")
+        compose_st_tgds(&m12, &m23, 1 << 22, &mut ExecCtx::new(&mut gov)).expect("within bound")
     });
-    let deskolemizable = try_deskolemize(&so).is_some();
+    let deskolemizable = try_deskolemize(&so, &mut gov).expect("unbounded").is_some();
     Eq1Row {
         producers,
         body_atoms,
@@ -273,8 +274,11 @@ pub fn eq5_ivm_point(base_rows: usize, batch: usize) -> Eq5Row {
     }
 
     let mut mat_inc = mat0.clone();
+    let mut gov = Governor::new(&ExecBudget::unbounded());
     let (_, inc_t) = timed(|| {
-        maintain_insertions(&views, &schema, &db, &delta, &mut mat_inc).expect("ivm")
+        MaintenancePlan::compile(&views, &schema)
+            .maintain(&schema, &db, &delta, &mut mat_inc, &mut ExecCtx::new(&mut gov))
+            .expect("ivm")
     });
 
     let mut db2 = db.clone();

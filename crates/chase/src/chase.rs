@@ -604,7 +604,7 @@ fn egd_pass(
         let mut scratch = vec![None; table.len()];
         let mut matches = Vec::new();
         let opts = ExecOptions { use_indexes, ..Default::default() };
-        body.execute_governed(db, &mut scratch, &opts, gov, &mut matches)?;
+        body.execute(db, &mut scratch, &opts, 1, gov, &mut matches)?;
         let lslot = table.slot(&egd.left);
         let rslot = table.slot(&egd.right);
         for m in matches {

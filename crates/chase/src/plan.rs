@@ -232,7 +232,7 @@ impl TgdPlan {
     /// Full body evaluation (every binding, naive-identical order), with
     /// the driver atom's range fanned across up to `threads` workers.
     /// Same bindings, same order, same metered step totals at every
-    /// thread count ([`CqPlan::execute_parallel`]'s contract); `threads
+    /// thread count ([`CqPlan::execute`]'s contract); `threads
     /// <= 1` and small driver relations run sequentially.
     pub fn body_matches(
         &self,
@@ -245,7 +245,7 @@ impl TgdPlan {
         let mut scratch = vec![None; self.table.len()];
         let opts = ExecOptions { use_indexes, ..Default::default() };
         let before = out.len();
-        let run = self.body.execute_parallel(db, &mut scratch, &opts, threads, gov, out)?;
+        let run = self.body.execute(db, &mut scratch, &opts, threads, gov, out)?;
         if self.body.is_costed() {
             // a costed walk may enumerate out of canonical order; the
             // emitted positions sort it back into the naive sequence
@@ -292,7 +292,7 @@ impl TgdPlan {
                 })
                 .collect();
             let opts = ExecOptions { ranges: Some(&ranges), use_indexes, limit: None };
-            run.absorb(self.body.execute_parallel(db, &mut scratch, &opts, threads, gov, &mut acc)?);
+            run.absorb(self.body.execute(db, &mut scratch, &opts, threads, gov, &mut acc)?);
         }
         acc.sort_by(|a, b| a.positions.cmp(&b.positions));
         out.append(&mut acc);
@@ -342,7 +342,7 @@ impl TgdPlan {
         }
         let opts = ExecOptions { use_indexes, limit: Some(1), ..Default::default() };
         let mut out = Vec::with_capacity(1);
-        self.head.execute_governed(db, &mut scratch, &opts, gov, &mut out)?;
+        self.head.execute(db, &mut scratch, &opts, 1, gov, &mut out)?;
         Ok(!out.is_empty())
     }
 

@@ -17,25 +17,17 @@
 //! provides.
 
 use mm_expr::{Atom, SoTgd, Term, Tgd};
-use mm_guard::{ExecBudget, ExecError, Governor};
+use mm_guard::{ExecError, Governor};
 use std::collections::HashMap;
 
-/// Try to rewrite `so` as a set of first-order st-tgds. Returns `None`
-/// when any clause is genuinely second-order (by the conservative
-/// conditions above).
-pub fn try_deskolemize(so: &SoTgd) -> Option<Vec<Tgd>> {
-    let mut gov = Governor::new(&ExecBudget::unbounded());
-    // Unbounded governor never reports exhaustion/cancellation.
-    try_deskolemize_governed(so, &mut gov).unwrap_or_default()
-}
-
-/// Budgeted variant of [`try_deskolemize`]: the folding pass is linear in
-/// the SO-tgd, but composition can hand it an exponentially large input,
-/// so the walk accrues one step per head term against `gov`.
-pub fn try_deskolemize_governed(
-    so: &SoTgd,
-    gov: &mut Governor,
-) -> Result<Option<Vec<Tgd>>, ExecError> {
+/// Try to rewrite `so` as a set of first-order st-tgds. Returns
+/// `Ok(None)` when any clause is genuinely second-order (by the
+/// conservative conditions above).
+///
+/// The folding pass is linear in the SO-tgd, but composition can hand it
+/// an exponentially large input, so the walk accrues one step per head
+/// term against `gov`.
+pub fn try_deskolemize(so: &SoTgd, gov: &mut Governor) -> Result<Option<Vec<Tgd>>, ExecError> {
     gov.clauses(so.clauses.len() as u64)?;
     // function symbol -> (clause index, argument list) of first sighting
     let mut usage: HashMap<&str, (usize, &[Term])> = HashMap::new();
@@ -127,6 +119,12 @@ mod tests {
     use super::*;
     use crate::sotgd::{compose_st_tgds, DEFAULT_CLAUSE_BOUND};
     use mm_expr::SoClause;
+    use mm_guard::{ExecBudget, ExecCtx};
+
+    /// Unmetered deskolemization.
+    fn deskolemize(so: &SoTgd) -> Option<Vec<Tgd>> {
+        try_deskolemize(so, &mut Governor::new(&ExecBudget::unbounded())).unwrap()
+    }
 
     #[test]
     fn simple_skolem_head_folds_back() {
@@ -142,7 +140,7 @@ mod tests {
                 )],
             }],
         };
-        let tgds = try_deskolemize(&so).unwrap();
+        let tgds = deskolemize(&so).unwrap();
         assert_eq!(tgds.len(), 1);
         assert_eq!(tgds[0].existential_vars().len(), 1);
         assert!(tgds[0].validate().is_ok());
@@ -161,7 +159,7 @@ mod tests {
                 head: vec![Atom::vars("SelfMgr", &["e"])],
             }],
         };
-        assert!(try_deskolemize(&so).is_none());
+        assert!(deskolemize(&so).is_none());
     }
 
     #[test]
@@ -184,7 +182,7 @@ mod tests {
         };
         // f links the two clauses (same witness for A- and B-derived rows);
         // first-order existentials cannot express that
-        assert!(try_deskolemize(&so).is_none());
+        assert!(deskolemize(&so).is_none());
     }
 
     #[test]
@@ -201,7 +199,7 @@ mod tests {
                 ],
             }],
         };
-        let tgds = try_deskolemize(&so).unwrap();
+        let tgds = deskolemize(&so).unwrap();
         let t = &tgds[0];
         // same existential variable in both head atoms
         assert_eq!(t.head[0].terms[1], t.head[1].terms[0]);
@@ -219,7 +217,7 @@ mod tests {
                 head: vec![Atom::new("T", vec![Term::Func("f".into(), vec![inner])])],
             }],
         };
-        assert!(try_deskolemize(&so).is_none());
+        assert!(deskolemize(&so).is_none());
     }
 
     #[test]
@@ -233,8 +231,10 @@ mod tests {
             vec![Atom::vars("S", &["x", "y"])],
             vec![Atom::vars("T", &["x", "z"])],
         )];
-        let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
-        let tgds = try_deskolemize(&so).expect("composition should be first-order here");
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let so =
+            compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, &mut ExecCtx::new(&mut gov)).unwrap();
+        let tgds = deskolemize(&so).expect("composition should be first-order here");
         assert_eq!(tgds.len(), 1);
         assert_eq!(tgds[0].body[0].relation, "R");
         assert_eq!(tgds[0].head[0].relation, "T");

@@ -26,9 +26,6 @@ pub mod sotgd;
 pub mod transport;
 
 pub use algebraic::{compose_expr_mappings, compose_views};
-pub use deskolem::{try_deskolemize, try_deskolemize_governed};
-pub use sotgd::{
-    apply_sotgd, apply_sotgd_governed, compose_st_tgds, compose_st_tgds_governed,
-    compose_st_tgds_traced, ComposeError, DEFAULT_CLAUSE_BOUND,
-};
+pub use deskolem::try_deskolemize;
+pub use sotgd::{apply_sotgd, compose_st_tgds, ComposeError, DEFAULT_CLAUSE_BOUND};
 pub use transport::transport_via;

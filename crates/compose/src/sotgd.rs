@@ -8,11 +8,12 @@
 //! comes from (benchmark EQ1 measures exactly this growth).
 
 use mm_eval::cq::find_homomorphisms_governed;
-use mm_expr::{Atom, Lit, SoClause, SoTgd, Term, Tgd};
-use mm_guard::{ExecBudget, ExecError, Governor};
+use mm_eval::plan::lit_to_value;
+use mm_expr::{Atom, SoClause, SoTgd, Term, Tgd};
+use mm_guard::{ExecCtx, ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
 use mm_metamodel::Schema;
-use mm_telemetry::{Counter, Span, Telemetry, Timer};
+use mm_telemetry::{Counter, Span, Timer};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -55,48 +56,27 @@ pub const DEFAULT_CLAUSE_BOUND: usize = 1 << 16;
 /// Compose `m12 : S1 → S2` with `m23 : S2 → S3`, producing an SO-tgd from
 /// S1 to S3. `clause_bound` caps the (worst-case exponential) output.
 ///
-/// Ungoverned wrapper over [`compose_st_tgds_governed`] (unbounded
-/// budget; the explicit `clause_bound` still applies).
+/// In addition to the hard `clause_bound`, the context's governor meters
+/// the splice — its clause cap, step cap, wall clock and cancellation
+/// token are observed per produced clause *before* the clause is
+/// materialized, since the splice loop is the exponential part. With
+/// enabled telemetry the call runs under a `compose.splice` span carrying
+/// input sizes, emitted-clause count and the governor's final
+/// consumption, and feeds [`Counter::ComposeClausesEmitted`] and the
+/// compose timer. No other context field applies.
 pub fn compose_st_tgds(
     m12: &[Tgd],
     m23: &[Tgd],
     clause_bound: usize,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<SoTgd, ComposeError> {
-    compose_st_tgds_governed(m12, m23, clause_bound, &ExecBudget::unbounded())
-}
-
-/// Governed composition: in addition to the hard `clause_bound`, the
-/// budget's clause cap, step cap, wall clock, and cancellation token are
-/// observed while splicing — the splice loop is the exponential part, so
-/// it polls the governor per produced clause *before* materializing it.
-pub fn compose_st_tgds_governed(
-    m12: &[Tgd],
-    m23: &[Tgd],
-    clause_bound: usize,
-    budget: &ExecBudget,
-) -> Result<SoTgd, ComposeError> {
-    let mut gov = Governor::new(budget);
-    compose_impl(m12, m23, clause_bound, &mut gov)
-}
-
-/// [`compose_st_tgds_governed`] with telemetry: a `compose.splice` span
-/// carrying input sizes, emitted-clause count, and the governor's final
-/// consumption; feeds [`Counter::ComposeClausesEmitted`] and the compose
-/// timer. With disabled telemetry this is the plain governed call.
-pub fn compose_st_tgds_traced(
-    m12: &[Tgd],
-    m23: &[Tgd],
-    clause_bound: usize,
-    budget: &ExecBudget,
-    tel: &Telemetry,
-) -> Result<SoTgd, ComposeError> {
-    let mut gov = Governor::new(budget);
+    let tel = &ctx.telemetry;
     if !tel.is_enabled() {
-        return compose_impl(m12, m23, clause_bound, &mut gov);
+        return compose_impl(m12, m23, clause_bound, ctx.governor);
     }
     let started = mm_telemetry::clock::now();
     let mut span = Span::enter(tel, "compose.splice", "");
-    let result = compose_impl(m12, m23, clause_bound, &mut gov);
+    let result = compose_impl(m12, m23, clause_bound, ctx.governor);
     span.field("m12_tgds", m12.len());
     span.field("m23_tgds", m23.len());
     match &result {
@@ -104,7 +84,7 @@ pub fn compose_st_tgds_traced(
             if let Some(m) = tel.metrics() {
                 m.add(Counter::ComposeClausesEmitted, so.clauses.len() as u64);
             }
-            let c = gov.consumption();
+            let c = ctx.governor.consumption();
             tel.count(Counter::BudgetStepsConsumed, c.steps);
             span.field("clauses", so.clauses.len());
             span.field("steps", c.steps);
@@ -280,17 +260,6 @@ fn simplify_clause(clause: &mut SoClause) {
     }
 }
 
-fn lit_to_value(l: &Lit) -> Value {
-    match l {
-        Lit::Int(v) => Value::Int(*v),
-        Lit::Double(v) => Value::Double(*v),
-        Lit::Bool(v) => Value::Bool(*v),
-        Lit::Text(v) => Value::text(v.as_str()),
-        Lit::Date(v) => Value::Date(*v),
-        Lit::Null => Value::Null,
-    }
-}
-
 /// Apply an SO-tgd to a source database under the **Skolem
 /// interpretation**: each function term `f(v̄)` denotes a memoized labeled
 /// null per argument vector, distinct from every constant and from every
@@ -302,24 +271,16 @@ fn lit_to_value(l: &Lit) -> Value {
 /// transporting through the intermediate schema, which is what makes
 /// [`crate::transport::transport_via`] a valid oracle for the composition
 /// algorithm.
+///
+/// Homomorphism search and produced tuples are metered against `gov`. An
+/// unbound variable in a head or equality (malformed SO-tgd) surfaces as
+/// [`ExecError::Malformed`], not a panic.
 pub fn apply_sotgd(
     sotgd: &SoTgd,
     source_db: &Database,
     target_schema: &Schema,
+    gov: &mut Governor,
 ) -> Result<Database, ExecError> {
-    apply_sotgd_governed(sotgd, source_db, target_schema, &ExecBudget::unbounded())
-}
-
-/// Governed [`apply_sotgd`]: homomorphism search and produced tuples are
-/// metered against `budget`. An unbound variable in a head or equality
-/// (malformed SO-tgd) surfaces as [`ExecError::Malformed`], not a panic.
-pub fn apply_sotgd_governed(
-    sotgd: &SoTgd,
-    source_db: &Database,
-    target_schema: &Schema,
-    budget: &ExecBudget,
-) -> Result<Database, ExecError> {
-    let mut gov = Governor::new(budget);
     let mut target = Database::empty_of(target_schema);
     target.set_label_watermark(source_db.label_watermark());
     // memoized Skolem values: (function, args) -> labeled null
@@ -327,7 +288,7 @@ pub fn apply_sotgd_governed(
 
     for clause in &sotgd.clauses {
         let bindings =
-            find_homomorphisms_governed(&clause.body, source_db, &Default::default(), &mut gov)?;
+            find_homomorphisms_governed(&clause.body, source_db, &Default::default(), gov)?;
         'bindings: for b in bindings {
             for (l, r) in &clause.eqs {
                 gov.step()?;
@@ -380,7 +341,18 @@ mod tests {
     use super::*;
     use crate::transport::transport_via;
     use mm_chase::hom_equivalent;
+    use mm_guard::ExecBudget;
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    /// Unmetered, untraced composition.
+    fn compose(m12: &[Tgd], m23: &[Tgd], bound: usize) -> Result<SoTgd, ComposeError> {
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        compose_st_tgds(m12, m23, bound, &mut ExecCtx::new(&mut gov))
+    }
+
+    fn apply(so: &SoTgd, db: &Database, target: &Schema) -> Result<Database, ExecError> {
+        apply_sotgd(so, db, target, &mut Governor::new(&ExecBudget::unbounded()))
+    }
 
     // The canonical Fagin et al. example:
     //   m12: Emp(e) -> exists m . Mgr1(e, m)
@@ -401,7 +373,7 @@ mod tests {
 
     #[test]
     fn fagin_example_produces_function_terms_and_equality() {
-        let so = compose_st_tgds(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
         assert_eq!(so.clauses.len(), 2);
         // first clause: Emp(e) -> Mgr(e, f(e))
         let c0 = &so.clauses[0];
@@ -420,7 +392,7 @@ mod tests {
     fn full_tgds_compose_to_function_free_clauses() {
         let a = vec![Tgd::new(vec![Atom::vars("R", &["x", "y"])], vec![Atom::vars("S", &["x", "y"])])];
         let b = vec![Tgd::new(vec![Atom::vars("S", &["x", "y"])], vec![Atom::vars("T", &["y", "x"])])];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         assert_eq!(so.clauses.len(), 1);
         let c = &so.clauses[0];
         assert!(c.eqs.is_empty());
@@ -437,7 +409,7 @@ mod tests {
             vec![Atom::vars("S", &["x"]), Atom::vars("Z", &["x"])],
             vec![Atom::vars("T", &["x"])],
         )];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         assert!(so.clauses.is_empty());
     }
 
@@ -452,7 +424,7 @@ mod tests {
             vec![Atom::vars("S", &["x"]), Atom::vars("S", &["y"])],
             vec![Atom::vars("T", &["x", "y"])],
         )];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         assert_eq!(so.clauses.len(), 4);
     }
 
@@ -470,7 +442,7 @@ mod tests {
             ],
             vec![Atom::vars("T", &["x", "y", "z"])],
         )];
-        let err = compose_st_tgds(&a, &b, 4).unwrap_err();
+        let err = compose(&a, &b, 4).unwrap_err();
         assert!(matches!(err, ComposeError::OutputTooLarge { .. }));
     }
 
@@ -499,8 +471,8 @@ mod tests {
         let (d3_chase, _, _) = transport_via(&s2, &m12(), &s3, &m23(), &d1).unwrap();
 
         // direct: apply composed SO-tgd
-        let so = compose_st_tgds(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
-        let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
+        let so = compose(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
+        let d3_direct = apply(&so, &d1, &s3).unwrap();
 
         assert!(
             hom_equivalent(&d3_chase, &d3_direct),
@@ -520,7 +492,7 @@ mod tests {
             vec![Atom::vars("S", &["x", "y"]), Atom::vars("S", &["y", "x"])],
             vec![Atom::vars("T", &["x"])],
         )];
-        let so = compose_st_tgds(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
         let s1 = SchemaBuilder::new("S1")
             .relation("R", &[("x", DataType::Int)])
             .build()
@@ -531,7 +503,7 @@ mod tests {
             .unwrap();
         let mut d1 = Database::empty_of(&s1);
         d1.insert("R", Tuple::from([Value::Int(1)]));
-        let d3 = apply_sotgd(&so, &d1, &s3).unwrap();
+        let d3 = apply(&so, &d1, &s3).unwrap();
         // S(1,1) satisfies both body atoms with x=y=1 -> T(1)
         assert!(d3.relation("T").unwrap().contains(&Tuple::from([Value::Int(1)])));
     }

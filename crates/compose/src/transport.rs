@@ -66,8 +66,10 @@ mod tests {
         }
 
         let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
-        let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
-        let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let so =
+            compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, &mut ExecCtx::new(&mut gov)).unwrap();
+        let d3_direct = apply_sotgd(&so, &d1, &s3, &mut gov).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
         assert_eq!(d3_direct.relation("C").unwrap().len(), 4);
     }
@@ -101,8 +103,10 @@ mod tests {
         d1.insert("E", Tuple::from([Value::Int(3), Value::Int(1)]));
 
         let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
-        let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
-        let d3_direct = apply_sotgd(&so, &d1, &s3).unwrap();
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let so =
+            compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, &mut ExecCtx::new(&mut gov)).unwrap();
+        let d3_direct = apply_sotgd(&so, &d1, &s3, &mut gov).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
         assert_eq!(d3_direct.relation("Q").unwrap().len(), 3);
     }

@@ -565,12 +565,14 @@ impl Engine {
         let t23 = Self::tgds_of(&m23)?;
         let tel = &self.config.telemetry;
         let mut span = Span::enter(tel, "engine.compose.tgd", format!("{aid} * {bid}"));
-        let so = match mm_compose::compose_st_tgds_traced(
+        // compose and deskolemize are metered separately, each under a
+        // fresh governor for the configured budget
+        let mut gov = Governor::new(&self.config.budget);
+        let so = match mm_compose::compose_st_tgds(
             &t12,
             &t23,
             self.config.compose_clause_bound,
-            &self.config.budget,
-            tel,
+            &mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) },
         ) {
             Ok(so) => {
                 span.field("clauses", so.clauses.len());
@@ -582,7 +584,7 @@ impl Engine {
             }
         };
         let mut gov = Governor::new(&self.config.budget);
-        let folded = match mm_compose::try_deskolemize_governed(&so, &mut gov)? {
+        let folded = match mm_compose::try_deskolemize(&so, &mut gov)? {
             Some(tgds) => {
                 let mut m = Mapping::new(m12.source_schema.clone(), m23.target_schema.clone());
                 for t in tgds {
@@ -745,9 +747,13 @@ impl Engine {
             .iter()
             .map(|name| Ok(self.repo.latest_viewset(name)?.0))
             .collect::<Result<_, EngineError>>()?;
-        let mediator = mm_runtime::Mediator::new(&base, viewsets.iter().collect())
-            .with_telemetry(self.config.telemetry.clone());
-        let plan = mediator.plan_governed(gov).map_err(EngineError::Exec)?;
+        let mediator = mm_runtime::Mediator::new(&base, viewsets.iter().collect());
+        let plan = mediator
+            .plan_governed(&mut ExecCtx {
+                telemetry: self.config.telemetry.clone(),
+                ..ExecCtx::new(gov)
+            })
+            .map_err(EngineError::Exec)?;
         let result = mediator
             .answer_with_plan(&plan, query, base_db, gov)
             .map_err(EngineError::from);

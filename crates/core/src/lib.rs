@@ -40,17 +40,13 @@ pub mod prelude {
         StRun, TgdExplain,
     };
     pub use mm_compose::{
-        apply_sotgd, apply_sotgd_governed, compose_expr_mappings, compose_st_tgds,
-        compose_st_tgds_governed, compose_st_tgds_traced, compose_views, transport_via,
-        try_deskolemize, try_deskolemize_governed, ComposeError, DEFAULT_CLAUSE_BOUND,
+        apply_sotgd, compose_expr_mappings, compose_st_tgds, compose_views, transport_via,
+        try_deskolemize, ComposeError, DEFAULT_CLAUSE_BOUND,
     };
     pub use mm_eval::{
         eval, eval_governed, find_homomorphisms, find_homomorphisms_costed,
-        find_homomorphisms_governed,
-        find_homomorphisms_naive, find_homomorphisms_parallel, find_homomorphisms_traced,
-        materialize_views,
-        materialize_views_governed, unfold_query, AtomExplain, CqPlan, EvalError, PlanExplain,
-        VarTable,
+        find_homomorphisms_governed, materialize_views, materialize_views_governed, unfold_query,
+        AtomExplain, CqPlan, EvalError, PlanExplain, VarTable,
     };
     pub use mm_guard::{
         CancelToken, Consumption, Degradation, DegradationKind, ExecBudget, ExecCtx, ExecError,
@@ -92,10 +88,8 @@ pub mod prelude {
         Subscription, SNAPSHOT_FILE, SNAPSHOT_TMP_FILE, WAL_FILE,
     };
     pub use mm_runtime::{
-        advise_indexes, batch_load, batch_load_governed, check_query, compile_policy,
-        compile_triggers, explain, explain_traced, fire_triggers, maintain_insertions,
-        maintain_insertions_governed, maintain_insertions_traced, maintain_insertions_with_plan,
-        propagate, run_sync, trace, translate_rules, translate_violations, view_insert_delta,
+        advise_indexes, batch_load, check_query, compile_policy, compile_triggers, explain,
+        fire_triggers, propagate, run_sync, trace, translate_rules, translate_violations,
         view_insert_delta_governed, AccessPolicy, AccessRule, AccessViolation, Delta, Firing,
         IndexRecommendation, IndexUse, MaintenancePlan, MaintenanceReport, MaintenanceStrategy,
         MediationExplain, MediationMode, MediationPlan, MediationResult, Mediator, SyncRule,

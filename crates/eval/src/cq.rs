@@ -6,77 +6,14 @@
 //! the chase (`mm-chase`), tgd satisfaction checking, and certain-answer
 //! evaluation are built on.
 
-use crate::plan::{lit_to_value, CqPlan, ExecOptions, VarTable};
-use mm_expr::{Atom, Term};
+use crate::plan::{CqPlan, ExecOptions, VarTable};
+use mm_expr::Atom;
 use mm_guard::{ExecBudget, ExecError, Governor};
-use mm_instance::{Database, Tuple, Value};
+use mm_instance::{Database, Value};
 use std::collections::HashMap;
 
 /// A variable binding: variable name → value.
 pub type Binding = HashMap<String, Value>;
-
-/// Try to extend `binding` so that `atom` maps onto `tuple`.
-/// Returns `None` on conflict. Function terms never match (they only occur
-/// in SO-tgd heads, which are not chased directly).
-fn match_atom(atom: &Atom, tuple: &Tuple, binding: &Binding) -> Option<Binding> {
-    if atom.terms.len() != tuple.arity() {
-        return None;
-    }
-    let mut b = binding.clone();
-    for (term, value) in atom.terms.iter().zip(tuple.values()) {
-        match term {
-            Term::Var(v) => match b.get(v) {
-                Some(bound) if bound != value => return None,
-                Some(_) => {}
-                None => {
-                    b.insert(v.clone(), value.clone());
-                }
-            },
-            Term::Const(l) => {
-                if &lit_to_value(l) != value {
-                    return None;
-                }
-            }
-            Term::Func(..) => return None,
-        }
-    }
-    Some(b)
-}
-
-/// Order atoms so that atoms sharing variables with already-placed atoms
-/// come early (greedy bound-variable heuristic) — the join-ordering step
-/// of the naive CQ evaluator, and the heuristic [`CqPlan`] replicates so
-/// both paths enumerate identically. Deterministic for reproducibility.
-fn order_atoms<'a>(atoms: &'a [Atom], db: &Database) -> Vec<&'a Atom> {
-    let mut remaining: Vec<(usize, &Atom)> = atoms.iter().enumerate().collect();
-    let mut ordered: Vec<&Atom> = Vec::with_capacity(atoms.len());
-    let mut bound: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    // pick the atom with the most bound variables; tie-break on the
-    // smallest relation, then on the *original* atom index — the same
-    // key [`CqPlan::compile`] uses, so the naive oracle and the compiled
-    // plan provably pick identical orders (tie-breaking on the position
-    // inside the shrinking `remaining` list happened to agree, but only
-    // because removals preserve relative order; keying on the original
-    // index makes the equivalence unconditional). The loop ends when
-    // `remaining` is drained and `min_by_key` has nothing to yield.
-    while let Some((idx, _)) = remaining
-        .iter()
-        .enumerate()
-        .map(|(i, (ai, a))| {
-            let bound_vars = a.variables().iter().filter(|v| bound.contains(**v)).count();
-            let size = db.relation(&a.relation).map(|r| r.len()).unwrap_or(0);
-            (i, (std::cmp::Reverse(bound_vars), size, *ai))
-        })
-        .min_by_key(|(_, k)| *k)
-    {
-        let (_, atom) = remaining.remove(idx);
-        for v in atom.variables() {
-            bound.insert(v);
-        }
-        ordered.push(atom);
-    }
-    ordered
-}
 
 /// Find all homomorphisms from the conjunction `atoms` into `db`.
 ///
@@ -84,39 +21,55 @@ fn order_atoms<'a>(atoms: &'a [Atom], db: &Database) -> Vec<&'a Atom> {
 /// empty relation, not an error — the chase routinely queries targets
 /// whose relations are not yet populated).
 pub fn find_homomorphisms(atoms: &[Atom], db: &Database) -> Vec<Binding> {
-    find_homomorphisms_seeded(atoms, db, &Binding::new())
-}
-
-/// Like [`find_homomorphisms`], but variables pre-bound in `seed` are
-/// fixed. Used by the chase to test whether a tgd head is already
-/// satisfied under the body binding (labeled nulls in the seed must match
-/// themselves, not re-map).
-pub fn find_homomorphisms_seeded(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-) -> Vec<Binding> {
     let mut gov = Governor::new(&ExecBudget::unbounded());
     // an unbounded governor with a private token cannot fail
-    find_homomorphisms_governed(atoms, db, seed, &mut gov).unwrap_or_default()
+    find_homomorphisms_governed(atoms, db, &Binding::new(), &mut gov).unwrap_or_default()
 }
 
 /// Governed homomorphism search: every join probe is metered as one
 /// budget step, so an exponential join trips `BudgetExhausted` (or
 /// observes cancellation) instead of running unbounded. The governor is
 /// borrowed, not owned, so a pipeline (e.g. one chase round firing many
-/// tgds) accumulates work against a single budget.
+/// tgds) accumulates work against a single budget. Variables pre-bound in
+/// `seed` are fixed (labeled nulls in the seed match themselves, not
+/// re-map) and flow into every result.
 ///
-/// Since PR 2 this compiles the conjunction into a [`CqPlan`] (slot
-/// bindings, index probes) and executes that; results — including their
-/// order — are identical to [`find_homomorphisms_naive`], which is kept
-/// as the differential-testing oracle. Callers that evaluate the same
-/// conjunction repeatedly should compile a [`CqPlan`] once instead.
+/// Compiles the conjunction into a [`CqPlan`] (slot bindings, index
+/// probes) and executes that; results — including their order — are
+/// identical to the naive oracle in [`crate::testkit`]. Callers that
+/// evaluate the same conjunction repeatedly should compile a [`CqPlan`]
+/// once instead.
 pub fn find_homomorphisms_governed(
     atoms: &[Atom],
     db: &Database,
     seed: &Binding,
     gov: &mut Governor,
+) -> Result<Vec<Binding>, ExecError> {
+    search(atoms, db, seed, gov, CqPlan::compile)
+}
+
+/// [`find_homomorphisms_governed`] through the cost-based planner:
+/// compiles with [`CqPlan::compile_costed`] (selectivity-estimated join
+/// order from relation statistics) instead of the greedy heuristic, then
+/// sorts the matches by their canonical position vectors so results —
+/// including their order — are still identical to the naive oracle. This
+/// is the planner's differential entry point: same contract, different
+/// (hopefully cheaper) walk.
+pub fn find_homomorphisms_costed(
+    atoms: &[Atom],
+    db: &Database,
+    seed: &Binding,
+    gov: &mut Governor,
+) -> Result<Vec<Binding>, ExecError> {
+    search(atoms, db, seed, gov, CqPlan::compile_costed)
+}
+
+fn search(
+    atoms: &[Atom],
+    db: &Database,
+    seed: &Binding,
+    gov: &mut Governor,
+    compile: fn(&[Atom], &mut VarTable, &Database, &[usize]) -> CqPlan,
 ) -> Result<Vec<Binding>, ExecError> {
     gov.check_now()?;
     let mut table = VarTable::new();
@@ -126,50 +79,13 @@ pub fn find_homomorphisms_governed(
     let seed_slots: Vec<(usize, Value)> =
         seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
     let prebound: Vec<usize> = seed_slots.iter().map(|(s, _)| *s).collect();
-    let plan = CqPlan::compile(atoms, &mut table, db, &prebound);
+    let plan = compile(atoms, &mut table, db, &prebound);
     let mut scratch = vec![None; table.len()];
     for (s, v) in &seed_slots {
         scratch[*s] = Some(v.clone());
     }
     let mut matches = Vec::new();
-    plan.execute_governed(db, &mut scratch, &ExecOptions::default(), gov, &mut matches)?;
-    Ok(matches
-        .into_iter()
-        .map(|m| {
-            m.binding
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, v)| Some((table.name(s)?.to_string(), v?)))
-                .collect()
-        })
-        .collect())
-}
-
-/// [`find_homomorphisms_governed`] through the cost-based planner:
-/// compiles with [`CqPlan::compile_costed`] (selectivity-estimated join
-/// order from relation statistics) instead of the greedy heuristic, then
-/// sorts the matches by their canonical position vectors so results —
-/// including their order — are still identical to
-/// [`find_homomorphisms_naive`]. This is the planner's differential
-/// entry point: same contract, different (hopefully cheaper) walk.
-pub fn find_homomorphisms_costed(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    gov: &mut Governor,
-) -> Result<Vec<Binding>, ExecError> {
-    gov.check_now()?;
-    let mut table = VarTable::new();
-    let seed_slots: Vec<(usize, Value)> =
-        seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
-    let prebound: Vec<usize> = seed_slots.iter().map(|(s, _)| *s).collect();
-    let plan = CqPlan::compile_costed(atoms, &mut table, db, &prebound);
-    let mut scratch = vec![None; table.len()];
-    for (s, v) in &seed_slots {
-        scratch[*s] = Some(v.clone());
-    }
-    let mut matches = Vec::new();
-    plan.execute_governed(db, &mut scratch, &ExecOptions::default(), gov, &mut matches)?;
+    plan.execute(db, &mut scratch, &ExecOptions::default(), 1, gov, &mut matches)?;
     // positions are emitted in canonical order; sorting recovers the
     // naive enumeration sequence under any walk order (skipped when the
     // chosen order already is the canonical one)
@@ -188,165 +104,11 @@ pub fn find_homomorphisms_costed(
         .collect())
 }
 
-/// [`find_homomorphisms_governed`] with the driver atom's tuple range
-/// split across up to `threads` workers
-/// ([`CqPlan::execute_parallel`]). Results — including their order —
-/// are identical to the sequential path; `threads <= 1` or a small
-/// driver relation degrade to it outright. Returns the bindings plus
-/// the pool statistics (workers, steals, tasks) for telemetry.
-pub fn find_homomorphisms_parallel(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    threads: usize,
-    gov: &mut Governor,
-) -> Result<(Vec<Binding>, mm_parallel::PoolRun), ExecError> {
-    gov.check_now()?;
-    let mut table = VarTable::new();
-    let seed_slots: Vec<(usize, Value)> =
-        seed.iter().map(|(k, v)| (table.intern(k), v.clone())).collect();
-    let prebound: Vec<usize> = seed_slots.iter().map(|(s, _)| *s).collect();
-    let plan = CqPlan::compile(atoms, &mut table, db, &prebound);
-    let mut scratch = vec![None; table.len()];
-    for (s, v) in &seed_slots {
-        scratch[*s] = Some(v.clone());
-    }
-    let mut matches = Vec::new();
-    let run = plan.execute_parallel(
-        db,
-        &mut scratch,
-        &ExecOptions::default(),
-        threads,
-        gov,
-        &mut matches,
-    )?;
-    let bindings = matches
-        .into_iter()
-        .map(|m| {
-            m.binding
-                .into_iter()
-                .enumerate()
-                .filter_map(|(s, v)| Some((table.name(s)?.to_string(), v?)))
-                .collect()
-        })
-        .collect();
-    Ok((bindings, run))
-}
-
-/// [`find_homomorphisms_governed`] with telemetry: wraps the search in
-/// an `eval.homomorphisms` span and feeds the found/pruned counters
-/// (probes that bound a full match vs. probes the join rejected). With
-/// disabled telemetry this is exactly the governed call — one branch.
-pub fn find_homomorphisms_traced(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    gov: &mut Governor,
-    tel: &mm_telemetry::Telemetry,
-) -> Result<Vec<Binding>, ExecError> {
-    if !tel.is_enabled() {
-        return find_homomorphisms_governed(atoms, db, seed, gov);
-    }
-    let mut span = mm_telemetry::Span::enter(tel, "eval.homomorphisms", "");
-    let steps_before = gov.steps_consumed();
-    let result = find_homomorphisms_governed(atoms, db, seed, gov);
-    let probes = gov.steps_consumed() - steps_before;
-    match &result {
-        Ok(out) => {
-            let found = out.len() as u64;
-            let pruned = probes.saturating_sub(found);
-            if let Some(m) = tel.metrics() {
-                m.add(mm_telemetry::Counter::HomFound, found);
-                m.add(mm_telemetry::Counter::HomPruned, pruned);
-            }
-            span.field("atoms", atoms.len() as u64);
-            span.field("found", found);
-            span.field("pruned", pruned);
-        }
-        Err(e) => {
-            span.field("atoms", atoms.len() as u64);
-            span.field("error", e.to_string());
-        }
-    }
-    span.finish();
-    result
-}
-
-/// The naive nested-loop evaluator: scans every relation per atom and
-/// clones a string-keyed binding per probe. Kept as the reference oracle
-/// the compiled-plan path is property-tested against (and as the scan
-/// baseline in the eval bench); new code should call
-/// [`find_homomorphisms_governed`].
-pub fn find_homomorphisms_naive(
-    atoms: &[Atom],
-    db: &Database,
-    seed: &Binding,
-    gov: &mut Governor,
-) -> Result<Vec<Binding>, ExecError> {
-    gov.check_now()?;
-    if atoms.is_empty() {
-        return Ok(vec![seed.clone()]);
-    }
-    let ordered = order_atoms(atoms, db);
-    let mut bindings = vec![seed.clone()];
-    for atom in ordered {
-        let Some(rel) = db.relation(&atom.relation) else {
-            return Ok(Vec::new());
-        };
-        let mut next = Vec::new();
-        for b in &bindings {
-            for t in rel.iter() {
-                gov.step()?;
-                if let Some(b2) = match_atom(atom, t, b) {
-                    next.push(b2);
-                }
-            }
-        }
-        if next.is_empty() {
-            return Ok(Vec::new());
-        }
-        bindings = next;
-    }
-    Ok(bindings)
-}
-
-/// Instantiate a (function-free, fully bound) atom under a binding,
-/// producing a tuple. Existential variables absent from the binding are
-/// filled by `fresh`, which must return a new labeled null per call per
-/// variable (the caller memoizes per-variable if needed).
-///
-/// Function terms are not first-order instantiable (they only occur in
-/// SO-tgd heads, which go through `apply_sotgd`) and yield a typed
-/// [`ExecError::Unsupported`] instead of a panic.
-pub fn instantiate_atom(
-    atom: &Atom,
-    binding: &Binding,
-    fresh: &mut dyn FnMut(&str) -> Value,
-) -> Result<Tuple, ExecError> {
-    let mut values = Vec::with_capacity(atom.terms.len());
-    for t in &atom.terms {
-        values.push(match t {
-            Term::Var(v) => match binding.get(v) {
-                Some(val) => val.clone(),
-                None => fresh(v),
-            },
-            Term::Const(l) => lit_to_value(l),
-            Term::Func(name, _) => {
-                return Err(ExecError::unsupported(format!(
-                    "function term '{name}' in first-order instantiation of atom '{}'",
-                    atom.relation
-                )))
-            }
-        });
-    }
-    Ok(Tuple::new(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_expr::Lit;
-    use mm_instance::RelSchema;
+    use mm_expr::{Lit, Term};
+    use mm_instance::{RelSchema, Tuple};
     use mm_metamodel::DataType;
 
     fn db() -> Database {
@@ -421,28 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn instantiate_with_fresh_nulls_memoized_by_caller() {
-        let atom = Atom::vars("T", &["x", "n", "n"]);
-        let mut binding = Binding::new();
-        binding.insert("x".into(), Value::Int(1));
-        let mut memo: HashMap<String, Value> = HashMap::new();
-        let mut counter = 0u64;
-        let t = instantiate_atom(&atom, &binding, &mut |v| {
-            memo.entry(v.to_string())
-                .or_insert_with(|| {
-                    let val = Value::Labeled(counter);
-                    counter += 1;
-                    val
-                })
-                .clone()
-        })
-        .unwrap();
-        assert_eq!(t.values()[0], Value::Int(1));
-        assert_eq!(t.values()[1], t.values()[2]); // same existential var, same null
-        assert!(t.values()[1].is_labeled());
-    }
-
-    #[test]
     fn compiled_path_agrees_with_naive_oracle_including_order() {
         let db = db();
         let cases: Vec<Vec<Atom>> = vec![
@@ -459,7 +199,8 @@ mod tests {
             let mut g2 = Governor::new(&ExecBudget::unbounded());
             let seed = Binding::from([("w".to_string(), Value::Int(7))]);
             let fast = find_homomorphisms_governed(&atoms, &db, &seed, &mut g1).unwrap();
-            let slow = find_homomorphisms_naive(&atoms, &db, &seed, &mut g2).unwrap();
+            let slow =
+                crate::testkit::find_homomorphisms_naive(&atoms, &db, &seed, &mut g2).unwrap();
             assert_eq!(fast, slow, "atoms: {atoms:?}");
         }
     }

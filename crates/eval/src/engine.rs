@@ -1,6 +1,7 @@
 //! Materializing evaluator for the relational algebra.
 
-use mm_expr::{CmpOp, Expr, ExprError, Func, Lit, Predicate, Scalar};
+use crate::plan::lit_to_value;
+use mm_expr::{CmpOp, Expr, ExprError, Func, Predicate, Scalar};
 use mm_guard::{ExecBudget, ExecError, Governor};
 use mm_instance::{Database, RelSchema, Relation, Tuple, Value};
 use mm_metamodel::{Schema, TYPE_ATTR};
@@ -52,17 +53,6 @@ fn position_or_err(schema: &RelSchema, column: &str, context: &str) -> Result<us
             "column '{column}' not present in input of {context}"
         )))
     })
-}
-
-fn lit_to_value(l: &Lit) -> Value {
-    match l {
-        Lit::Int(v) => Value::Int(*v),
-        Lit::Double(v) => Value::Double(*v),
-        Lit::Bool(v) => Value::Bool(*v),
-        Lit::Text(v) => Value::text(v.as_str()),
-        Lit::Date(v) => Value::Date(*v),
-        Lit::Null => Value::Null,
-    }
 }
 
 /// A resolved row context: column positions by name.
@@ -568,6 +558,7 @@ fn hash_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_expr::Lit;
     use mm_metamodel::{DataType, SchemaBuilder};
 
     fn schema() -> Schema {

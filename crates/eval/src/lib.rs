@@ -7,6 +7,11 @@
 //! algebra evaluator (with Entity SQL-style `IS OF` type tests), a
 //! conjunctive-query/homomorphism engine used by the chase and by tgd
 //! checking, and view materialization/unfolding.
+//!
+//! A compiled conjunctive query runs through one executor,
+//! [`CqPlan::execute`], metered by a borrowed [`mm_guard::Governor`] and
+//! fanned across a requested thread count; the naive nested-loop oracle
+//! it is tested against lives in the hidden `testkit` module.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -14,12 +19,11 @@
 pub mod cq;
 pub mod engine;
 pub mod plan;
+#[doc(hidden)]
+pub mod testkit;
 pub mod view;
 
-pub use cq::{
-    find_homomorphisms, find_homomorphisms_costed, find_homomorphisms_governed,
-    find_homomorphisms_naive, find_homomorphisms_parallel, find_homomorphisms_traced, Binding,
-};
+pub use cq::{find_homomorphisms, find_homomorphisms_costed, find_homomorphisms_governed, Binding};
 pub use plan::{
     AtomExplain, AtomRange, CqPlan, ExecOptions, PlanExplain, PlanMatch, SlotTerm, VarTable,
     DP_MAX_ATOMS,

@@ -9,7 +9,7 @@
 //! falls back to a scan otherwise.
 //!
 //! Execution order is deliberately identical to the naive nested-loop
-//! evaluator in [`crate::cq`]: the join order replicates its greedy
+//! evaluator in [`crate::testkit`]: the join order replicates its greedy
 //! heuristic, and index buckets preserve relation insertion order, so the
 //! compiled path enumerates matches in exactly the order the naive scan
 //! would. Consumers that must be bit-identical to the naive path (the
@@ -391,39 +391,21 @@ impl CqPlan {
         }
     }
 
-    /// Execute over `db`. `scratch` carries the seed (pre-bound slots as
-    /// `Some`) and is restored to exactly that seed state on return.
-    /// Every candidate tuple examined is metered as one governor step;
-    /// on a budget trip the error propagates with `scratch` restored.
-    pub fn execute_governed(
-        &self,
-        db: &Database,
-        scratch: &mut [Option<Value>],
-        opts: &ExecOptions<'_>,
-        gov: &mut Governor,
-        out: &mut Vec<PlanMatch>,
-    ) -> Result<(), ExecError> {
-        if self.unsat {
-            return Ok(());
-        }
-        debug_assert!(scratch.len() >= self.num_slots, "scratch shorter than plan slots");
-        let ctx = ExecCtx::prepare(self, db, opts);
-        let mut pos_acc = vec![0u32; self.atoms.len()];
-        let mut walk = Walk { plan: self, ctx: &ctx, opts, out, key: Vec::new() };
-        let result = walk.step(0, scratch, &mut pos_acc, gov);
-        result.map(|_| ())
-    }
-
-    /// Execute over `db` with the driver (first) atom's range split into
-    /// chunks fanned across up to `threads` workers.
+    /// Execute over `db`, appending every match to `out`. `scratch`
+    /// carries the seed (pre-bound slots as `Some`) and is restored to
+    /// exactly that seed state on return. Every candidate tuple examined
+    /// is metered as one governor step; on a budget trip the error
+    /// propagates with `scratch` restored.
     ///
-    /// Bit-identical to [`CqPlan::execute_governed`]: every range variant
-    /// admits one contiguous interval of the driver atom's insertion
-    /// positions, chunks partition that interval in order, and within a
-    /// chunk the walk enumerates exactly as the sequential walk would —
-    /// so concatenating chunk outputs in chunk order *is* the sequential
-    /// enumeration order, and the metered step count is identical too
-    /// (range filtering happens before metering on both paths).
+    /// With `threads > 1` the driver (first) atom's range is split into
+    /// chunks fanned across up to `threads` workers, bit-identically to
+    /// the sequential walk: every range variant admits one contiguous
+    /// interval of the driver atom's insertion positions, chunks partition
+    /// that interval in order, and within a chunk the walk enumerates
+    /// exactly as the sequential walk would — so concatenating chunk
+    /// outputs in chunk order *is* the sequential enumeration order, and
+    /// the metered step count is identical too (range filtering happens
+    /// before metering on both paths).
     ///
     /// A `limit` is honoured exactly: each chunk stops at `limit`
     /// locally, a shared counter of matches found in the *completed
@@ -432,12 +414,10 @@ impl CqPlan {
     /// prefix matches), and the merged output is truncated to the first
     /// `limit` matches — the same ones the sequential walk returns.
     ///
-    /// Degrades to the sequential path (still via `gov`) when `threads
-    /// <= 1`, the driver interval is too small to be worth splitting, or
-    /// the plan has no drivable atom. `scratch` carries the seed exactly
-    /// as in the sequential path and is never mutated here (workers copy
-    /// it).
-    pub fn execute_parallel(
+    /// Runs sequentially when `threads <= 1`, the driver interval is too
+    /// small to be worth splitting, or the plan has no drivable atom.
+    /// Returns the pool statistics (workers, steals, tasks) for telemetry.
+    pub fn execute(
         &self,
         db: &Database,
         scratch: &mut [Option<Value>],
@@ -455,13 +435,13 @@ impl CqPlan {
             })
             .filter(|(start, end)| end - start >= threads * MIN_DRIVER_ROWS_PER_WORKER);
         let Some((start, end)) = driver_span else {
-            self.execute_governed(db, scratch, opts, gov, out)?;
+            self.walk(db, scratch, opts, gov, out)?;
             return Ok(mm_parallel::PoolRun { workers: 1, steals: 0, tasks: 1 });
         };
 
         // Pre-build every index snapshot on this thread so workers don't
         // race to construct the same index behind the relation's lock.
-        let _prewarm = ExecCtx::prepare(self, db, opts);
+        let _prewarm = Handles::prepare(self, db, opts);
 
         let span = end - start;
         let chunks = (threads * CHUNKS_PER_WORKER).min(span);
@@ -493,7 +473,7 @@ impl CqPlan {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
                 };
-                self.execute_governed(db, &mut local_scratch, &chunk_opts, &mut wg, &mut local_out)?;
+                self.walk(db, &mut local_scratch, &chunk_opts, &mut wg, &mut local_out)?;
                 prefix.complete(c, local_out.len());
                 Ok(local_out)
             },
@@ -513,6 +493,25 @@ impl CqPlan {
             out.truncate(l);
         }
         Ok(run)
+    }
+
+    /// The sequential backtracking walk behind [`CqPlan::execute`].
+    fn walk(
+        &self,
+        db: &Database,
+        scratch: &mut [Option<Value>],
+        opts: &ExecOptions<'_>,
+        gov: &mut Governor,
+        out: &mut Vec<PlanMatch>,
+    ) -> Result<(), ExecError> {
+        if self.unsat {
+            return Ok(());
+        }
+        debug_assert!(scratch.len() >= self.num_slots, "scratch shorter than plan slots");
+        let handles = Handles::prepare(self, db, opts);
+        let mut pos_acc = vec![0u32; self.atoms.len()];
+        let mut walk = Walk { plan: self, handles: &handles, opts, out, key: Vec::new() };
+        walk.step(0, scratch, &mut pos_acc, gov).map(|_| ())
     }
 }
 
@@ -793,12 +792,12 @@ impl PrefixCount {
 
 /// Per-execution prefetched relation handles and index snapshots (one
 /// `index()` cache lookup per atom instead of one per candidate binding).
-struct ExecCtx<'a> {
+struct Handles<'a> {
     rels: Vec<Option<&'a Relation>>,
     indexes: Vec<Option<Arc<RelIndex>>>,
 }
 
-impl<'a> ExecCtx<'a> {
+impl<'a> Handles<'a> {
     fn prepare(plan: &CqPlan, db: &'a Database, opts: &ExecOptions<'_>) -> Self {
         let rels: Vec<Option<&Relation>> =
             plan.atoms.iter().map(|a| db.relation(&a.relation)).collect();
@@ -813,13 +812,13 @@ impl<'a> ExecCtx<'a> {
                 _ => None,
             })
             .collect();
-        ExecCtx { rels, indexes }
+        Handles { rels, indexes }
     }
 }
 
 struct Walk<'p, 'c, 'o, 'r> {
     plan: &'p CqPlan,
-    ctx: &'c ExecCtx<'c>,
+    handles: &'c Handles<'c>,
     opts: &'o ExecOptions<'r>,
     out: &'o mut Vec<PlanMatch>,
     /// Reusable probe-key buffer: each depth clears and refills it right
@@ -847,11 +846,11 @@ impl Walk<'_, '_, '_, '_> {
             return Ok(self.opts.limit.is_some_and(|l| self.out.len() >= l));
         }
         let ap = &self.plan.atoms[depth];
-        let Some(rel) = self.ctx.rels[depth] else {
+        let Some(rel) = self.handles.rels[depth] else {
             return Ok(false);
         };
         let range = self.opts.ranges.map_or(AtomRange::Full, |r| r[depth]);
-        let idx = self.ctx.indexes[depth].as_ref();
+        let idx = self.handles.indexes[depth].as_ref();
         let mut have_key = idx.is_some();
         if have_key {
             self.key.clear();
@@ -1080,7 +1079,7 @@ mod tests {
         let mut gov = Governor::new(&ExecBudget::unbounded());
         let mut scratch = vec![None; table.len()];
         let mut out = Vec::new();
-        plan.execute_governed(db, &mut scratch, opts, &mut gov, &mut out).unwrap();
+        plan.execute(db, &mut scratch, opts, 1, &mut gov, &mut out).unwrap();
         assert!(scratch.iter().all(Option::is_none), "scratch not restored");
         out
     }
@@ -1147,7 +1146,7 @@ mod tests {
         let mut scratch = vec![None; table.len()];
         scratch[x] = Some(Value::Int(2));
         let mut out = Vec::new();
-        plan.execute_governed(&db, &mut scratch, &ExecOptions::default(), &mut gov, &mut out)
+        plan.execute(&db, &mut scratch, &ExecOptions::default(), 1, &mut gov, &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].binding[table.slot("y").unwrap()], Some(Value::Int(3)));
@@ -1182,7 +1181,7 @@ mod tests {
                 let mut gov = Governor::new(&ExecBudget::unbounded());
                 let mut scratch = vec![None; table.len()];
                 let mut par = Vec::new();
-                plan.execute_parallel(&db, &mut scratch, &opts, threads, &mut gov, &mut par)
+                plan.execute(&db, &mut scratch, &opts, threads, &mut gov, &mut par)
                     .unwrap();
                 assert_eq!(par.len(), seq.len(), "threads={threads} limit={limit:?}");
                 for (a, b) in par.iter().zip(&seq) {
@@ -1203,10 +1202,10 @@ mod tests {
         let mut seq_gov = Governor::new(&ExecBudget::unbounded());
         let mut scratch = vec![None; table.len()];
         let mut seq = Vec::new();
-        plan.execute_governed(&db, &mut scratch, &opts, &mut seq_gov, &mut seq).unwrap();
+        plan.execute(&db, &mut scratch, &opts, 1, &mut seq_gov, &mut seq).unwrap();
         let mut par_gov = Governor::new(&ExecBudget::unbounded());
         let mut par = Vec::new();
-        plan.execute_parallel(&db, &mut scratch, &opts, 4, &mut par_gov, &mut par).unwrap();
+        plan.execute(&db, &mut scratch, &opts, 4, &mut par_gov, &mut par).unwrap();
         assert_eq!(par_gov.steps_consumed(), seq_gov.steps_consumed());
     }
 

@@ -8,11 +8,11 @@
 //! costs the commit path a queue-length comparison and nothing more.
 
 use mm_eval::{eval_governed, materialize_views_governed, EvalError};
-use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecError, Governor, Resource};
+use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecCtx, ExecError, Governor, Resource};
 use mm_instance::{Database, Tuple};
 use mm_metamodel::Schema;
 use mm_repository::Subscription;
-use mm_runtime::{maintain_insertions_traced, Delta, MaintenancePlan};
+use mm_runtime::{Delta, MaintenancePlan};
 use mm_telemetry::{DegradationSite, Field, Hist, PropagateCounter, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -604,15 +604,9 @@ impl Propagator {
             }
         };
         let held = views.total_tuples();
-        let reports = maintain_insertions_traced(
-            &sub.plan,
-            &sub.schema,
-            base,
-            delta,
-            views,
-            &budget,
-            &self.tel,
-        );
+        let mut gov = Governor::new(&budget);
+        let ctx = &mut ExecCtx { telemetry: self.tel.clone(), ..ExecCtx::new(&mut gov) };
+        let reports = sub.plan.maintain(&sub.schema, base, delta, views, ctx);
         self.view_rows(held, views.total_tuples());
         Ok(reports?.into_iter().map(|r| (r.view, r.inserted)).collect())
     }

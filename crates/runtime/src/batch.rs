@@ -11,7 +11,7 @@
 
 use mm_eval::{materialize_views_governed, EvalError};
 use mm_expr::ViewSet;
-use mm_guard::{ExecBudget, Governor};
+use mm_guard::Governor;
 use mm_instance::Database;
 use mm_metamodel::Schema;
 
@@ -26,30 +26,20 @@ pub struct LoadStats {
 
 /// Transform `batch` (an instance of the entity schema) through the
 /// update views and append the rows to `base_db`.
+///
+/// The view transformation and the per-row append both accrue against
+/// `gov`, so an oversized or adversarial batch trips a typed error instead
+/// of loading unboundedly. The base database is only mutated after the
+/// transformation succeeds in full, so a budget trip leaves it untouched.
 pub fn batch_load(
     update_views: &ViewSet,
     entity_schema: &Schema,
     batch: &Database,
     base_db: &mut Database,
+    gov: &mut Governor,
 ) -> Result<LoadStats, EvalError> {
-    batch_load_governed(update_views, entity_schema, batch, base_db, &ExecBudget::unbounded())
-}
-
-/// Budgeted variant of [`batch_load`]: the view transformation and the
-/// per-row append both accrue against the budget, so an oversized or
-/// adversarial batch trips a typed error instead of loading unboundedly.
-/// The base database is only mutated after the transformation succeeds in
-/// full, so a budget trip leaves it untouched.
-pub fn batch_load_governed(
-    update_views: &ViewSet,
-    entity_schema: &Schema,
-    batch: &Database,
-    base_db: &mut Database,
-    budget: &ExecBudget,
-) -> Result<LoadStats, EvalError> {
-    let mut gov = Governor::new(budget);
     let staged = batch.total_tuples();
-    let tables = materialize_views_governed(update_views, entity_schema, batch, &mut gov)?;
+    let tables = materialize_views_governed(update_views, entity_schema, batch, gov)?;
     // Charge the whole append before touching the base database.
     let append_rows: usize = tables.relations().map(|(_, r)| r.len()).sum();
     gov.rows_n(append_rows as u64).map_err(EvalError::Exec)?;
@@ -75,6 +65,7 @@ pub fn batch_load_governed(
 mod tests {
     use super::*;
     use mm_expr::{entity_extent, Expr, Mapping, MappingConstraint};
+    use mm_guard::ExecBudget;
     use mm_instance::Value;
     use mm_metamodel::{DataType, SchemaBuilder};
     use mm_transgen::{parse_fragments, update_views};
@@ -111,7 +102,8 @@ mod tests {
         batch.insert_entity("Person", "Person", vec![Value::Int(1), Value::text("pat")]); // dup
         batch.insert_entity("Person", "Person", vec![Value::Int(2), Value::text("eve")]);
 
-        let stats = batch_load(&uv, &er, &batch, &mut base).unwrap();
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let stats = batch_load(&uv, &er, &batch, &mut base, &mut gov).unwrap();
         assert_eq!(stats.staged, 2);
         assert_eq!(stats.loaded, 1); // only eve is new
         assert_eq!(base.relation("HR").unwrap().len(), 2);

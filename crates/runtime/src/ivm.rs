@@ -20,17 +20,17 @@
 //! says `probed` or `scanned` per join side.
 //!
 //! The rules can re-derive rows the view already holds. The maintained
-//! path ([`maintain_insertions_with_plan`]) answers "already derivable"
+//! path ([`MaintenancePlan::maintain`]) answers "already derivable"
 //! from the materialized view itself and reports the genuinely new rows;
-//! the stateless [`view_insert_delta`] has no view to ask and evaluates
-//! a before-image, so it stays O(instance) whatever the delta. Operators
-//! that are not insert-monotone (difference, outer join, aggregation)
-//! force a recompute, which the maintainer reports via
+//! the stateless [`view_insert_delta_governed`] has no view to ask and
+//! evaluates a before-image, so it stays O(instance) whatever the delta.
+//! Operators that are not insert-monotone (difference, outer join,
+//! aggregation) force a recompute, which the maintainer reports via
 //! [`MaintenanceStrategy`]. EQ5 benchmarks maintenance against recompute.
 
 use mm_eval::{eval_governed, EvalError, RowLayout};
 use mm_expr::{output_schema, Expr, Predicate, Scalar, ViewSet};
-use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecError, Governor};
+use mm_guard::{Degradation, DegradationKind, ExecCtx, ExecError, Governor};
 use mm_instance::{Database, RelSchema, Relation, Tuple, Value};
 use mm_metamodel::{Attribute, Schema};
 use std::collections::{BTreeMap, HashMap};
@@ -458,22 +458,12 @@ impl DeltaNode {
 /// (pre-update database `old_db`). Monotone expressions use the delta
 /// rules; non-monotone ones fall back to evaluating before/after and
 /// diffing. Rows already derivable before the delta are excluded.
-pub fn view_insert_delta(
-    expr: &Expr,
-    schema: &Schema,
-    old_db: &Database,
-    delta: &Delta,
-) -> Result<Relation, EvalError> {
-    let mut gov = Governor::new(&ExecBudget::unbounded());
-    view_insert_delta_governed(expr, schema, old_db, delta, &mut gov)
-}
-
-/// Budgeted variant of [`view_insert_delta`]: the delta rules and the
-/// before-image accrue against `gov`. The call is stateless — it has no
-/// maintained view to tell it which candidate rows are new — so it
-/// evaluates `expr` over `old_db` in full every time: O(instance), not
-/// O(delta). A stream of deltas belongs on
-/// [`maintain_insertions_with_plan`].
+///
+/// The delta rules and the before-image accrue against `gov`. The call is
+/// stateless — it has no maintained view to tell it which candidate rows
+/// are new — so it evaluates `expr` over `old_db` in full every time:
+/// O(instance), not O(delta). A stream of deltas belongs on
+/// [`MaintenancePlan::maintain`].
 pub fn view_insert_delta_governed(
     expr: &Expr,
     schema: &Schema,
@@ -567,30 +557,157 @@ impl MaintenancePlan {
     pub fn views(&self) -> &ViewSet {
         &self.views
     }
+
+    /// Maintain the materialized views (stored in `materialized`) under
+    /// an insert-only base `delta`; `base_db` must be the *pre-update*
+    /// database. Returns one [`MaintenanceReport`] per view, in view-set
+    /// order.
+    ///
+    /// The analysis was paid once at [`MaintenancePlan::compile`]; each
+    /// call runs the delta rules against `base_db` and the delta rows
+    /// only, so an incremental view costs O(|Δ| · fan-out) (see
+    /// [`MaintenanceStrategy::Incremental`] for the exception). On a
+    /// long-lived `base_db` the caller advances *after* the call, the join
+    /// indexes are built once and then kept up by its inserts.
+    ///
+    /// The context's governor meters the incremental pass as a whole.
+    /// When the delta rules for a view exhaust it, the maintainer degrades
+    /// to a full recompute of that view under a fresh step meter from the
+    /// same budget (the wall-clock deadline and the cancellation token
+    /// carry over, so the call stays bounded end to end) and records the
+    /// [`Degradation`]. Cancellation and non-resource errors propagate —
+    /// only `BudgetExhausted` triggers the fallback.
+    ///
+    /// With enabled telemetry the pass runs under an `ivm.maintain` span
+    /// (whose `plan` field is [`MaintenancePlan::explain`]), and every
+    /// report that carries a degradation is mirrored as exactly one
+    /// `ivm.degraded` event and counted by cause at the IVM site. No other
+    /// context field applies.
+    pub fn maintain(
+        &self,
+        base_schema: &Schema,
+        base_db: &Database,
+        delta: &Delta,
+        materialized: &mut Database,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<Vec<MaintenanceReport>, EvalError> {
+        let tel = &ctx.telemetry;
+        if !tel.is_enabled() {
+            return self.run(base_schema, base_db, delta, materialized, ctx.governor);
+        }
+        let mut span = mm_telemetry::Span::enter(tel, "ivm.maintain", base_db.name.as_str());
+        let result = self.run(base_schema, base_db, delta, materialized, ctx.governor);
+        match &result {
+            Ok(reports) => {
+                let mut incremental = 0u64;
+                let mut recomputed = 0u64;
+                for r in reports {
+                    match r.strategy {
+                        MaintenanceStrategy::Incremental => incremental += 1,
+                        MaintenanceStrategy::Recompute => recomputed += 1,
+                    }
+                    let Some(d) = &r.degradation else { continue };
+                    if let Some(m) = tel.metrics() {
+                        m.degradation(
+                            mm_telemetry::DegradationSite::Ivm,
+                            d.cause.telemetry_cause(),
+                        );
+                    }
+                    tel.event(
+                        "ivm.degraded",
+                        r.view.as_str(),
+                        vec![
+                            mm_telemetry::Field { key: "kind", value: d.kind.to_string().into() },
+                            mm_telemetry::Field { key: "cause", value: d.cause.to_string().into() },
+                        ],
+                    );
+                }
+                span.field("views", reports.len());
+                span.field("incremental", incremental);
+                span.field("recomputed", recomputed);
+                span.field("delta_tuples", delta.len());
+                span.field("plan", self.explain());
+            }
+            Err(e) => span.field("error", e.to_string()),
+        }
+        span.finish();
+        result
+    }
+
+    /// The maintenance pass behind [`MaintenancePlan::maintain`].
+    fn run(
+        &self,
+        base_schema: &Schema,
+        base_db: &Database,
+        delta: &Delta,
+        materialized: &mut Database,
+        gov: &mut Governor,
+    ) -> Result<Vec<MaintenanceReport>, EvalError> {
+        // Only a recompute needs the post-update database; an
+        // all-incremental pass never builds it.
+        let mut post_image: Option<Database> = None;
+        let mut reports = Vec::with_capacity(self.views.views.len());
+        for (v, rule) in self.views.views.iter().zip(&self.rules) {
+            let mut degradation = None;
+            if let Some(rule) = rule {
+                let rule = rule.as_ref().map_err(Clone::clone)?;
+                let mut cx = DeltaCx { schema: base_schema, db: base_db, delta, gov: &mut *gov };
+                match rule.rows(&mut cx) {
+                    Ok(rows) => {
+                        if materialized.relation(&v.name).is_none() {
+                            let layout = RelSchema::new(output_schema(&v.expr, base_schema)?);
+                            materialized.insert_relation(v.name.clone(), Relation::new(layout));
+                        }
+                        let inserted = match materialized.relation_mut(&v.name) {
+                            Some(rel) => {
+                                rows.into_iter().filter(|t| rel.insert(t.clone())).collect()
+                            }
+                            None => Vec::new(),
+                        };
+                        reports.push(MaintenanceReport {
+                            view: v.name.clone(),
+                            strategy: MaintenanceStrategy::Incremental,
+                            degradation: None,
+                            inserted,
+                        });
+                        continue;
+                    }
+                    Err(EvalError::Exec(cause @ ExecError::BudgetExhausted { .. })) => {
+                        degradation = Some(Degradation {
+                            kind: DegradationKind::IncrementalToRecompute,
+                            cause,
+                        });
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            // Recompute, planned (non-monotone view) or degraded: under
+            // its own step meter, so one expensive recompute does not
+            // starve the incremental views.
+            let post = post_image.get_or_insert_with(|| {
+                let mut db = base_db.clone();
+                delta.apply_to(&mut db);
+                db
+            });
+            let mut recompute_gov = Governor::new(gov.budget());
+            let r = eval_governed(&v.expr, base_schema, post, &mut recompute_gov)?;
+            let inserted = match materialized.relation(&v.name) {
+                Some(old) => r.iter().filter(|t| !old.contains(t)).cloned().collect(),
+                None => r.tuples().to_vec(),
+            };
+            materialized.insert_relation(v.name.clone(), r);
+            reports.push(MaintenanceReport {
+                view: v.name.clone(),
+                strategy: MaintenanceStrategy::Recompute,
+                degradation,
+                inserted,
+            });
+        }
+        Ok(reports)
+    }
 }
 
-/// Maintain materialized `views` (stored in `materialized`) under an
-/// insert-only base `delta`. `base_db` must be the *pre-update* database.
-/// Returns the strategy used per view.
-pub fn maintain_insertions(
-    views: &ViewSet,
-    base_schema: &Schema,
-    base_db: &Database,
-    delta: &Delta,
-    materialized: &mut Database,
-) -> Result<Vec<(String, MaintenanceStrategy)>, EvalError> {
-    let reports = maintain_insertions_governed(
-        views,
-        base_schema,
-        base_db,
-        delta,
-        materialized,
-        &ExecBudget::unbounded(),
-    )?;
-    Ok(reports.into_iter().map(|r| (r.view, r.strategy)).collect())
-}
-
-/// How one view fared under [`maintain_insertions_governed`].
+/// How one view fared under [`MaintenancePlan::maintain`].
 #[derive(Debug)]
 pub struct MaintenanceReport {
     pub view: String,
@@ -605,176 +722,63 @@ pub struct MaintenanceReport {
     pub inserted: Vec<Tuple>,
 }
 
-/// Budgeted variant of [`maintain_insertions`]. The step/row budget
-/// governs the incremental pass as a whole; when the delta rules for a
-/// view exhaust it, the maintainer degrades to a full recompute of that
-/// view under a fresh step meter (the wall-clock deadline and the
-/// cancellation token carry over, so the call stays bounded end to end)
-/// and records the [`Degradation`]. Cancellation and non-resource errors
-/// propagate — only `BudgetExhausted` triggers the fallback.
-pub fn maintain_insertions_governed(
-    views: &ViewSet,
-    base_schema: &Schema,
-    base_db: &Database,
-    delta: &Delta,
-    materialized: &mut Database,
-    budget: &ExecBudget,
-) -> Result<Vec<MaintenanceReport>, EvalError> {
-    let plan = MaintenancePlan::compile(views, base_schema);
-    maintain_insertions_with_plan(&plan, base_schema, base_db, delta, materialized, budget)
-}
-
-/// [`maintain_insertions_governed`] over a pre-compiled plan: the
-/// analysis was paid once at [`MaintenancePlan::compile`]; each call
-/// runs the delta rules against the pre-update `base_db` and the delta
-/// rows only, so an incremental view costs O(|Δ| · fan-out) (see
-/// [`MaintenanceStrategy::Incremental`] for the exception). Use this
-/// when the same view set absorbs a stream of deltas, on a long-lived
-/// `base_db` the caller advances *after* the call: the join indexes are
-/// then built once and maintained by its inserts.
-pub fn maintain_insertions_with_plan(
-    plan: &MaintenancePlan,
-    base_schema: &Schema,
-    base_db: &Database,
-    delta: &Delta,
-    materialized: &mut Database,
-    budget: &ExecBudget,
-) -> Result<Vec<MaintenanceReport>, EvalError> {
-    let mut gov = Governor::new(budget);
-    // Only a recompute needs the post-update database; an all-incremental
-    // pass never builds it.
-    let mut post_image: Option<Database> = None;
-    let mut reports = Vec::with_capacity(plan.views.views.len());
-    for (v, rule) in plan.views.views.iter().zip(&plan.rules) {
-        let mut degradation = None;
-        if let Some(rule) = rule {
-            let rule = rule.as_ref().map_err(Clone::clone)?;
-            let mut cx = DeltaCx { schema: base_schema, db: base_db, delta, gov: &mut gov };
-            match rule.rows(&mut cx) {
-                Ok(rows) => {
-                    if materialized.relation(&v.name).is_none() {
-                        let layout = RelSchema::new(output_schema(&v.expr, base_schema)?);
-                        materialized.insert_relation(v.name.clone(), Relation::new(layout));
-                    }
-                    let inserted = match materialized.relation_mut(&v.name) {
-                        Some(rel) => rows.into_iter().filter(|t| rel.insert(t.clone())).collect(),
-                        None => Vec::new(),
-                    };
-                    reports.push(MaintenanceReport {
-                        view: v.name.clone(),
-                        strategy: MaintenanceStrategy::Incremental,
-                        degradation: None,
-                        inserted,
-                    });
-                    continue;
-                }
-                Err(EvalError::Exec(cause @ ExecError::BudgetExhausted { .. })) => {
-                    degradation = Some(Degradation {
-                        kind: DegradationKind::IncrementalToRecompute,
-                        cause,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Recompute, planned (non-monotone view) or degraded: under its
-        // own step meter, so one expensive recompute does not starve the
-        // incremental views.
-        let post = post_image.get_or_insert_with(|| {
-            let mut db = base_db.clone();
-            delta.apply_to(&mut db);
-            db
-        });
-        let mut recompute_gov = Governor::new(budget);
-        let r = eval_governed(&v.expr, base_schema, post, &mut recompute_gov)?;
-        let inserted = match materialized.relation(&v.name) {
-            Some(old) => r.iter().filter(|t| !old.contains(t)).cloned().collect(),
-            None => r.tuples().to_vec(),
-        };
-        materialized.insert_relation(v.name.clone(), r);
-        reports.push(MaintenanceReport {
-            view: v.name.clone(),
-            strategy: MaintenanceStrategy::Recompute,
-            degradation,
-            inserted,
-        });
-    }
-    Ok(reports)
-}
-
-/// [`maintain_insertions_with_plan`] with telemetry: the pass runs under
-/// an `ivm.maintain` span (whose `plan` field is
-/// [`MaintenancePlan::explain`]: `probed` or `scanned` per join side),
-/// and every [`MaintenanceReport`] that carries a [`Degradation`] is
-/// mirrored as exactly one `ivm.degraded` event (and counted by cause at
-/// the IVM site). With disabled telemetry this is the plain planned call.
-pub fn maintain_insertions_traced(
-    plan: &MaintenancePlan,
-    base_schema: &Schema,
-    base_db: &Database,
-    delta: &Delta,
-    materialized: &mut Database,
-    budget: &ExecBudget,
-    tel: &mm_telemetry::Telemetry,
-) -> Result<Vec<MaintenanceReport>, EvalError> {
-    if !tel.is_enabled() {
-        return maintain_insertions_with_plan(
-            plan,
-            base_schema,
-            base_db,
-            delta,
-            materialized,
-            budget,
-        );
-    }
-    let mut span = mm_telemetry::Span::enter(tel, "ivm.maintain", base_db.name.as_str());
-    let result =
-        maintain_insertions_with_plan(plan, base_schema, base_db, delta, materialized, budget);
-    match &result {
-        Ok(reports) => {
-            let mut incremental = 0u64;
-            let mut recomputed = 0u64;
-            for r in reports {
-                match r.strategy {
-                    MaintenanceStrategy::Incremental => incremental += 1,
-                    MaintenanceStrategy::Recompute => recomputed += 1,
-                }
-                let Some(d) = &r.degradation else { continue };
-                if let Some(m) = tel.metrics() {
-                    m.degradation(
-                        mm_telemetry::DegradationSite::Ivm,
-                        d.cause.telemetry_cause(),
-                    );
-                }
-                tel.event(
-                    "ivm.degraded",
-                    r.view.as_str(),
-                    vec![
-                        mm_telemetry::Field { key: "kind", value: d.kind.to_string().into() },
-                        mm_telemetry::Field { key: "cause", value: d.cause.to_string().into() },
-                    ],
-                );
-            }
-            span.field("views", reports.len());
-            span.field("incremental", incremental);
-            span.field("recomputed", recomputed);
-            span.field("delta_tuples", delta.len());
-            span.field("plan", plan.explain());
-        }
-        Err(e) => span.field("error", e.to_string()),
-    }
-    span.finish();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mm_eval::{eval, materialize_views};
     use mm_expr::{CmpOp, Func, Lit, ViewDef};
+    use mm_guard::ExecBudget;
     use mm_metamodel::{DataType, SchemaBuilder};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// Maintain through a pre-compiled plan under a fresh meter for
+    /// `budget`, telemetry off.
+    fn maintain_with(
+        plan: &MaintenancePlan,
+        s: &Schema,
+        db: &Database,
+        delta: &Delta,
+        mat: &mut Database,
+        budget: &ExecBudget,
+    ) -> Result<Vec<MaintenanceReport>, EvalError> {
+        plan.maintain(s, db, delta, mat, &mut ExecCtx::new(&mut Governor::new(budget)))
+    }
+
+    /// [`maintain_with`] through a plan compiled for this call.
+    fn maintain(
+        vs: &ViewSet,
+        s: &Schema,
+        db: &Database,
+        delta: &Delta,
+        mat: &mut Database,
+        budget: &ExecBudget,
+    ) -> Result<Vec<MaintenanceReport>, EvalError> {
+        maintain_with(&MaintenancePlan::compile(vs, s), s, db, delta, mat, budget)
+    }
+
+    /// The strategy per view of an unbounded [`maintain`].
+    fn strategies(
+        vs: &ViewSet,
+        s: &Schema,
+        db: &Database,
+        delta: &Delta,
+        mat: &mut Database,
+    ) -> Result<Vec<(String, MaintenanceStrategy)>, EvalError> {
+        let reports = maintain(vs, s, db, delta, mat, &ExecBudget::unbounded())?;
+        Ok(reports.into_iter().map(|r| (r.view, r.strategy)).collect())
+    }
+
+    /// The stateless delta, unmetered.
+    fn stateless(
+        expr: &Expr,
+        s: &Schema,
+        db: &Database,
+        delta: &Delta,
+    ) -> Result<Relation, EvalError> {
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        view_insert_delta_governed(expr, s, db, delta, &mut gov)
+    }
 
     fn orders_schema() -> Schema {
         SchemaBuilder::new("S")
@@ -830,7 +834,7 @@ mod tests {
         delta.insert("Orders", order(12, 2, 10)); // filtered
         delta.insert("Customers", Tuple::from([Value::Int(3), Value::text("cyd")]));
 
-        let strategies = maintain_insertions(&vs, &s, &db, &delta, &mut mat).unwrap();
+        let strategies = strategies(&vs, &s, &db, &delta, &mut mat).unwrap();
         assert!(strategies
             .iter()
             .all(|(_, st)| *st == MaintenanceStrategy::Incremental));
@@ -860,7 +864,7 @@ mod tests {
         delta.insert("Orders", order(13, 3, 70));
         delta.insert("Customers", Tuple::from([Value::Int(3), Value::text("cyd")]));
         let reports =
-            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
+            maintain(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
                 .unwrap();
         assert_eq!(
             reports[0].inserted,
@@ -887,14 +891,14 @@ mod tests {
         delta.insert("Orders", order(12, 2, 5));
         delta.insert("Orders", order(13, 2, 6)); // cust 2 again, same batch
         let budget = ExecBudget::unbounded();
-        let reports = maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &budget).unwrap();
+        let reports = maintain(&vs, &s, &db, &delta, &mut mat, &budget).unwrap();
         assert_eq!(reports[0].inserted, vec![Tuple::from([Value::Int(2)])]);
         assert_eq!(mat.relation("Buyers").unwrap().len(), 2);
 
         // a view the caller never materialized starts from the delta
         let mut empty = Database::new("V");
         let reports =
-            maintain_insertions_governed(&vs, &s, &db, &delta, &mut empty, &budget).unwrap();
+            maintain(&vs, &s, &db, &delta, &mut empty, &budget).unwrap();
         assert_eq!(reports[0].inserted.len(), 2);
         assert_eq!(empty.relation("Buyers").unwrap().schema, RelSchema::of(&[("cust", DataType::Int)]));
     }
@@ -908,7 +912,7 @@ mod tests {
         delta.insert("Orders", Tuple::from([Value::Int(11), Value::Null, Value::Int(99)]));
         delta.insert("Customers", Tuple::from([Value::Null, Value::text("ghost2")]));
         let reports =
-            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
+            maintain(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
                 .unwrap();
         assert!(reports[0].inserted.is_empty());
         assert!(naive_delta(&big_orders(), &s, &db, &delta).is_empty());
@@ -933,7 +937,7 @@ mod tests {
         let mut delta = Delta::new();
         delta.insert("R", pair(3, 1)); // closes the cycle: 2-3-1 and 3-1-2
         let got: BTreeSet<Tuple> =
-            view_insert_delta(&paths, &s, &db, &delta).unwrap().iter().cloned().collect();
+            stateless(&paths, &s, &db, &delta).unwrap().iter().cloned().collect();
         assert_eq!(got.len(), 2);
         assert_eq!(got, naive_delta(&paths, &s, &db, &delta));
     }
@@ -952,7 +956,7 @@ mod tests {
         assert_eq!(mat.relation("CustomersWithoutOrders").unwrap().len(), 1); // bob
         let mut delta = Delta::new();
         delta.insert("Orders", order(14, 2, 5));
-        let st = maintain_insertions(&vs, &s, &db, &delta, &mut mat).unwrap();
+        let st = strategies(&vs, &s, &db, &delta, &mut mat).unwrap();
         assert_eq!(st[0].1, MaintenanceStrategy::Recompute);
         // bob now has an order; the anti-join shrinks (only recompute can
         // express this under insert-only deltas)
@@ -972,7 +976,7 @@ mod tests {
         let mut delta = Delta::new();
         delta.insert("Orders", order(20, 1, 5));
         let reports =
-            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
+            maintain(&vs, &s, &db, &delta, &mut mat, &ExecBudget::unbounded())
                 .unwrap();
         assert_eq!(reports[0].strategy, MaintenanceStrategy::Recompute);
         // customer 1 now has two orders: the existing group row CHANGED —
@@ -1015,7 +1019,7 @@ mod tests {
         assert!(g.steps_consumed() <= join_cost, "probe: {} vs {join_cost}", g.steps_consumed());
         let budget = ExecBudget::unbounded().with_steps(join_cost);
         let reports =
-            maintain_insertions_governed(&vs, &s, &db, &delta, &mut mat, &budget).unwrap();
+            maintain(&vs, &s, &db, &delta, &mut mat, &budget).unwrap();
         let degraded: Vec<_> = reports.iter().filter(|r| r.degradation.is_some()).collect();
         assert_eq!(degraded.len(), 1, "the view behind the join degrades: {reports:?}");
         for r in &degraded {
@@ -1039,7 +1043,7 @@ mod tests {
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
         let mut delta = Delta::new();
         delta.insert("Orders", order(11, 2, 80));
-        let reports = maintain_insertions_governed(
+        let reports = maintain(
             &vs,
             &s,
             &db,
@@ -1073,7 +1077,7 @@ mod tests {
         for (oid, cust, total) in [(21, 1, 70), (22, 2, 90), (23, 1, 5)] {
             let mut delta = Delta::new();
             delta.insert("Orders", order(oid, cust, total));
-            let reports = maintain_insertions_with_plan(
+            let reports = maintain_with(
                 &plan,
                 &s,
                 &base,
@@ -1096,7 +1100,7 @@ mod tests {
         let (s, db, vs) = setup();
         let mut mat = materialize_views(&vs, &s, &db).unwrap();
         let before: Vec<usize> = mat.relations().map(|(_, r)| r.len()).collect();
-        maintain_insertions(&vs, &s, &db, &Delta::new(), &mut mat).unwrap();
+        strategies(&vs, &s, &db, &Delta::new(), &mut mat).unwrap();
         let after: Vec<usize> = mat.relations().map(|(_, r)| r.len()).collect();
         assert_eq!(before, after);
     }
@@ -1173,7 +1177,7 @@ mod tests {
         // the malformed view is reported when maintained, typed
         let db = Database::empty_of(&s);
         let mut mat = Database::new("V");
-        let err = maintain_insertions_with_plan(
+        let err = maintain_with(
             &plan,
             &s,
             &db,
@@ -1302,7 +1306,7 @@ mod tests {
                 for (rel, t) in batch {
                     delta.insert(RELS[rel], t);
                 }
-                let reports = maintain_insertions_with_plan(
+                let reports = maintain_with(
                     &plan, &s, &db, &delta, &mut mat, &ExecBudget::unbounded(),
                 ).unwrap();
                 for (v, r) in vs.views.iter().zip(&reports) {
@@ -1311,7 +1315,7 @@ mod tests {
                     prop_assert_eq!(inserted.len(), r.inserted.len(), "a row reported twice: {}", v.expr);
                     prop_assert_eq!(&inserted, &naive, "maintained delta of {}\n{}", v.expr, plan.explain());
                     let stateless: BTreeSet<Tuple> =
-                        view_insert_delta(&v.expr, &s, &db, &delta).unwrap().iter().cloned().collect();
+                        stateless(&v.expr, &s, &db, &delta).unwrap().iter().cloned().collect();
                     prop_assert_eq!(&stateless, &naive, "stateless delta of {}", v.expr);
                 }
                 delta.apply_to(&mut db);

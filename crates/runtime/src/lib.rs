@@ -19,6 +19,12 @@
 //! * [`errors`] — error translation: base-level integrity violations
 //!   re-expressed in the context of the mapped (target) schema;
 //! * [`batch`] — batch loading through a mapping into base relations.
+//!
+//! Each service has one entry point. Those with a telemetry or thread
+//! option take an [`mm_guard::ExecCtx`] ([`MaintenancePlan::maintain`],
+//! [`Mediator::plan_governed`], [`Mediator::answer_batch`]); those whose
+//! only option is a budget take a borrowed [`mm_guard::Governor`]
+//! ([`batch_load`], [`view_insert_delta_governed`]).
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -36,19 +42,17 @@ pub mod triggers;
 pub mod updates;
 
 pub use access::{check_query, compile_policy, AccessPolicy, AccessRule, AccessViolation};
-pub use batch::{batch_load, batch_load_governed};
+pub use batch::batch_load;
 pub use indexing::{advise_indexes, IndexRecommendation, IndexUse};
 pub use errors::{translate_violations, TargetError};
 pub use debugger::{trace, Trace, TraceStep};
 pub use ivm::{
-    maintain_insertions, maintain_insertions_governed, maintain_insertions_traced,
-    maintain_insertions_with_plan, view_insert_delta, view_insert_delta_governed, Delta,
-    MaintenancePlan, MaintenanceReport, MaintenanceStrategy,
+    view_insert_delta_governed, Delta, MaintenancePlan, MaintenanceReport, MaintenanceStrategy,
 };
 pub use mediator::{
     MediationExplain, MediationMode, MediationPlan, MediationResult, Mediator,
 };
-pub use provenance::{explain, explain_traced, Witness};
+pub use provenance::{explain, Witness};
 pub use sync::{run_sync, translate_rules, SyncRule, SyncStats, TranslatedRule};
 pub use triggers::{compile_triggers, fire_triggers, CompiledTrigger, Firing, Trigger};
 pub use updates::{propagate, UpdateError};

@@ -10,10 +10,10 @@
 use mm_compose::compose_views;
 use mm_eval::{eval, eval_governed, unfold_query, EvalError};
 use mm_expr::{Expr, ViewSet};
-use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecError, Governor};
+use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecCtx, ExecError, Governor};
 use mm_instance::{Database, Relation};
 use mm_metamodel::Schema;
-use mm_telemetry::{DegradationSite, ExplainNode, Telemetry};
+use mm_telemetry::{DegradationSite, ExplainNode};
 use std::fmt;
 
 /// Which mediation strategy produced an answer.
@@ -37,7 +37,7 @@ pub struct MediationResult {
 }
 
 /// A prepared mediation strategy: the collapse-or-degrade decision of
-/// [`Mediator::answer_governed`], made once per chain and reusable across
+/// [`Mediator::plan_governed`], made once per chain and reusable across
 /// queries — the runtime analogue of the engine's chase-plan cache.
 /// Collapsing an n-hop chain is the expensive, query-independent part of
 /// mediation; a plan amortizes it.
@@ -126,19 +126,11 @@ impl fmt::Display for MediationExplain {
 pub struct Mediator<'a> {
     pub base_schema: &'a Schema,
     pub chain: Vec<&'a ViewSet>,
-    tel: Telemetry,
 }
 
 impl<'a> Mediator<'a> {
     pub fn new(base_schema: &'a Schema, chain: Vec<&'a ViewSet>) -> Self {
-        Mediator { base_schema, chain, tel: Telemetry::disabled() }
-    }
-
-    /// Attach a telemetry handle: planning degradations are mirrored as
-    /// `mediator.degraded` events and counted by cause.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.tel = tel;
-        self
+        Mediator { base_schema, chain }
     }
 
     /// Explain what answers produced from `plan` will do and why.
@@ -209,42 +201,39 @@ impl<'a> Mediator<'a> {
         eval(&q, self.base_schema, base_db)
     }
 
-    /// Budgeted [`Self::collapse`]: the size of the composed view
-    /// definitions accrues against the clause budget after each hop, so a
-    /// chain whose composition blows up trips `BudgetExhausted` instead of
-    /// materializing an enormous mapping.
-    pub fn collapse_governed(&self, gov: &mut Governor) -> Result<Option<ViewSet>, ExecError> {
+    /// Decide the mediation strategy once, under the context's governor:
+    /// collapse the chain — charging the composed definitions' size to
+    /// the clause and step meters after each hop, so a chain whose
+    /// composition blows up trips `BudgetExhausted` instead of
+    /// materializing an enormous mapping — or, when that trips, record a
+    /// [`Degradation`] and plan to unfold hop by hop instead. With enabled
+    /// telemetry the degradation is mirrored as one `mediator.degraded`
+    /// event and counted by cause. Cancellation and non-budget errors
+    /// propagate — there is nothing further to fall back to.
+    pub fn plan_governed(&self, ctx: &mut ExecCtx<'_>) -> Result<MediationPlan, ExecError> {
         let mut iter = self.chain.iter();
-        let Some(first) = iter.next() else { return Ok(None) };
-        let mut acc = (*first).clone();
-        for next in iter {
-            acc = compose_views(&acc, next);
-            let nodes: usize = acc.views.iter().map(|v| v.expr.size()).sum();
-            gov.clauses(nodes as u64)?;
-            gov.steps_n(nodes as u64)?;
-        }
-        Ok(Some(acc))
-    }
-
-    /// Decide the mediation strategy once, under `gov`'s budget:
-    /// collapse the chain (charging its composed size to the clause
-    /// meter) or, when that trips `BudgetExhausted`, record a
-    /// [`Degradation`] and plan to unfold hop by hop instead.
-    /// Cancellation and non-budget errors propagate — there is nothing
-    /// further to fall back to.
-    pub fn plan_governed(&self, gov: &mut Governor) -> Result<MediationPlan, ExecError> {
-        match self.collapse_governed(gov) {
-            Ok(Some(collapsed)) => {
-                Ok(MediationPlan { strategy: Strategy::Collapsed(collapsed), degradation: None })
-            }
+        let Some(first) = iter.next() else {
             // Empty chain: queries already address the base.
-            Ok(None) => Ok(MediationPlan { strategy: Strategy::Chained, degradation: None }),
+            return Ok(MediationPlan { strategy: Strategy::Chained, degradation: None });
+        };
+        let collapsed = iter.try_fold((*first).clone(), |acc, next| {
+            let acc = compose_views(&acc, next);
+            let nodes: usize = acc.views.iter().map(|v| v.expr.size()).sum();
+            ctx.governor.clauses(nodes as u64)?;
+            ctx.governor.steps_n(nodes as u64)?;
+            Ok(acc)
+        });
+        match collapsed {
+            Ok(views) => {
+                Ok(MediationPlan { strategy: Strategy::Collapsed(views), degradation: None })
+            }
             Err(cause @ ExecError::BudgetExhausted { .. }) => {
-                if self.tel.is_enabled() {
-                    if let Some(m) = self.tel.metrics() {
+                let tel = &ctx.telemetry;
+                if tel.is_enabled() {
+                    if let Some(m) = tel.metrics() {
                         m.degradation(DegradationSite::Mediator, cause.telemetry_cause());
                     }
-                    self.tel.event(
+                    tel.event(
                         "mediator.degraded",
                         "",
                         vec![
@@ -256,7 +245,6 @@ impl<'a> Mediator<'a> {
                             mm_telemetry::Field { key: "hops", value: self.chain.len().into() },
                         ],
                     );
-
                 }
                 Ok(MediationPlan {
                     strategy: Strategy::Chained,
@@ -270,9 +258,10 @@ impl<'a> Mediator<'a> {
         }
     }
 
-    /// [`Self::plan_governed`] under a fresh governor for `budget`.
+    /// [`Self::plan_governed`] under a fresh governor for `budget`,
+    /// telemetry off.
     pub fn plan(&self, budget: &ExecBudget) -> Result<MediationPlan, ExecError> {
-        self.plan_governed(&mut Governor::new(budget))
+        self.plan_governed(&mut ExecCtx::new(&mut Governor::new(budget)))
     }
 
     /// Answer one query through a prepared plan. The per-chain work
@@ -293,41 +282,20 @@ impl<'a> Mediator<'a> {
         Ok(MediationResult { rows, mode: plan.mode(), degradation: plan.degradation.clone() })
     }
 
-    /// Answer a top-level query under a budget, preferring the collapsed
-    /// (pre-composed) mapping and degrading gracefully to hop-by-hop
-    /// unfolding when composing the chain trips the budget.
-    ///
-    /// One-shot [`Self::plan_governed`] + [`Self::answer_with_plan`]:
-    /// a degraded attempt restarts the step meter but shares the
-    /// original wall-clock deadline and cancellation token, so the whole
-    /// call stays bounded. Callers mediating many queries over one chain
-    /// should plan once and reuse it.
-    pub fn answer_governed(
-        &self,
-        query: &Expr,
-        base_db: &Database,
-        budget: &ExecBudget,
-    ) -> Result<MediationResult, EvalError> {
-        let mut gov = Governor::new(budget);
-        let plan = self.plan_governed(&mut gov).map_err(EvalError::Exec)?;
-        if plan.degradation.is_some() {
-            gov = Governor::new(budget);
-        }
-        self.answer_with_plan(&plan, query, base_db, &mut gov)
-    }
-
     /// Answer a batch of queries through one prepared plan, fanning the
-    /// evaluations across up to `threads` workers.
+    /// evaluations across up to the context's `threads` workers.
     ///
     /// Per query, results are identical to calling
     /// [`Self::answer_with_plan`] in a sequential loop — same rows, same
     /// order, results in input order — except the whole batch meters
-    /// against **one** budget: worker governors fork off a shared meter,
-    /// so the step/row caps bound the batch's total work and a deadline
-    /// or cancellation stops every worker. One query's failure does not
-    /// abort the others. The plan-time degradation (if any) was recorded
-    /// once by [`Self::plan_governed`]; workers copy it into their
-    /// results without re-recording telemetry.
+    /// against **one** budget: worker governors fork off the context's
+    /// governor through a shared meter, so its step/row caps bound the
+    /// batch's total work and a deadline or cancellation stops every
+    /// worker. One query's failure does not abort the others. The
+    /// plan-time degradation (if any) was recorded once by
+    /// [`Self::plan_governed`]; workers copy it into their results without
+    /// re-recording telemetry. With enabled telemetry the batch runs under
+    /// a `mediator.answer_batch` span carrying the pool statistics.
     ///
     /// **Multi-query sharing**: structurally identical queries in the
     /// batch are evaluated once; duplicate slots receive a clone of the
@@ -341,8 +309,7 @@ impl<'a> Mediator<'a> {
         plan: &MediationPlan,
         queries: &[Expr],
         base_db: &Database,
-        budget: &ExecBudget,
-        threads: usize,
+        ctx: &mut ExecCtx<'_>,
     ) -> Vec<Result<MediationResult, EvalError>> {
         // map every query to the first structurally equal one (itself
         // when unique); batches are small, so the quadratic scan is fine
@@ -352,8 +319,8 @@ impl<'a> Mediator<'a> {
             .map(|(i, q)| queries[..i].iter().position(|p| p == q).unwrap_or(i))
             .collect();
         let shared = rep.iter().enumerate().filter(|&(i, &r)| r != i).count() as u64;
-        let lead = Governor::new(budget);
-        let (_, govs) = lead.fork_shared(queries.len());
+        let (threads, tel) = (ctx.threads, &ctx.telemetry);
+        let (_, govs) = ctx.governor.fork_shared(queries.len());
         let govs: Vec<parking_lot::Mutex<Governor>> =
             govs.into_iter().map(parking_lot::Mutex::new).collect();
         let (pooled, run) = mm_parallel::map_indexed(
@@ -369,9 +336,9 @@ impl<'a> Mediator<'a> {
                 Ok(Some(self.answer_with_plan(plan, &queries[i], base_db, &mut gov)))
             },
         );
-        if self.tel.is_enabled() {
+        if tel.is_enabled() {
             let mut span = mm_telemetry::Span::enter(
-                &self.tel,
+                tel,
                 "mediator.answer_batch",
                 queries.len().to_string(),
             );
@@ -383,7 +350,7 @@ impl<'a> Mediator<'a> {
             span.field("parallel.steals", run.steals);
             span.field("parallel.tasks", run.tasks);
             span.finish();
-            if let Some(m) = self.tel.metrics() {
+            if let Some(m) = tel.metrics() {
                 if shared > 0 {
                     m.add(mm_telemetry::Counter::MqoSharedPlans, shared);
                 }
@@ -416,6 +383,36 @@ mod tests {
     use mm_expr::{CmpOp, Predicate, Scalar, ViewDef};
     use mm_instance::{Tuple, Value};
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    /// One-shot governed mediation: plan under `budget`, then answer; a
+    /// degraded plan restarts the step meter but keeps the deadline and
+    /// cancellation token of the same budget.
+    fn one_shot(
+        m: &Mediator<'_>,
+        q: &Expr,
+        db: &Database,
+        budget: &ExecBudget,
+    ) -> Result<MediationResult, EvalError> {
+        let mut gov = Governor::new(budget);
+        let plan = m.plan_governed(&mut ExecCtx::new(&mut gov)).map_err(EvalError::Exec)?;
+        if plan.degradation().is_some() {
+            gov = Governor::new(budget);
+        }
+        m.answer_with_plan(&plan, q, db, &mut gov)
+    }
+
+    /// [`Mediator::answer_batch`] under a fresh meter for `budget`.
+    fn batch(
+        m: &Mediator<'_>,
+        plan: &MediationPlan,
+        queries: &[Expr],
+        db: &Database,
+        budget: &ExecBudget,
+        threads: usize,
+    ) -> Vec<Result<MediationResult, EvalError>> {
+        let mut gov = Governor::new(budget);
+        m.answer_batch(plan, queries, db, &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) })
+    }
 
     fn base() -> (Schema, Database) {
         let s = SchemaBuilder::new("Base")
@@ -510,7 +507,7 @@ mod tests {
         let (l1, l2) = chain();
         let m = Mediator::new(&s, vec![&l1, &l2]);
         let q = Expr::base("RomanAdults").project(&["name"]);
-        let r = m.answer_governed(&q, &db, &ExecBudget::unbounded()).unwrap();
+        let r = one_shot(&m, &q, &db, &ExecBudget::unbounded()).unwrap();
         assert_eq!(r.mode, MediationMode::Collapsed);
         assert!(r.degradation.is_none());
         assert_eq!(r.rows.len(), 2);
@@ -524,7 +521,7 @@ mod tests {
         let q = Expr::base("RomanAdults").project(&["name"]);
         // clause budget far below the collapsed mapping's expression size
         let budget = ExecBudget::unbounded().with_clauses(1);
-        let r = m.answer_governed(&q, &db, &budget).unwrap();
+        let r = one_shot(&m, &q, &db, &budget).unwrap();
         assert_eq!(r.mode, MediationMode::Chained);
         let d = r.degradation.expect("collapse should have tripped the budget");
         assert_eq!(d.kind, DegradationKind::CollapsedToChained);
@@ -543,9 +540,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let q = Expr::base("RomanAdults");
-        let err = m
-            .answer_governed(&q, &db, &ExecBudget::unbounded().with_cancel(token))
-            .unwrap_err();
+        let err = one_shot(&m, &q, &db, &ExecBudget::unbounded().with_cancel(token)).unwrap_err();
         assert!(matches!(err, EvalError::Exec(ExecError::Cancelled { .. })), "{err:?}");
     }
 
@@ -566,7 +561,7 @@ mod tests {
         ] {
             let planned =
                 m.answer_with_plan(&plan, &q, &db, &mut Governor::new(&budget)).unwrap();
-            let one_shot = m.answer_governed(&q, &db, &budget).unwrap();
+            let one_shot = one_shot(&m, &q, &db, &budget).unwrap();
             assert_eq!(planned.mode, one_shot.mode);
             assert!(planned.rows.set_eq(&one_shot.rows));
         }
@@ -612,7 +607,7 @@ mod tests {
             .map(|q| m.answer_with_plan(&plan, q, &db, &mut Governor::new(&budget)).unwrap().rows)
             .collect();
         for threads in [1, 2, 4, 8] {
-            let batch = m.answer_batch(&plan, &queries, &db, &budget, threads);
+            let batch = batch(&m, &plan, &queries, &db, &budget, threads);
             assert_eq!(batch.len(), queries.len());
             for (i, (got, want)) in batch.into_iter().zip(&sequential).enumerate() {
                 let got = got.unwrap();
@@ -663,7 +658,7 @@ mod tests {
                 })
             })
             .collect();
-        let batch = m.answer_batch(&plan, &queries, &db, &budget, 1);
+        let batch = batch(&m, &plan, &queries, &db, &budget, 1);
         let trips = batch
             .iter()
             .filter(|r| matches!(r, Err(EvalError::Exec(ExecError::BudgetExhausted { .. }))))
@@ -682,13 +677,15 @@ mod tests {
         let (l1, l2) = chain();
         let ring = mm_telemetry::RingCollector::with_capacity(64);
         let tel = mm_telemetry::Telemetry::new(ring);
-        let m = Mediator::new(&s, vec![&l1, &l2]).with_telemetry(tel.clone());
+        let m = Mediator::new(&s, vec![&l1, &l2]);
         let budget = ExecBudget::unbounded();
         let plan = m.plan(&budget).unwrap();
         let q1 = Expr::base("RomanAdults");
         let q2 = Expr::base("RomanAdults").project(&["name"]);
         let queries = vec![q1.clone(), q2.clone(), q1.clone(), q2.clone()];
-        let batch = m.answer_batch(&plan, &queries, &db, &budget, 2);
+        let mut gov = Governor::new(&budget);
+        let ctx = &mut ExecCtx { telemetry: tel.clone(), threads: 2, ..ExecCtx::new(&mut gov) };
+        let batch = m.answer_batch(&plan, &queries, &db, ctx);
         assert_eq!(tel.metrics().unwrap().snapshot().value("mqo_shared_plans"), 2);
         let sequential: Vec<Relation> = queries
             .iter()

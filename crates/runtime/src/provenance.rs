@@ -12,8 +12,9 @@
 // not caller-facing failure modes (DESIGN.md §7).
 #![allow(clippy::expect_used)]
 
+use mm_eval::plan::lit_to_value;
 use mm_eval::EvalError;
-use mm_expr::{Expr, Lit, Predicate, Scalar};
+use mm_expr::{Expr, Predicate, Scalar};
 use mm_instance::{Database, RelSchema, Tuple, Value};
 use mm_metamodel::Schema;
 use std::collections::{BTreeSet, HashMap};
@@ -25,17 +26,6 @@ pub type Witness = BTreeSet<(String, Tuple)>;
 struct Lineage {
     schema: RelSchema,
     rows: Vec<(Tuple, Witness)>,
-}
-
-fn lit_to_value(l: &Lit) -> Value {
-    match l {
-        Lit::Int(v) => Value::Int(*v),
-        Lit::Double(v) => Value::Double(*v),
-        Lit::Bool(v) => Value::Bool(*v),
-        Lit::Text(v) => Value::text(v.as_str()),
-        Lit::Date(v) => Value::Date(*v),
-        Lit::Null => Value::Null,
-    }
 }
 
 /// Evaluate scalar/predicate against a row of a lineage relation by
@@ -300,31 +290,10 @@ pub fn explain(
     Ok(out)
 }
 
-/// [`explain`] wrapped in a `provenance.explain` span recording witness
-/// count. With disabled telemetry this is the plain call.
-pub fn explain_traced(
-    expr: &Expr,
-    schema: &Schema,
-    db: &Database,
-    target: &Tuple,
-    tel: &mm_telemetry::Telemetry,
-) -> Result<Vec<Witness>, EvalError> {
-    if !tel.is_enabled() {
-        return explain(expr, schema, db, target);
-    }
-    let mut span = mm_telemetry::Span::enter(tel, "provenance.explain", db.name.as_str());
-    let result = explain(expr, schema, db, target);
-    match &result {
-        Ok(witnesses) => span.field("witnesses", witnesses.len()),
-        Err(e) => span.field("error", e.to_string()),
-    }
-    span.finish();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_expr::Lit;
     use mm_metamodel::{DataType, SchemaBuilder};
 
     fn setup() -> (Schema, Database) {

@@ -10,9 +10,10 @@
 //! so that at runtime, firing only requires a delta evaluation against
 //! base-level changes.
 
-use crate::ivm::{view_insert_delta, Delta};
+use crate::ivm::{view_insert_delta_governed, Delta};
 use mm_eval::EvalError;
 use mm_expr::{Expr, Predicate, ViewSet};
+use mm_guard::{ExecBudget, Governor};
 use mm_instance::{Database, Tuple};
 use mm_metamodel::Schema;
 
@@ -85,8 +86,10 @@ pub fn fire_triggers(
     delta: &Delta,
 ) -> Result<Vec<Firing>, EvalError> {
     let mut out = Vec::new();
+    let mut gov = Governor::new(&ExecBudget::unbounded());
     for t in compiled {
-        let new_rows = view_insert_delta(&t.base_condition, base_schema, base_db, delta)?;
+        let new_rows =
+            view_insert_delta_governed(&t.base_condition, base_schema, base_db, delta, &mut gov)?;
         for row in new_rows.iter() {
             out.push(Firing { trigger: t.name.clone(), row: row.clone() });
         }

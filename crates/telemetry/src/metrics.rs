@@ -26,10 +26,6 @@ pub enum Counter {
     ChaseNullsMinted,
     /// Tuples inserted by the chase (delta size summed over rounds).
     ChaseDeltaTuples,
-    /// Homomorphisms found by conjunctive-query evaluation.
-    HomFound,
-    /// Join candidates metered but pruned before becoming homomorphisms.
-    HomPruned,
     /// Engine chase-plan cache hits.
     PlanCacheHits,
     /// Engine chase-plan cache misses (compiles).
@@ -76,8 +72,6 @@ impl Counter {
             Counter::ChaseFirings => "chase_firings",
             Counter::ChaseNullsMinted => "chase_nulls_minted",
             Counter::ChaseDeltaTuples => "chase_delta_tuples",
-            Counter::HomFound => "hom_found",
-            Counter::HomPruned => "hom_pruned",
             Counter::PlanCacheHits => "plan_cache_hits",
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::ComposeClausesEmitted => "compose_clauses_emitted",
@@ -102,8 +96,6 @@ impl Counter {
             Counter::ChaseFirings,
             Counter::ChaseNullsMinted,
             Counter::ChaseDeltaTuples,
-            Counter::HomFound,
-            Counter::HomPruned,
             Counter::PlanCacheHits,
             Counter::PlanCacheMisses,
             Counter::ComposeClausesEmitted,

@@ -97,6 +97,7 @@ pub fn composition_chain(
 mod tests {
     use super::*;
     use mm_compose::{compose_st_tgds, DEFAULT_CLAUSE_BOUND};
+    use mm_guard::{ExecBudget, ExecCtx, Governor};
 
     #[test]
     fn copy_tgds_validate() {
@@ -111,7 +112,9 @@ mod tests {
     fn composition_chain_clause_count_is_exponential() {
         for (p, b) in [(2usize, 2usize), (2, 3), (3, 2), (3, 3)] {
             let (_, _, _, m12, m23) = composition_chain(p, b);
-            let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND).unwrap();
+            let mut gov = Governor::new(&ExecBudget::unbounded());
+            let ctx = &mut ExecCtx::new(&mut gov);
+            let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, ctx).unwrap();
             assert_eq!(so.clauses.len(), p.pow(b as u32), "producers={p} atoms={b}");
         }
     }

@@ -108,10 +108,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Empl",
         Tuple::from([Value::Int(4), Value::text("dan"), Value::text("558"), Value::Int(20)]),
     );
-    let strategies = maintain_insertions(&etl, &source, &ops_db, &delta, &mut staff_db)?;
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let reports = MaintenancePlan::compile(&etl, &source).maintain(
+        &source,
+        &ops_db,
+        &delta,
+        &mut staff_db,
+        &mut ExecCtx::new(&mut gov),
+    )?;
     println!("\n== Incremental refresh ==");
-    for (view, st) in &strategies {
-        println!("  {view}: {st:?}");
+    for r in &reports {
+        println!("  {}: {:?}", r.view, r.strategy);
     }
     println!("Staff rows after refresh: {}", staff_db.relation("Staff").expect("maintained").len());
     delta.apply_to(&mut ops_db);

@@ -85,12 +85,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sales",
         Tuple::from([Value::Int(6), Value::Int(2), Value::Int(20), Value::Int(75)]),
     );
-    let strategies = maintain_insertions(&cube, &ops, &db, &delta, &mut mat2)?;
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let reports = MaintenancePlan::compile(&cube, &ops).maintain(
+        &ops,
+        &db,
+        &delta,
+        &mut mat2,
+        &mut ExecCtx::new(&mut gov),
+    )?;
     println!("== Refresh strategy ==");
-    for (view, st) in &strategies {
-        println!("  {view}: {st:?}");
+    for r in &reports {
+        println!("  {}: {:?}", r.view, r.strategy);
     }
-    assert_eq!(strategies[0].1, MaintenanceStrategy::Recompute);
+    assert_eq!(reports[0].strategy, MaintenanceStrategy::Recompute);
     println!(
         "cube rows after refresh: {}\n",
         mat2.relation("SalesCube").expect("refreshed").len()

@@ -18,7 +18,8 @@
 
 use mm_chase::testkit::{chase_general_reference, chase_st_reference};
 use mm_chase::{egds_from_keys, ChaseFailure, ChaseOutcome, ChaseProgram, ChaseStats, Egd};
-use mm_eval::{find_homomorphisms_costed, find_homomorphisms_governed, find_homomorphisms_naive, Binding};
+use mm_eval::testkit::find_homomorphisms_naive;
+use mm_eval::{find_homomorphisms_costed, find_homomorphisms_governed, Binding};
 use mm_expr::{Atom, Lit, Term, Tgd};
 use mm_guard::{ExecBudget, ExecCtx, Governor};
 use mm_instance::{Database, Tuple, Value};

@@ -193,7 +193,8 @@ fn malformed_sotgd_yields_typed_error() {
     let (src, tgt, so) = faults::unbound_variable_sotgd();
     let mut db = Database::empty_of(&src);
     db.insert("A0", Tuple::from([Value::Int(1), Value::Int(2)]));
-    let err = apply_sotgd(&so, &db, &tgt).unwrap_err();
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let err = apply_sotgd(&so, &db, &tgt, &mut gov).unwrap_err();
     assert!(matches!(err, ExecError::Malformed { .. }), "{err:?}");
 }
 
@@ -227,8 +228,8 @@ fn batch_load_budget_trip_leaves_base_untouched() {
     let mut views = ViewSet::new("Big", "Load");
     views.push(ViewDef::new("R0", Expr::base("R0")));
     let mut base = Database::empty_of(&schema);
-    let budget = ExecBudget::unbounded().with_rows(10);
-    let err = batch_load_governed(&views, &schema, &batch, &mut base, &budget).unwrap_err();
+    let mut gov = Governor::new(&ExecBudget::unbounded().with_rows(10));
+    let err = batch_load(&views, &schema, &batch, &mut base, &mut gov).unwrap_err();
     assert!(matches!(err, EvalError::Exec(ExecError::BudgetExhausted { .. })), "{err:?}");
     assert_eq!(base.relation("R0").unwrap().len(), 0, "budget trip must not partially load");
 }
@@ -245,13 +246,23 @@ fn mediator_degradation_is_recorded_and_correct() {
     l2.push(ViewDef::new("V2", Expr::base("V1").project(&["a"])));
     let mediator = Mediator::new(&schema, vec![&l1, &l2]);
     let q = Expr::base("V2");
+    // plan, then answer; a degraded plan answers under a fresh step meter
+    // from the same budget
+    let answer = |budget: &ExecBudget| {
+        let mut gov = Governor::new(budget);
+        let plan = mediator.plan_governed(&mut ExecCtx::new(&mut gov)).map_err(EvalError::Exec)?;
+        if plan.degradation().is_some() {
+            gov = Governor::new(budget);
+        }
+        mediator.answer_with_plan(&plan, &q, &db, &mut gov)
+    };
 
-    let full = mediator.answer_governed(&q, &db, &ExecBudget::unbounded()).unwrap();
+    let full = answer(&ExecBudget::unbounded()).unwrap();
     assert_eq!(full.mode, MediationMode::Collapsed);
     assert!(full.degradation.is_none());
 
     let tight = ExecBudget::unbounded().with_clauses(1);
-    let degraded = mediator.answer_governed(&q, &db, &tight).unwrap();
+    let degraded = answer(&tight).unwrap();
     assert_eq!(degraded.mode, MediationMode::Chained);
     let d = degraded.degradation.expect("degradation must be recorded");
     assert_eq!(d.kind, DegradationKind::CollapsedToChained);
@@ -275,9 +286,14 @@ fn ivm_degradation_is_recorded_and_correct() {
 
     // starve the incremental pass: one step is never enough for the
     // join's delta rules, but the per-view recompute meter is fresh
-    let budget = ExecBudget::unbounded().with_steps(1);
-    let reports =
-        maintain_insertions_governed(&views, &schema, &db, &delta, &mut mat, &budget);
+    let mut gov = Governor::new(&ExecBudget::unbounded().with_steps(1));
+    let reports = MaintenancePlan::compile(&views, &schema).maintain(
+        &schema,
+        &db,
+        &delta,
+        &mut mat,
+        &mut ExecCtx::new(&mut gov),
+    );
     match reports {
         Ok(reports) => {
             let r = &reports[0];

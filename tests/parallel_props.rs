@@ -15,7 +15,7 @@
 //! * a batch of mediated queries over one degraded plan records the
 //!   plan-time degradation exactly once, not once per query.
 
-use mm_eval::Binding;
+use mm_eval::ExecOptions;
 use mm_workload::faults;
 use model_management::prelude::*;
 use proptest::prelude::*;
@@ -48,6 +48,19 @@ fn run_general(
     let mut gov = Governor::new(budget);
     let ctx = &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) };
     program.run_general(db, &[], ctx).map(|run| run.outcome)
+}
+
+/// `atoms` compiled once and executed on `threads` workers: every
+/// match's slot binding, in enumeration order.
+fn execute(atoms: &[Atom], db: &Database, threads: usize) -> Vec<Vec<Option<Value>>> {
+    let mut table = VarTable::new();
+    let plan = CqPlan::compile(atoms, &mut table, db, &[]);
+    let mut scratch = vec![None; table.len()];
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let mut out = Vec::new();
+    let opts = ExecOptions::default();
+    plan.execute(db, &mut scratch, &opts, threads, &mut gov, &mut out).expect("unbounded");
+    out.into_iter().map(|m| m.binding).collect()
 }
 
 // --- generators -------------------------------------------------------------
@@ -110,15 +123,9 @@ proptest! {
     /// bindings, same order — at every thread count.
     #[test]
     fn parallel_cq_matches_sequential_bindings(db in arb_db(), atoms in arb_cq()) {
-        let budget = ExecBudget::unbounded();
-        let seed = Binding::new();
-        let seq = find_homomorphisms_governed(&atoms, &db, &seed, &mut Governor::new(&budget))
-            .expect("unbounded");
+        let seq = execute(&atoms, &db, 1);
         for threads in THREADS {
-            let (par, _run) = find_homomorphisms_parallel(
-                &atoms, &db, &seed, threads, &mut Governor::new(&budget),
-            )
-            .expect("unbounded");
+            let par = execute(&atoms, &db, threads);
             prop_assert_eq!(&par, &seq, "threads={}", threads);
         }
     }
@@ -332,12 +339,17 @@ fn batch_mediation_records_plan_degradation_exactly_once() {
     ));
     let ring = RingCollector::with_capacity(256);
     let tel = Telemetry::new(ring);
-    let m = Mediator::new(&s, vec![&l1, &l2]).with_telemetry(tel.clone());
-    let plan = m.plan(&ExecBudget::unbounded().with_clauses(1)).expect("degrades, not fails");
+    let m = Mediator::new(&s, vec![&l1, &l2]);
+    let mut gov = Governor::new(&ExecBudget::unbounded().with_clauses(1));
+    let plan = m
+        .plan_governed(&mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) })
+        .expect("degrades, not fails");
     assert_eq!(plan.mode(), MediationMode::Chained);
     assert!(plan.degradation().is_some());
     let queries: Vec<Expr> = (0..8).map(|_| Expr::base("RomanAdults")).collect();
-    let batch = m.answer_batch(&plan, &queries, &db, &ExecBudget::unbounded(), 4);
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let ctx = &mut ExecCtx { telemetry: tel.clone(), threads: 4, ..ExecCtx::new(&mut gov) };
+    let batch = m.answer_batch(&plan, &queries, &db, ctx);
     let oracle = m
         .answer_with_plan(
             &plan,

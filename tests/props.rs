@@ -253,8 +253,10 @@ proptest! {
             d1.insert(&rel, Tuple::from([Value::Int(*a), Value::Int(*b)]));
         }
         let (chased, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).expect("transport");
-        let so = compose_st_tgds(&m12, &m23, 1 << 12).expect("compose");
-        let direct = apply_sotgd(&so, &d1, &s3).expect("apply");
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let ctx = &mut ExecCtx::new(&mut gov);
+        let so = compose_st_tgds(&m12, &m23, 1 << 12, ctx).expect("compose");
+        let direct = apply_sotgd(&so, &d1, &s3, &mut gov).expect("apply");
         prop_assert!(hom_equivalent(&chased, &direct));
     }
 
@@ -269,13 +271,16 @@ proptest! {
         let s3 = binary_schema("S3", "C", 2);
         let m12 = copy_tgds("A", "B", 2);
         let m23 = copy_tgds("B", "C", 2);
-        let so = compose_st_tgds(&m12, &m23, 1 << 12).expect("compose");
-        let tgds = try_deskolemize(&so).expect("full tgds deskolemize");
+        let mut gov = Governor::new(&ExecBudget::unbounded());
+        let ctx = &mut ExecCtx::new(&mut gov);
+        let so = compose_st_tgds(&m12, &m23, 1 << 12, ctx).expect("compose");
+        let tgds =
+            try_deskolemize(&so, &mut gov).expect("unbounded").expect("full tgds deskolemize");
         let mut d1 = Database::empty_of(&s1);
         for (i, (a, b)) in rows.iter().enumerate() {
             d1.insert(&format!("A{}", i % 2), Tuple::from([Value::Int(*a), Value::Int(*b)]));
         }
-        let via_so = apply_sotgd(&so, &d1, &s3).expect("apply");
+        let via_so = apply_sotgd(&so, &d1, &s3, &mut gov).expect("apply");
         let via_fo = st_chase(&s3, &tgds, &d1);
         prop_assert!(hom_equivalent(&via_so, &via_fo));
     }

@@ -164,7 +164,8 @@ fn batch_load_bypasses_row_at_a_time_propagation() {
             vec![Value::Int(i), Value::Text(format!("bulk{i}")), Value::text("bronze")],
         );
     }
-    let stats = batch_load(&uv, &er, &batch, &mut tables).expect("load");
+    let mut gov = Governor::new(&ExecBudget::unbounded());
+    let stats = batch_load(&uv, &er, &batch, &mut tables, &mut gov).expect("load");
     assert_eq!(stats.staged, 10);
     assert_eq!(stats.loaded, 20); // Party row + Customer row per entity
 }

@@ -171,12 +171,16 @@ fn mediator_degradations_mirror_as_events() {
     l2.push(ViewDef::new("V2", Expr::base("V1").project(&["a"])));
     let ring = RingCollector::with_capacity(64);
     let tel = Telemetry::new(ring.clone());
-    let mediator = Mediator::new(&schema, vec![&l1, &l2]).with_telemetry(tel.clone());
+    let mediator = Mediator::new(&schema, vec![&l1, &l2]);
+    let plan = |budget: &ExecBudget| {
+        let mut gov = Governor::new(budget);
+        mediator.plan_governed(&mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) })
+    };
 
     let tight = ExecBudget::unbounded().with_clauses(1);
     let mut recorded = 0usize;
     for _ in 0..3 {
-        let plan = mediator.plan(&tight).unwrap();
+        let plan = plan(&tight).unwrap();
         if plan.degradation().is_some() {
             recorded += 1;
         }
@@ -193,7 +197,7 @@ fn mediator_degradations_mirror_as_events() {
     assert_eq!(metrics.degradations_by(DegradationSite::Mediator, Cause::Clauses), 3);
 
     // the happy path emits nothing
-    mediator.plan(&ExecBudget::unbounded()).unwrap();
+    plan(&ExecBudget::unbounded()).unwrap();
     assert_eq!(ring.events_for("mediator.degraded").len(), 3);
 }
 
@@ -234,10 +238,9 @@ fn ivm_degradations_mirror_as_events() {
         let ring = RingCollector::with_capacity(64);
         let tel = Telemetry::new(ring.clone());
         let mut mat = materialize_views(&views, &schema, &db).unwrap();
-        let budget = ExecBudget::unbounded().with_steps(steps);
-        let Ok(reports) =
-            maintain_insertions_traced(&plan, &schema, &db, &delta, &mut mat, &budget, &tel)
-        else {
+        let mut gov = Governor::new(&ExecBudget::unbounded().with_steps(steps));
+        let ctx = &mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) };
+        let Ok(reports) = plan.maintain(&schema, &db, &delta, &mut mat, ctx) else {
             continue; // even a fresh recompute meter tripped: below the window
         };
         let degraded: Vec<_> = reports.iter().filter(|r| r.degradation.is_some()).collect();
