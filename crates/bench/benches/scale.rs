@@ -1,36 +1,27 @@
-//! Compact data plane (PR 10): the million-tuple soak harness.
+//! The million-tuple soak harness.
 //!
-//! Measures the chase and CQ hot paths over the `mm_workload::scale`
+//! Times the chase and CQ hot paths over the `mm_workload::scale`
 //! scenario families (snowflake / inheritance / evolution) at three
-//! tiers (10^4, 10^5, 10^6 source tuples), each point run twice — once
-//! under the compact plane (interned strings, inline tuples, cached
-//! hashes; the default) and once with
-//! `mm_instance::intern::with_compact(false, ..)`, the in-tree
-//! pre-interning baseline (owned strings, spilled tuples, no cached
-//! hashes). Every point asserts **bit-identity**: the canonical codec
-//! bytes of the two results are equal, so the speedup is pure
-//! representation, never semantics.
+//! tiers (10^4, 10^5, 10^6 source tuples), one point per family, path
+//! and tier. A comparison against an earlier layout is a comparison of
+//! two commits' `BENCH_scale.json` files, not a second leg in this one.
 //!
-//! Beyond the paired timings, the mid tier crosses scale with the
-//! operational dimensions from earlier PRs — threads (1 vs host),
-//! budgets (unbounded vs a tripping cap), durability
-//! (put/exchange/checkpoint/recover round-trip incl. the v4 snapshot
-//! pool section), faults (torn WAL tail recovery), and a live wire
-//! cell scraping the server's own p99 and queue depth through the
-//! introspection ops (DESIGN.md §15).
+//! The mid tier crosses scale with the engine's operational dimensions:
+//! threads (1 vs host), budgets (unbounded vs a tripping cap),
+//! durability (put/exchange/checkpoint/recover round-trip incl. the v4
+//! snapshot pool section), faults (torn WAL tail recovery), and a live
+//! wire cell scraping the server's own p99 and queue depth through the
+//! introspection ops (DESIGN.md §15). Each cell with a plain run to
+//! compare against asserts its result bit-identical to it.
 //!
-//! `main` writes `BENCH_scale.json` at the workspace root. The
-//! throughput gate — geomean speedup >= 1.5x over the baseline across
-//! chase + CQ points at the top tier — arms only when the full
-//! million-tuple tier ran (not under `SCALE_SMOKE=1`, the CI smoke
-//! profile, which runs the 10^4 tier alone). `attested` follows the
-//! PR 6 convention: timings from a host with < 4 cpus are recorded but
-//! flagged as shape-only evidence.
+//! `main` writes `BENCH_scale.json` at the workspace root. `SCALE_SMOKE=1`
+//! (the CI smoke profile) runs the 10^4 tier alone. `attested` follows
+//! the other benches: timings from a host with < 4 cpus are recorded
+//! but flagged as shape-only evidence.
 
 use criterion::{criterion_group, Criterion};
 use mm_bench::{compile_and_chase, timed};
 use mm_engine::prelude::*;
-use mm_instance::intern::with_compact;
 use mm_repository::codec::{Encode, Writer};
 use mm_server::{Client, Server, ServerConfig};
 use mm_workload::scale::{snowflake_scale, ScaleScenario};
@@ -39,9 +30,6 @@ use std::io::Write as _;
 const FULL_TIERS: [usize; 3] = [10_000, 100_000, 1_000_000];
 const SMOKE_TIERS: [usize; 1] = [10_000];
 const SEED: u64 = 42;
-/// Geomean speedup demanded of the compact plane over the baseline
-/// across chase + CQ points at the top tier.
-const MIN_GEOMEAN_SPEEDUP: f64 = 1.5;
 
 fn tiers() -> &'static [usize] {
     if std::env::var("SCALE_SMOKE").is_ok_and(|v| v == "1") {
@@ -52,27 +40,9 @@ fn tiers() -> &'static [usize] {
 }
 
 /// Canonical codec bytes of a database — the bit-identity witness.
-/// Interned and owned text encode identically by construction.
 fn db_bytes(db: &Database) -> bytes::Bytes {
     let mut w = Writer::new();
     db.encode(&mut w);
-    w.finish()
-}
-
-/// Canonical bytes of a CQ result: bindings in result order, each
-/// binding's entries sorted by variable name.
-fn homs_bytes(homs: &[std::collections::HashMap<String, Value>]) -> bytes::Bytes {
-    let mut w = Writer::new();
-    w.u64(homs.len() as u64);
-    for h in homs {
-        let mut entries: Vec<(&String, &Value)> = h.iter().collect();
-        entries.sort_by_key(|(k, _)| k.as_str());
-        w.u64(entries.len() as u64);
-        for (k, v) in entries {
-            w.str(k);
-            v.encode(&mut w);
-        }
-    }
     w.finish()
 }
 
@@ -80,32 +50,16 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// One hot-path leg: generate the scenario and run the path under one
-/// representation, returning (result bytes, wall ms). The scenario is
-/// rebuilt inside the leg so the *data itself* carries the layout under
-/// test — generation cost is excluded from the timing, and nothing from
-/// the other leg's representation survives into this one.
-fn run_leg(
-    scenario: fn(usize, u64) -> ScaleScenario,
-    tier: usize,
-    path: &str,
-    compact: bool,
-) -> (bytes::Bytes, f64) {
-    let body = || -> (bytes::Bytes, f64) {
-        let sc = scenario(tier, SEED);
-        match path {
-            "chase" => {
-                let ((out, _), t) = timed(|| chase(&sc, &ExecBudget::unbounded()).expect("ok"));
-                (db_bytes(&out), ms(t))
-            }
-            "cq" => {
-                let (homs, t) = timed(|| find_homomorphisms(&sc.query, &sc.db));
-                (homs_bytes(&homs), ms(t))
-            }
-            other => unreachable!("unknown path {other}"),
-        }
+/// Time one hot path over a freshly generated scenario, returning wall
+/// ms; generation cost is excluded.
+fn run_path(scenario: fn(usize, u64) -> ScaleScenario, tier: usize, path: &str) -> f64 {
+    let sc = scenario(tier, SEED);
+    let t = match path {
+        "chase" => timed(|| chase(&sc, &ExecBudget::unbounded()).expect("ok")).1,
+        "cq" => timed(|| find_homomorphisms(&sc.query, &sc.db)).1,
+        other => unreachable!("unknown path {other}"),
     };
-    if compact { body() } else { with_compact(false, body) }
+    ms(t)
 }
 
 /// One exchange of the scenario from scratch under `budget`.
@@ -128,13 +82,7 @@ fn bench_scale_chase(c: &mut Criterion) {
     group.sample_size(10);
     for (name, f) in scenario_fns() {
         let sc = f(10_000, SEED);
-        group.bench_function(format!("{name}/compact"), |b| {
-            b.iter(|| chase(&sc, &ExecBudget::unbounded()))
-        });
-        let base = with_compact(false, || f(10_000, SEED));
-        group.bench_function(format!("{name}/baseline"), |b| {
-            b.iter(|| with_compact(false, || chase(&base, &ExecBudget::unbounded())))
-        });
+        group.bench_function(name, |b| b.iter(|| chase(&sc, &ExecBudget::unbounded())));
     }
     group.finish();
 }
@@ -144,9 +92,7 @@ fn bench_scale_cq(c: &mut Criterion) {
     group.sample_size(10);
     for (name, f) in scenario_fns() {
         let sc = f(10_000, SEED);
-        group.bench_function(format!("{name}/compact"), |b| {
-            b.iter(|| find_homomorphisms(&sc.query, &sc.db))
-        });
+        group.bench_function(name, |b| b.iter(|| find_homomorphisms(&sc.query, &sc.db)));
     }
     group.finish();
 }
@@ -157,41 +103,15 @@ struct Point {
     json: String,
 }
 
-fn hot_path_points(points: &mut Vec<Point>, speedups_top: &mut Vec<f64>) {
-    let top = *tiers().last().expect("nonempty tiers");
-    let mut flip = false;
+fn hot_path_points(points: &mut Vec<Point>) {
     for &tier in tiers() {
         for (name, f) in scenario_fns() {
             for path in ["chase", "cq"] {
-                // flip-ordered: alternate which representation runs
-                // first so cache warmth and allocator state do not
-                // systematically favor one leg
-                let (fast, slow) = if flip {
-                    let fast = run_leg(f, tier, path, true);
-                    let slow = run_leg(f, tier, path, false);
-                    (fast, slow)
-                } else {
-                    let slow = run_leg(f, tier, path, false);
-                    let fast = run_leg(f, tier, path, true);
-                    (fast, slow)
-                };
-                flip = !flip;
-                assert_eq!(
-                    fast.0, slow.0,
-                    "{name}/{path} at {tier}: compact result diverged from baseline"
-                );
-                let speedup = slow.1 / fast.1.max(1e-6);
-                if tier == top {
-                    speedups_top.push(speedup);
-                }
-                println!(
-                    "{name:<12} {path:<6} tier {tier:>9}: baseline {:>10.1} ms  compact {:>10.1} ms  ({speedup:>5.2}x)",
-                    slow.1, fast.1
-                );
+                let t = run_path(f, tier, path);
+                println!("{name:<12} {path:<6} tier {tier:>9}: {t:>10.1} ms");
                 points.push(Point {
                     json: format!(
-                        "    {{\"cell\": \"hot_path\", \"scenario\": \"{name}\", \"path\": \"{path}\", \"tuples\": {tier}, \"baseline_ms\": {:.1}, \"compact_ms\": {:.1}, \"speedup\": {speedup:.2}, \"bit_identical\": true}}",
-                        slow.1, fast.1
+                        "    {{\"cell\": \"hot_path\", \"scenario\": \"{name}\", \"path\": \"{path}\", \"tuples\": {tier}, \"ms\": {t:.1}}}"
                     ),
                 });
             }
@@ -338,8 +258,7 @@ fn fault_cell(points: &mut Vec<Point>) {
 
 /// Live introspection scrape: serve mid-tier exchanges over the wire,
 /// then read the server's own p99 and queue depth back through the
-/// Metrics/Health ops — the soak evidence that the compact plane's
-/// speedup survives the full request path.
+/// Metrics/Health ops — the soak evidence for the full request path.
 fn server_cell(points: &mut Vec<Point>) {
     // a wire-sized slice of the scenario: frames round-trip the full
     // codec, so the payload exercises symbol encode/decode end to end
@@ -388,34 +307,16 @@ fn emit_baseline() {
     let host_cpus = mm_parallel::available_parallelism();
     let smoke = tiers().len() == 1;
     let mut points: Vec<Point> = Vec::new();
-    let mut speedups_top: Vec<f64> = Vec::new();
 
-    hot_path_points(&mut points, &mut speedups_top);
+    hot_path_points(&mut points);
     thread_cell(&mut points);
     budget_cell(&mut points);
     durability_cell(&mut points);
     fault_cell(&mut points);
     server_cell(&mut points);
 
-    let geomean = (speedups_top.iter().map(|s| s.ln()).sum::<f64>()
-        / speedups_top.len().max(1) as f64)
-        .exp();
-    let gate_armed = !smoke;
-    println!(
-        "\ngeomean speedup at top tier ({} points): {geomean:.2}x (gate {} at >= {MIN_GEOMEAN_SPEEDUP}x)",
-        speedups_top.len(),
-        if gate_armed { "armed" } else { "off (smoke)" },
-    );
-    if gate_armed {
-        assert!(
-            geomean >= MIN_GEOMEAN_SPEEDUP,
-            "compact plane geomean speedup {geomean:.2}x at the million-tuple tier \
-             (need >= {MIN_GEOMEAN_SPEEDUP}x over the pre-interning baseline)"
-        );
-    }
-
     let body = format!(
-        "{{\n  \"experiment\": \"scale_soak\",\n  \"description\": \"compact data plane soak: chase and CQ hot paths over snowflake/inheritance/evolution scenarios at 10^4..10^6 source tuples, compact (interned strings, inline tuples, cached hashes) vs the in-tree pre-interning baseline (owned strings, spilled tuples, uncached hashes), canonical-codec-bytes bit-identity asserted per point; the mid tier crosses scale with threads, budgets, durability (v4 snapshot with intern-pool section), torn-WAL faults, and a live server scrape via the Metrics/Health introspection ops; speedups are single-thread wall-clock\",\n  \"command\": \"cargo bench -p mm-bench --bench scale\",\n  \"host_cpus\": {host_cpus},\n  \"attested\": {attested},\n  \"smoke\": {smoke},\n  \"gate\": {{\"min_geomean_speedup_top_tier\": {MIN_GEOMEAN_SPEEDUP}, \"armed\": {gate_armed}, \"geomean\": {geomean:.2}}},\n  \"points\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"scale_soak\",\n  \"description\": \"million-tuple soak: chase and CQ hot paths over snowflake/inheritance/evolution scenarios at 10^4..10^6 source tuples, one single-thread wall-clock point per family, path and tier; the mid tier crosses scale with threads, budgets, durability (v4 snapshot with intern-pool section), torn-WAL faults, and a live server scrape via the Metrics/Health introspection ops\",\n  \"command\": \"cargo bench -p mm-bench --bench scale\",\n  \"host_cpus\": {host_cpus},\n  \"attested\": {attested},\n  \"smoke\": {smoke},\n  \"points\": [\n{}\n  ]\n}}\n",
         points.iter().map(|p| p.json.as_str()).collect::<Vec<_>>().join(",\n"),
         attested = host_cpus >= 4,
     );

@@ -115,13 +115,6 @@ impl Database {
     pub fn is_ground(&self) -> bool {
         self.relations.values().all(|r| r.iter().all(Tuple::is_ground))
     }
-
-    /// Rebuild all dedup indexes after deserialization.
-    pub fn rebuild_indexes(&mut self) {
-        for r in self.relations.values_mut() {
-            r.rebuild_index();
-        }
-    }
 }
 
 impl fmt::Display for Database {

@@ -1,4 +1,5 @@
-//! Global string interning pool and the compact-data-plane switches.
+//! Global string interning pool, its allocation counters and the hasher
+//! behind every tuple hash.
 //!
 //! Text values on hot paths are represented as [`Symbol`]s: `u32` handles
 //! into a process-wide append-only pool. Each pool entry carries the
@@ -129,47 +130,15 @@ pub fn pool_len() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Compact-mode switch
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Whether this thread builds compact values/tuples (interned text,
-    /// inline small tuples, cached hashes). On by default; benchmarks flip
-    /// it off to time the pre-interning layout as an in-tree baseline.
-    static COMPACT: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-}
-
-/// Whether the compact data plane is enabled on this thread.
-pub fn compact_enabled() -> bool {
-    COMPACT.with(std::cell::Cell::get)
-}
-
-/// Enable/disable the compact data plane on this thread, returning the
-/// previous setting. Thread-local so a baseline benchmark leg cannot race
-/// a compact leg on another thread. Results are bit-identical either way
-/// (property-tested); only layout and allocation behaviour change.
-pub fn set_compact(on: bool) -> bool {
-    COMPACT.with(|c| c.replace(on))
-}
-
-/// RAII guard that runs a closure with compact mode forced to `on`.
-pub fn with_compact<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let prev = set_compact(on);
-    let out = f();
-    set_compact(prev);
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Allocation counters (sampled into `mm-telemetry` at op boundaries)
 // ---------------------------------------------------------------------------
 
-/// Heap-spilled tuple buffers allocated (arity > inline capacity, or
-/// compact mode off). Inline tuples never bump this.
-pub static ALLOC_TUPLES: AtomicU64 = AtomicU64::new(0);
+/// Heap-spilled tuple buffers allocated (arity > [`crate::INLINE_ARITY`]).
+/// Inline tuples never bump this.
+pub(crate) static ALLOC_TUPLES: AtomicU64 = AtomicU64::new(0);
 
 /// New symbols appended to the pool (dedup hits don't count).
-pub static ALLOC_INTERNED: AtomicU64 = AtomicU64::new(0);
+pub(crate) static ALLOC_INTERNED: AtomicU64 = AtomicU64::new(0);
 
 /// Strings [`intern`] refused for being longer than [`MAX_INTERN_LEN`]:
 /// each one stays an owned `Value::Text` that hashes and compares by
@@ -207,8 +176,7 @@ pub struct FxHasher {
 
 impl Default for FxHasher {
     fn default() -> Self {
-        // non-zero start so short inputs (and "") never hash to 0, which
-        // tuple caching reserves as the "uncached" sentinel
+        // a non-zero start, so an empty input does not hash to 0
         FxHasher { state: SEED }
     }
 }
@@ -309,21 +277,6 @@ mod tests {
         let bogus = Symbol(u32::MAX - 1);
         assert_eq!(bogus.as_str(), "");
         assert_eq!(bogus.hash64(), str_hash(""));
-        assert_ne!(str_hash(""), 0);
-    }
-
-    #[test]
-    fn compact_flag_is_thread_local_and_restores() {
-        assert!(compact_enabled());
-        let prev = set_compact(false);
-        assert!(prev);
-        assert!(!compact_enabled());
-        let out = with_compact(true, compact_enabled);
-        assert!(out);
-        assert!(!compact_enabled());
-        set_compact(true);
-        let h = std::thread::spawn(compact_enabled);
-        assert!(h.join().unwrap());
     }
 
     #[test]

@@ -3,11 +3,8 @@
 //! The tuple layout is the engine's hot-path memory format (DESIGN.md
 //! §16): small tuples store their values **inline** (no heap indirection),
 //! wider ones spill to a shared `Arc<[Value]>` buffer, and every tuple
-//! built under the compact data plane carries its hash, computed once at
-//! construction and reused by every dedup check, index probe, and map
-//! insertion afterwards. With compact mode off (the benchmarking
-//! baseline, see [`crate::intern::set_compact`]) tuples always spill and
-//! hash on demand — the pre-interning layout, bit-identical in results.
+//! carries its hash, computed once at construction and reused by every
+//! dedup check, index probe, and map insertion afterwards.
 
 use crate::intern::{self, FxHasher};
 use crate::stats::{RelStats, StatsSlot};
@@ -29,16 +26,14 @@ pub const INLINE_ARITY: usize = 4;
 /// The canonical 64-bit hash of a value sequence: exactly what a
 /// [`Tuple`] over the same values caches at construction, so slice-keyed
 /// probes ([`RelIndex::probe`], [`Relation::contains_values`]) land in
-/// the same buckets as stored tuples without building a tuple. Never 0
-/// (0 is the "uncached" sentinel).
+/// the same buckets as stored tuples without building a tuple.
 pub fn hash_values(values: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     for v in values {
         v.hash(&mut h);
     }
     h.write_usize(values.len());
-    let out = h.finish();
-    if out == 0 { 1 } else { out }
+    h.finish()
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -46,8 +41,7 @@ enum Repr {
     /// Up to [`INLINE_ARITY`] values stored in place; slots past `len`
     /// are `Value::Null` padding and never observed.
     Inline { len: u8, vals: [Value; INLINE_ARITY] },
-    /// Shared heap buffer for wider tuples (and for all tuples when
-    /// compact mode is off — the baseline layout).
+    /// Shared heap buffer for tuples wider than [`INLINE_ARITY`].
     Spilled(Arc<[Value]>),
 }
 
@@ -57,8 +51,7 @@ enum Repr {
 /// around heavily.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tuple {
-    /// Cached [`hash_values`] of the payload; 0 means "not cached,
-    /// compute on demand" (the baseline mode).
+    /// [`hash_values`] of the payload, computed at construction.
     hash: u64,
     repr: Repr,
 }
@@ -66,36 +59,33 @@ pub struct Tuple {
 const NULL_PAD: Value = Value::Null;
 
 impl Tuple {
-    pub fn new(values: Vec<Value>) -> Self {
-        if intern::compact_enabled() && values.len() <= INLINE_ARITY {
-            let len = values.len() as u8;
-            let mut it = values.into_iter();
-            let vals = std::array::from_fn(|_| it.next().unwrap_or(NULL_PAD));
-            let mut t = Tuple { hash: 0, repr: Repr::Inline { len, vals } };
-            t.hash = hash_values(t.values());
-            t
+    /// The one tuple builder: `arity` values drawn from `values`, stored
+    /// inline up to [`INLINE_ARITY`] and spilled past it, hashed once.
+    fn build(arity: usize, mut values: impl Iterator<Item = Value>) -> Self {
+        if arity <= INLINE_ARITY {
+            let vals: [Value; INLINE_ARITY] =
+                std::array::from_fn(|_| values.next().unwrap_or(NULL_PAD));
+            let hash = hash_values(&vals[..arity]);
+            Tuple { hash, repr: Repr::Inline { len: arity as u8, vals } }
         } else {
-            Tuple::spill(values.into())
+            intern::ALLOC_TUPLES.fetch_add(1, AtomicOrdering::Relaxed);
+            // via a `Vec`: `new`'s buffer is reused in place and moved with
+            // one copy, and std fills a `Vec` from the other sources faster
+            // than it fills an `Arc<[_]>` from an iterator
+            let buf: Arc<[Value]> = values.collect::<Vec<Value>>().into();
+            Tuple { hash: hash_values(&buf), repr: Repr::Spilled(buf) }
         }
+    }
+
+    pub fn new(values: Vec<Value>) -> Self {
+        Tuple::build(values.len(), values.into_iter())
     }
 
     /// Build a tuple by cloning a value slice — the reusable-buffer entry
     /// point for the chase's firing scratch and eval's key buffers: the
     /// caller keeps refilling one `Vec` and never hands over ownership.
     pub fn from_slice(values: &[Value]) -> Self {
-        if intern::compact_enabled() && values.len() <= INLINE_ARITY {
-            let len = values.len() as u8;
-            let vals = std::array::from_fn(|i| values.get(i).cloned().unwrap_or(NULL_PAD));
-            Tuple { hash: hash_values(values), repr: Repr::Inline { len, vals } }
-        } else {
-            Tuple::spill(values.into())
-        }
-    }
-
-    fn spill(buf: Arc<[Value]>) -> Self {
-        intern::ALLOC_TUPLES.fetch_add(1, AtomicOrdering::Relaxed);
-        let hash = if intern::compact_enabled() { hash_values(&buf) } else { 0 };
-        Tuple { hash, repr: Repr::Spilled(buf) }
+        Tuple::build(values.len(), values.iter().cloned())
     }
 
     pub fn values(&self) -> &[Value] {
@@ -105,11 +95,9 @@ impl Tuple {
         }
     }
 
-    /// The cached hash, or a fresh [`hash_values`] pass when this tuple
-    /// was built without caching. Equal tuples always agree on this
-    /// (both forms hash the same way).
+    /// The hash cached at construction ([`hash_values`] of the payload).
     pub fn hash64(&self) -> u64 {
-        if self.hash != 0 { self.hash } else { hash_values(self.values()) }
+        self.hash
     }
 
     pub fn get(&self, i: usize) -> Option<&Value> {
@@ -127,25 +115,10 @@ impl Tuple {
     /// aborting. Use [`Tuple::try_project`] where out-of-range positions
     /// must be detected instead of absorbed.
     pub fn project(&self, positions: &[usize]) -> Tuple {
-        if intern::compact_enabled() && positions.len() <= INLINE_ARITY {
-            let len = positions.len() as u8;
-            let vals = std::array::from_fn(|i| {
-                positions
-                    .get(i)
-                    .and_then(|&p| self.get(p).cloned())
-                    .unwrap_or(NULL_PAD)
-            });
-            let mut t = Tuple { hash: 0, repr: Repr::Inline { len, vals } };
-            t.hash = hash_values(t.values());
-            t
-        } else {
-            Tuple::spill(
-                positions
-                    .iter()
-                    .map(|&i| self.get(i).cloned().unwrap_or(Value::Null))
-                    .collect(),
-            )
-        }
+        Tuple::build(
+            positions.len(),
+            positions.iter().map(|&i| self.get(i).cloned().unwrap_or(Value::Null)),
+        )
     }
 
     /// Strict projection: `None` if any position is out of range.
@@ -159,21 +132,7 @@ impl Tuple {
     /// Concatenate with another tuple.
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let (a, b) = (self.values(), other.values());
-        if intern::compact_enabled() && a.len() + b.len() <= INLINE_ARITY {
-            let len = (a.len() + b.len()) as u8;
-            let vals = std::array::from_fn(|i| {
-                if i < a.len() {
-                    a[i].clone()
-                } else {
-                    b.get(i - a.len()).cloned().unwrap_or(NULL_PAD)
-                }
-            });
-            let mut t = Tuple { hash: 0, repr: Repr::Inline { len, vals } };
-            t.hash = hash_values(t.values());
-            t
-        } else {
-            Tuple::spill(a.iter().chain(b).cloned().collect())
-        }
+        Tuple::build(a.len() + b.len(), a.iter().chain(b).cloned())
     }
 
     /// Whether every value is a constant (no NULLs, no labeled nulls).
@@ -184,12 +143,8 @@ impl Tuple {
 
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
-        // cached hashes disagree => payloads disagree (same hash fn);
-        // an uncached side falls through to the value comparison
-        if self.hash != 0 && other.hash != 0 && self.hash != other.hash {
-            return false;
-        }
-        self.values() == other.values()
+        // cached hashes disagree => payloads disagree (same hash fn)
+        self.hash == other.hash && self.values() == other.values()
     }
 }
 
@@ -197,7 +152,7 @@ impl Eq for Tuple {}
 
 impl Hash for Tuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash64());
+        state.write_u64(self.hash);
     }
 }
 
@@ -607,14 +562,6 @@ impl Relation {
     pub fn set_eq(&self, other: &Relation) -> bool {
         self.len() == other.len() && self.tuples.iter().all(|t| other.contains(t))
     }
-
-    /// Rebuild the dedup index (needed after deserialization, where the
-    /// `seen` map is skipped) and drop any stale hash-index cache.
-    pub fn rebuild_index(&mut self) {
-        self.rebuild_seen();
-        self.indexes.get_mut().clear();
-        *self.stats.get_mut() = None;
-    }
 }
 
 impl PartialEq for Relation {
@@ -656,17 +603,77 @@ mod tests {
     }
 
     #[test]
-    fn compact_and_baseline_tuples_are_interchangeable() {
-        let compact = intern::with_compact(true, || t(1, "x"));
-        let baseline = intern::with_compact(false, || t(1, "x"));
-        assert_eq!(compact, baseline);
-        assert_eq!(compact.hash64(), baseline.hash64());
-        assert_eq!(compact.cmp(&baseline), std::cmp::Ordering::Equal);
-        assert_eq!(compact.to_string(), baseline.to_string());
+    fn owned_and_pooled_text_tuples_are_interchangeable() {
+        let owned = || Tuple::from([Value::Int(1), Value::Text("x".into())]);
+        let pooled = Tuple::from([Value::Int(1), Value::text("x")]);
+        assert!(matches!(pooled.get(1), Some(Value::Sym(_))));
+        assert_eq!(pooled, owned());
+        assert_eq!(pooled.hash64(), owned().hash64());
+        assert_eq!(pooled.cmp(&owned()), std::cmp::Ordering::Equal);
+        assert_eq!(pooled.to_string(), owned().to_string());
         let mut r = r2("a", "b");
-        assert!(r.insert(compact));
-        assert!(!r.insert(baseline)); // dedup sees through the layouts
-        assert!(r.contains(&intern::with_compact(false, || t(1, "x"))));
+        assert!(r.insert(pooled));
+        assert!(!r.insert(owned())); // dedup sees through the text forms
+        assert!(r.contains(&owned()));
+    }
+
+    /// Every constructor over arities 0..=8: the cached hash is
+    /// `hash_values` of the payload, the layout is inline exactly up to
+    /// `INLINE_ARITY`, and the same values built any way are one tuple.
+    #[test]
+    fn one_layout_rule_for_every_constructor() {
+        fn check(t: &Tuple, vals: &[Value], how: &str) {
+            let n = vals.len();
+            assert_eq!(t.values(), vals, "{how} at arity {n}");
+            assert_eq!(t.hash, hash_values(t.values()), "{how} at arity {n}: cached hash");
+            assert_eq!(
+                matches!(t.repr, Repr::Inline { .. }),
+                n <= INLINE_ARITY,
+                "{how} at arity {n}: layout"
+            );
+        }
+        fn array<const N: usize>(vals: &[Value]) -> Tuple {
+            let arr: [Value; N] = std::array::from_fn(|i| vals[i].clone());
+            Tuple::from(arr)
+        }
+        let pool: Vec<Value> = (0..8)
+            .map(|i| if i % 2 == 0 { Value::Int(i) } else { Value::text(format!("v{i}")) })
+            .collect();
+        let wide = Tuple::from_slice(&pool);
+        for n in 0..=8 {
+            let vals = &pool[..n];
+            let from_array = match n {
+                0 => array::<0>(vals),
+                1 => array::<1>(vals),
+                2 => array::<2>(vals),
+                3 => array::<3>(vals),
+                4 => array::<4>(vals),
+                5 => array::<5>(vals),
+                6 => array::<6>(vals),
+                7 => array::<7>(vals),
+                _ => array::<8>(vals),
+            };
+            let positions: Vec<usize> = (0..n).collect();
+            let concat_at = |k: usize| {
+                let (left, right) = vals.split_at(k);
+                Tuple::from_slice(left).concat(&Tuple::from_slice(right))
+            };
+            let built = [
+                ("new", Tuple::new(vals.to_vec())),
+                ("from_slice", Tuple::from_slice(vals)),
+                ("From<[Value; N]>", from_array),
+                ("project", wide.project(&positions)),
+                // two halves, then a last value onto everything before it
+                // (a spilled left side from arity 6 on)
+                ("concat halves", concat_at(n / 2)),
+                ("concat tail", concat_at(n.saturating_sub(1))),
+            ];
+            for (how, t) in &built {
+                check(t, vals, how);
+                assert_eq!(t, &built[0].1, "{how} at arity {n}: equality");
+                assert_eq!(t.hash64(), built[0].1.hash64(), "{how} at arity {n}: hash64");
+            }
+        }
     }
 
     #[test]
@@ -782,8 +789,6 @@ mod tests {
         let vals = [Value::Int(7), Value::text("k")];
         let tp = Tuple::from_slice(&vals);
         assert_eq!(tp.hash64(), hash_values(&vals));
-        let uncached = intern::with_compact(false, || Tuple::from_slice(&vals));
-        assert_eq!(uncached.hash64(), hash_values(&vals));
     }
 
     #[test]

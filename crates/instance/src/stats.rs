@@ -18,9 +18,9 @@ use std::sync::Arc;
 /// and an incrementally tracked most-common value.
 ///
 /// Text keys are stored as interned symbols (4-byte ids, no `String`
-/// clone per distinct value) when the compact data plane is on; lookups
-/// with either text form still hit, since `Value`'s `Eq`/`Hash` see
-/// through the representation.
+/// clone per distinct value) whenever the pool takes them; lookups with
+/// either text form still hit, since `Value`'s `Eq`/`Hash` see through
+/// the representation.
 #[derive(Debug, Clone, Default)]
 pub struct ColSketch {
     counts: HashMap<Value, u32>,
@@ -29,12 +29,10 @@ pub struct ColSketch {
 
 impl ColSketch {
     /// The map-key form of `v`: owned text becomes a symbol instead of a
-    /// cloned `String` (when compact mode is on and the pool takes it).
+    /// cloned `String` (when the pool takes it).
     fn key_of(v: &Value) -> Value {
         match v {
-            Value::Text(s) if intern::compact_enabled() => {
-                intern::intern(s).map_or_else(|| v.clone(), Value::Sym)
-            }
+            Value::Text(s) => intern::intern(s).map_or_else(|| v.clone(), Value::Sym),
             _ => v.clone(),
         }
     }
@@ -170,12 +168,12 @@ mod tests {
     fn text_columns_sketch_by_symbol_and_answer_both_forms() {
         let tuples: Vec<Tuple> = ["a", "a", "b"]
             .iter()
-            .map(|s| Tuple::from([Value::text(*s)]))
+            .map(|s| Tuple::from([Value::Text((*s).into())]))
             .collect();
-        let s = intern::with_compact(true, || RelStats::build(1, &tuples));
+        let s = RelStats::build(1, &tuples);
         let c = s.col(0).unwrap();
         assert_eq!(c.distinct(), 2);
-        // stored keys are symbols, not cloned strings
+        // stored keys are symbols, not clones of the owned strings
         assert!(matches!(c.mcv(), Some((Value::Sym(_), 2))));
         // lookups hit with either text form
         assert_eq!(c.count(&Value::Text("a".into())), 2);

@@ -18,8 +18,8 @@ use std::fmt;
 /// string; `Sym` is a `u32` handle into the global interning pool
 /// ([`crate::intern`]). The two are indistinguishable through `Eq`,
 /// `Ord`, `Hash`, `Display`, and the wire codec — which form a value
-/// takes is a layout choice (the [`Value::text`] constructor interns when
-/// the compact data plane is on), never a semantic one.
+/// takes is a layout choice ([`Value::text`] interns whatever the pool
+/// accepts), never a semantic one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     Int(i64),
@@ -41,17 +41,15 @@ pub enum Value {
 }
 
 impl Value {
-    /// Construct a text value, interning into the symbol pool when the
-    /// compact data plane is enabled on this thread (and the string is
-    /// poolable — short enough, pool not full). The pool is consulted by
-    /// `&str` first; an owned `String` is only made when it refuses.
+    /// Construct a text value, interned into the symbol pool when the
+    /// string is poolable (short enough, pool not full). The pool is
+    /// consulted by `&str` first; an owned `String` is only made when it
+    /// refuses.
     pub fn text(s: impl AsRef<str> + Into<String>) -> Self {
-        if intern::compact_enabled() {
-            if let Some(sym) = intern::intern(s.as_ref()) {
-                return Value::Sym(sym);
-            }
+        match intern::intern(s.as_ref()) {
+            Some(sym) => Value::Sym(sym),
+            None => Value::Text(s.into()),
         }
-        Value::Text(s.into())
     }
 
     /// The string content if this is a text value (either form).
@@ -278,7 +276,7 @@ mod tests {
     #[test]
     fn interned_and_owned_text_are_indistinguishable() {
         let owned = Value::Text("sym-test".to_string());
-        let interned = intern::with_compact(true, || Value::text("sym-test"));
+        let interned = Value::text("sym-test");
         assert!(matches!(interned, Value::Sym(_)));
         assert_eq!(owned, interned);
         assert_eq!(hash_of(&owned), hash_of(&interned));
@@ -290,15 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_off_builds_owned_text() {
-        let v = intern::with_compact(false, || Value::text("plain"));
-        assert!(matches!(v, Value::Text(_)));
-    }
-
-    #[test]
-    fn oversized_text_stays_owned_under_compact() {
+    fn oversized_text_stays_owned() {
         let long = "z".repeat(intern::MAX_INTERN_LEN + 1);
-        let v = intern::with_compact(true, || Value::text(long.clone()));
+        let v = Value::text(long.clone());
         assert!(matches!(v, Value::Text(_)));
         assert_eq!(v.as_text(), Some(long.as_str()));
     }
@@ -338,9 +330,9 @@ mod tests {
     fn mixed_form_text_ordering_matches_string_ordering() {
         let mut vs = [
             Value::Text("delta".into()),
-            intern::with_compact(true, || Value::text("alpha")),
+            Value::text("alpha"),
             Value::Text("bravo".into()),
-            intern::with_compact(true, || Value::text("charlie")),
+            Value::text("charlie"),
         ];
         vs.sort();
         let texts: Vec<&str> = vs.iter().filter_map(Value::as_text).collect();

@@ -1486,8 +1486,9 @@ mod tests {
     proptest! {
         /// Both tuple layouts (arity 0..=6 straddles the inline bound),
         /// duplicates on the wire, every value kind: the decoded database
-        /// is the denoted one and re-encodes to its canonical bytes, with
-        /// interning on and off.
+        /// is the denoted one and re-encodes to its canonical bytes, and
+        /// decoded text is pooled exactly when the pool's length cap
+        /// admits it.
         #[test]
         fn database_decode_matches_the_denoted_instance(
             arity in 0usize..7,
@@ -1521,21 +1522,22 @@ mod tests {
                 prop_assert_eq!(&canonical, &wire);
             }
 
-            for compact in [true, false] {
-                let mut r = Reader::new(wire.clone());
-                let back = intern::with_compact(compact, || Database::decode(&mut r)).expect("decode");
-                prop_assert!(r.is_empty());
-                prop_assert_eq!(&back, &expected);
-                prop_assert_eq!(back.label_watermark(), watermark);
-                let mut again = Writer::new();
-                back.encode(&mut again);
-                prop_assert_eq!(&again.finish(), &canonical);
-                let interned = back
-                    .relations()
-                    .flat_map(|(_, rel)| rel.iter())
-                    .flat_map(|t| t.values())
-                    .any(|v| matches!(v, Value::Sym(_)));
-                prop_assert!(compact || !interned, "compact off decodes owned text only");
+            let mut r = Reader::new(wire);
+            let back = Database::decode(&mut r).expect("decode");
+            prop_assert!(r.is_empty());
+            prop_assert_eq!(&back, &expected);
+            prop_assert_eq!(back.label_watermark(), watermark);
+            let mut again = Writer::new();
+            back.encode(&mut again);
+            prop_assert_eq!(&again.finish(), &canonical);
+            for v in back.relations().flat_map(|(_, rel)| rel.iter()).flat_map(|t| t.values()) {
+                if let Some(text) = v.as_text() {
+                    prop_assert_eq!(
+                        matches!(v, Value::Sym(_)),
+                        text.len() <= intern::MAX_INTERN_LEN,
+                        "text of length {} decoded as {:?}", text.len(), v
+                    );
+                }
             }
         }
     }

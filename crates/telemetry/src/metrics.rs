@@ -257,7 +257,7 @@ impl PropagateCounter {
 #[repr(usize)]
 pub enum AllocCounter {
     /// Tuples whose values spilled to a heap allocation (arity above
-    /// the inline bound, or compact mode off).
+    /// the inline bound).
     Tuples,
     /// Distinct strings admitted to the process-wide intern pool.
     Interned,

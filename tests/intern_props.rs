@@ -1,14 +1,14 @@
-//! Compact-data-plane property suite (DESIGN.md §16).
+//! Text-form property suite (DESIGN.md §16).
 //!
-//! The interned/inline representation is a pure layout optimisation:
-//! every observable output — chased instances, minted null ids,
-//! canonical codec bytes, EXPLAIN text, CQ answers — must be
-//! bit-identical whether tuples are built through the symbol pool
-//! (`Value::Sym`, inline arity-≤4 layout, cached hashes) or through
-//! the pre-interning baseline (`with_compact(false)`: owned strings,
-//! spilled tuples, uncached hashes). These properties drive randomly
-//! generated and deliberately skewed text workloads through both legs
-//! and diff the bytes.
+//! Text has two physical forms with one meaning: pooled (`Value::Sym`,
+//! what `Value::text` builds for poolable strings) and owned
+//! (`Value::Text`). Which form a value takes must never show: every
+//! observable output — chased instances, minted null ids, canonical
+//! codec bytes, EXPLAIN text, CQ answers — must be bit-identical whether
+//! a workload's text was built pooled or owned. These properties drive
+//! randomly generated and deliberately skewed text workloads through
+//! both legs, through inline and spilled tuples alike, and diff the
+//! bytes.
 //!
 //! The second half fuzzes durability: v4 snapshots carry an intern-pool
 //! section (the distinct text values of all tracked instances), and a
@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 // --- workload generation ---------------------------------------------------
 
 /// A text workload spec: a vocabulary plus rows that index into it.
-/// Building the `Database` *inside* each representation leg is what
-/// makes the comparison honest — the spec itself holds no `Value`s.
+/// Building the `Database` separately for each text form is what makes
+/// the comparison honest — the spec itself holds no `Value`s.
 #[derive(Debug, Clone)]
 struct TextWorkload {
     vocab: Vec<String>,
@@ -54,13 +54,26 @@ fn target_schema() -> Schema {
         )
         .relation("Join", &[("a", DataType::Text), ("b", DataType::Text)])
         .relation("Tag", &[("a", DataType::Text), ("t", DataType::Text)])
+        .relation(
+            "Wide",
+            &[
+                ("a", DataType::Text),
+                ("b", DataType::Text),
+                ("n", DataType::Int),
+                ("b2", DataType::Text),
+                ("a2", DataType::Text),
+                ("w", DataType::Text),
+            ],
+        )
         .build()
         .expect("static target schema")
 }
 
 /// A copy tgd (exercises inline arity-3 tuples), a self-join tgd
-/// (exercises hash probes on interned keys), and an existential tgd
-/// (mints labelled nulls whose ids must come out identical).
+/// (exercises hash probes on interned keys), an existential tgd (mints
+/// labelled nulls whose ids must come out identical), and a wide
+/// existential tgd (arity-6 head: spilled tuples carrying text and
+/// nulls).
 fn workload_tgds() -> Vec<Tgd> {
     vec![
         Tgd::new(
@@ -75,6 +88,10 @@ fn workload_tgds() -> Vec<Tgd> {
             vec![Atom::vars("R", &["x", "y", "n"])],
             vec![Atom::vars("Tag", &["x", "t"])],
         ),
+        Tgd::new(
+            vec![Atom::vars("R", &["x", "y", "n"])],
+            vec![Atom::vars("Wide", &["x", "y", "n", "y", "x", "w"])],
+        ),
     ]
 }
 
@@ -83,16 +100,15 @@ fn query_atoms() -> Vec<Atom> {
 }
 
 impl TextWorkload {
-    /// Materialise the spec under whatever compact mode is currently
-    /// active on this thread.
-    fn build(&self) -> Database {
+    /// Materialise the spec, building every text value with `text`.
+    fn build(&self, text: fn(&str) -> Value) -> Database {
         let mut db = Database::empty_of(&source_schema());
         for &(a, b, n) in &self.rows {
             db.insert(
                 "R",
                 Tuple::new(vec![
-                    Value::text(&self.vocab[a % self.vocab.len()]),
-                    Value::text(&self.vocab[b % self.vocab.len()]),
+                    text(&self.vocab[a % self.vocab.len()]),
+                    text(&self.vocab[b % self.vocab.len()]),
                     Value::Int(n),
                 ]),
             );
@@ -162,9 +178,9 @@ fn homs_bytes(homs: &[Binding]) -> Vec<u8> {
     out
 }
 
-/// One full observation of a workload under the *current* compact
-/// mode: source bytes, chased-target bytes, null count, EXPLAIN text,
-/// and CQ answer bytes.
+/// One full observation of a workload with its text built by `text`:
+/// source bytes, chased-target bytes, null count, EXPLAIN text, and CQ
+/// answer bytes.
 struct Observation {
     source: Vec<u8>,
     chased: Vec<u8>,
@@ -173,8 +189,8 @@ struct Observation {
     answers: Vec<u8>,
 }
 
-fn observe(w: &TextWorkload) -> Observation {
-    let db = w.build();
+fn observe(w: &TextWorkload, text: fn(&str) -> Value) -> Observation {
+    let db = w.build(text);
     let tgds = workload_tgds();
     let program = ChaseProgram::compile(&tgds, &db);
     let mut gov = Governor::new(&ExecBudget::unbounded());
@@ -192,21 +208,21 @@ fn observe(w: &TextWorkload) -> Observation {
 }
 
 fn assert_bit_identical(w: &TextWorkload) {
-    let compact = observe(w);
-    let baseline = mm_instance::intern::with_compact(false, || observe(w));
-    assert_eq!(compact.source, baseline.source, "source instance bytes diverged");
-    assert_eq!(compact.chased, baseline.chased, "chased instance bytes diverged");
-    assert_eq!(compact.nulls, baseline.nulls, "minted null count diverged");
-    assert_eq!(compact.explain, baseline.explain, "EXPLAIN text diverged");
-    assert_eq!(compact.answers, baseline.answers, "CQ answer bytes diverged");
+    let pooled = observe(w, |s| Value::text(s));
+    let owned = observe(w, |s| Value::Text(s.to_owned()));
+    assert_eq!(pooled.source, owned.source, "source instance bytes diverged");
+    assert_eq!(pooled.chased, owned.chased, "chased instance bytes diverged");
+    assert_eq!(pooled.nulls, owned.nulls, "minted null count diverged");
+    assert_eq!(pooled.explain, owned.explain, "EXPLAIN text diverged");
+    assert_eq!(pooled.answers, owned.answers, "CQ answer bytes diverged");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Interned and uninterned engines are bit-identical on random
-    /// text workloads: same codec bytes for source and chased
-    /// instances, same null ids, same EXPLAIN, same CQ answers.
+    /// Pooled and owned text are bit-identical on random text
+    /// workloads: same codec bytes for source and chased instances,
+    /// same null ids, same EXPLAIN, same CQ answers.
     #[test]
     fn compact_plane_is_bit_identical_on_random_workloads(
         w in arb_random_workload()
