@@ -1,5 +1,5 @@
-//! Parallel execution core (PR 5): thread-scaling curves for the
-//! work-stealing chase, parallel CQ evaluation, and batch mediation.
+//! Parallel execution core: thread-scaling curves for the work-stealing
+//! chase and parallel CQ evaluation.
 //!
 //! Besides the criterion groups, `main` re-measures every (workload,
 //! threads) point once with `mm_bench::timed`, asserts the parallel
@@ -19,7 +19,6 @@ use std::io::Write as _;
 const THREAD_CURVE: [usize; 4] = [1, 2, 4, 8];
 /// Scaling demanded at 4 threads — asserted only on hosts with ≥ 4 cores.
 const MIN_SPEEDUP_AT_4: f64 = 2.5;
-const BATCH_QUERIES: usize = 64;
 
 /// The s-t chase workload: the quadratic self-join over a dense graph,
 /// big enough that body matching dominates and chunks across workers.
@@ -46,74 +45,6 @@ fn cq(db: &Database, body: &[Atom], threads: usize) -> Vec<Vec<Option<Value>>> {
     let opts = mm_eval::ExecOptions::default();
     plan.execute(db, &mut scratch, &opts, threads, &mut gov, &mut out).expect("unbounded");
     out.into_iter().map(|m| m.binding).collect()
-}
-
-/// The mediation workload: a two-hop view chain over a wide base, with
-/// `BATCH_QUERIES` projections of the top view to answer as one batch.
-fn mediation_setup() -> (Schema, Database, ViewSet, ViewSet, Vec<Expr>) {
-    let s = SchemaBuilder::new("Base")
-        .relation("People", &[
-            ("id", DataType::Int),
-            ("name", DataType::Text),
-            ("age", DataType::Int),
-            ("city", DataType::Text),
-        ])
-        .build()
-        .expect("static schema");
-    let mut db = Database::empty_of(&s);
-    for i in 0..4_000i64 {
-        db.insert(
-            "People",
-            Tuple::from([
-                Value::Int(i),
-                Value::text(format!("p{i}")),
-                Value::Int(20 + (i % 50)),
-                Value::text(if i % 2 == 0 { "rome" } else { "oslo" }),
-            ]),
-        );
-    }
-    let mut l1 = ViewSet::new("Base", "L1");
-    l1.push(ViewDef::new(
-        "Adults",
-        Expr::base("People").select(Predicate::Cmp {
-            op: CmpOp::Ge,
-            left: Scalar::col("age"),
-            right: Scalar::lit(18i64),
-        }),
-    ));
-    let mut l2 = ViewSet::new("L1", "L2");
-    l2.push(ViewDef::new(
-        "RomanAdults",
-        Expr::base("Adults").select(Predicate::col_eq_lit("city", "rome")).project(&["id", "name"]),
-    ));
-    let projections: [&[&str]; 4] = [&["id", "name"], &["id"], &["name"], &["name", "id"]];
-    // every query is structurally distinct (a per-query id threshold):
-    // the batch must exercise the parallel fan-out, not the mediator's
-    // multi-query sharing, which would collapse repeated queries
-    let queries: Vec<Expr> = (0..BATCH_QUERIES)
-        .map(|i| {
-            Expr::base("RomanAdults")
-                .select(Predicate::Cmp {
-                    op: CmpOp::Ge,
-                    left: Scalar::col("id"),
-                    right: Scalar::lit(i as i64),
-                })
-                .project(projections[i % projections.len()])
-        })
-        .collect();
-    (s, db, l1, l2, queries)
-}
-
-/// Answer `queries` through `plan` as one batch on `threads` workers.
-fn batch(
-    m: &Mediator<'_>,
-    plan: &MediationPlan,
-    queries: &[Expr],
-    db: &Database,
-    threads: usize,
-) -> Vec<Result<MediationResult, EvalError>> {
-    let mut gov = Governor::new(&ExecBudget::unbounded());
-    m.answer_batch(plan, queries, db, &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) })
 }
 
 /// One s-t chase of the precompiled program on `threads` workers.
@@ -147,21 +78,6 @@ fn bench_parallel_cq(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_mediation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_batch_mediation");
-    group.sample_size(10);
-    let (s, db, l1, l2, queries) = mediation_setup();
-    let m = Mediator::new(&s, vec![&l1, &l2]);
-    let budget = ExecBudget::unbounded();
-    let plan = m.plan(&budget).expect("unbounded");
-    for threads in THREAD_CURVE {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &(), |b, _| {
-            b.iter(|| batch(&m, &plan, &queries, &db, threads))
-        });
-    }
-    group.finish();
-}
-
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -172,7 +88,6 @@ fn ms(d: std::time::Duration) -> f64 {
 /// scaling curve.
 fn emit_baseline() {
     let host_cpus = mm_parallel::available_parallelism();
-    let budget = ExecBudget::unbounded();
     let mut points: Vec<String> = Vec::new();
     // (workload, speedup at 4 threads) for the conditional scaling gate
     let mut at_4: Vec<(&str, f64)> = Vec::new();
@@ -207,26 +122,6 @@ fn emit_baseline() {
         }
     }
 
-    {
-        let (s, db, l1, l2, queries) = mediation_setup();
-        let m = Mediator::new(&s, vec![&l1, &l2]);
-        let plan = m.plan(&budget).expect("unbounded");
-        let unwrap_rows = |batch: Vec<Result<MediationResult, EvalError>>| -> Vec<Relation> {
-            batch.into_iter().map(|r| r.expect("unbounded").rows).collect()
-        };
-        let (oracle, base_t) = timed(|| unwrap_rows(batch(&m, &plan, &queries, &db, 1)));
-        points.push(point_json("batch_mediation_64q", 1, ms(base_t), 1.0));
-        for threads in &THREAD_CURVE[1..] {
-            let (par, t) = timed(|| unwrap_rows(batch(&m, &plan, &queries, &db, *threads)));
-            assert_eq!(par, oracle, "batch mediation diverged at threads={threads}");
-            let speedup = ms(base_t) / ms(t).max(1e-6);
-            points.push(point_json("batch_mediation_64q", *threads, ms(t), speedup));
-            if *threads == 4 {
-                at_4.push(("batch_mediation_64q", speedup));
-            }
-        }
-    }
-
     if host_cpus >= 4 {
         for (workload, speedup) in &at_4 {
             assert!(
@@ -246,7 +141,7 @@ fn emit_baseline() {
     // are not evidence of scaling either way: attested=false marks them
     // as shape-only (timings recorded, speedups not certified).
     let body = format!(
-        "{{\n  \"experiment\": \"parallel_core\",\n  \"description\": \"thread-scaling of the work-stealing chase, parallel CQ evaluation, and 64-query batch mediation (bit-identical to the sequential oracle asserted per point; speedups are wall-clock and depend on host_cpus — on a 1-cpu host flat curves are the honest expectation)\",\n  \"command\": \"cargo bench -p mm-bench --bench parallel\",\n  \"host_cpus\": {host_cpus},\n  \"attested\": {attested},\n  \"scaling_gate\": {{\"min_speedup_at_4_threads\": {MIN_SPEEDUP_AT_4}, \"armed\": {attested}}},\n  \"points\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"parallel_core\",\n  \"description\": \"thread-scaling of the work-stealing chase and parallel CQ evaluation (bit-identical to the sequential oracle asserted per point; speedups are wall-clock and depend on host_cpus — on a 1-cpu host flat curves are the honest expectation)\",\n  \"command\": \"cargo bench -p mm-bench --bench parallel\",\n  \"host_cpus\": {host_cpus},\n  \"attested\": {attested},\n  \"scaling_gate\": {{\"min_speedup_at_4_threads\": {MIN_SPEEDUP_AT_4}, \"armed\": {attested}}},\n  \"points\": [\n{}\n  ]\n}}\n",
         points.join(",\n"),
         attested = host_cpus >= 4,
     );
@@ -263,7 +158,7 @@ fn point_json(workload: &str, threads: usize, ms: f64, speedup: f64) -> String {
     )
 }
 
-criterion_group!(benches, bench_parallel_chase, bench_parallel_cq, bench_batch_mediation);
+criterion_group!(benches, bench_parallel_chase, bench_parallel_cq);
 
 fn main() {
     benches();

@@ -52,7 +52,7 @@ fn ms(d: std::time::Duration) -> f64 {
 
 /// Time one hot path over a freshly generated scenario, returning wall
 /// ms; generation cost is excluded.
-fn run_path(scenario: fn(usize, u64) -> ScaleScenario, tier: usize, path: &str) -> f64 {
+fn run_path(scenario: ScenarioFn, tier: usize, path: &str) -> f64 {
     let sc = scenario(tier, SEED);
     let t = match path {
         "chase" => timed(|| chase(&sc, &ExecBudget::unbounded()).expect("ok")).1,
@@ -67,9 +67,12 @@ fn chase(sc: &ScaleScenario, budget: &ExecBudget) -> Result<(Database, ChaseStat
     compile_and_chase(&sc.target, &sc.tgds, &sc.db, budget)
 }
 
-fn scenario_fns() -> [(&'static str, fn(usize, u64) -> ScaleScenario); 3] {
+/// Builds one scale scenario: `(tuples, seed) -> scenario`.
+type ScenarioFn = fn(usize, u64) -> ScaleScenario;
+
+fn scenario_fns() -> [(&'static str, ScenarioFn); 3] {
     [
-        ("snowflake", mm_workload::scale::snowflake_scale as fn(usize, u64) -> ScaleScenario),
+        ("snowflake", mm_workload::scale::snowflake_scale as ScenarioFn),
         ("inheritance", mm_workload::scale::inheritance_scale),
         ("evolution", mm_workload::scale::evolution_scale),
     ]

@@ -356,12 +356,10 @@ pub fn eq6_mediation_point(hops: usize, rows: usize) -> Eq6Row {
     let query = Expr::base(format!("V{}", hops - 1)).project(&["name"]);
 
     let (chained, chained_t) =
-        timed(|| mediator.answer_chained(&query, &db).expect("chained"));
+        timed(|| eval(&mediator.unfold(&query), &schema, &db).expect("chained"));
     let (collapsed, collapse_t) = timed(|| mediator.collapse().expect("non-empty chain"));
     let (direct, direct_t) = timed(|| {
-        mediator
-            .answer_collapsed(&collapsed, &query, &db)
-            .expect("collapsed answer")
+        eval(&unfold_query(&query, &collapsed), &schema, &db).expect("collapsed answer")
     });
     Eq6Row {
         hops,

@@ -9,7 +9,7 @@
 //! instead of scanning the whole (growing) target — the quadratic hot
 //! spot of the naive source-to-target chase.
 //!
-//! For the general chase, [`TgdPlan::body_matches_delta`] evaluates a
+//! For the general chase, `TgdPlan::body_matches_delta` evaluates a
 //! body against per-relation *watermarks* (the relation length at this
 //! tgd's previous evaluation): the candidate set is the union over delta
 //! splits d of "atoms before d see only pre-watermark tuples, atom d
@@ -88,7 +88,7 @@ impl TgdPlan {
     /// at this plan's, so a chase that swaps plans mid-run keeps firing
     /// in exactly the reference sequence. Returns `None` for plans not
     /// compiled by the cost-based planner.
-    pub fn recost(&self, db: &Database) -> Option<TgdPlan> {
+    pub(crate) fn recost(&self, db: &Database) -> Option<TgdPlan> {
         let tgd = self.src.as_ref()?;
         let canon = self.body.canonical_source_order();
         Some(TgdPlan::compile_inner(tgd, db, true, Some(&canon)))
@@ -177,24 +177,24 @@ impl TgdPlan {
 
     /// Distinct body relation names — the domain of this tgd's
     /// semi-naive watermarks.
-    pub fn body_rels(&self) -> &[String] {
+    pub(crate) fn body_rels(&self) -> &[String] {
         &self.body_rels
     }
 
     /// The compiled body plan (join order, probe columns) — what
     /// [`crate::explain`] reports.
-    pub fn body_plan(&self) -> &CqPlan {
+    pub(crate) fn body_plan(&self) -> &CqPlan {
         &self.body
     }
 
     /// Whether every head term is a constant or a body-bound slot (the
     /// hash-containment satisfaction fast path applies).
-    pub fn head_is_ground(&self) -> bool {
+    pub(crate) fn head_is_ground(&self) -> bool {
         self.head_ground
     }
 
     /// Slot count of the shared variable table; every binding passed back
-    /// into [`TgdPlan::head_satisfied`]/[`TgdPlan::fire`] has this length.
+    /// into `TgdPlan::head_satisfied`/[`TgdPlan::fire`] has this length.
     pub fn num_slots(&self) -> usize {
         self.table.len()
     }
@@ -208,12 +208,6 @@ impl TgdPlan {
     /// Planner estimate of the body's total match count, when costed.
     pub fn estimated_matches(&self) -> Option<f64> {
         self.body.estimated_matches()
-    }
-
-    /// Per body relation, the cardinality the plan was compiled (and its
-    /// cost estimates derived) against.
-    pub fn compile_rows(&self) -> &[(String, u32)] {
-        &self.compile_rows
     }
 
     /// Whether any body relation's current cardinality in `db` has
@@ -234,7 +228,7 @@ impl TgdPlan {
     /// Same bindings, same order, same metered step totals at every
     /// thread count ([`CqPlan::execute`]'s contract); `threads
     /// <= 1` and small driver relations run sequentially.
-    pub fn body_matches(
+    pub(crate) fn body_matches(
         &self,
         db: &Database,
         use_indexes: bool,
@@ -260,7 +254,7 @@ impl TgdPlan {
     /// split's driver range fans across up to `threads` workers; the
     /// final position-vector sort restores the naive enumeration order
     /// whichever way the splits were chunked.
-    pub fn body_matches_delta(
+    pub(crate) fn body_matches_delta(
         &self,
         db: &Database,
         watermarks: &HashMap<String, u32>,
@@ -303,7 +297,7 @@ impl TgdPlan {
     /// does some extension of the body-bound head variables map every
     /// head atom into the database? Probes target indexes seeded with the
     /// universal head variables and stops at the first witness.
-    pub fn head_satisfied(
+    pub(crate) fn head_satisfied(
         &self,
         binding: &[Option<Value>],
         db: &Database,

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::plan_cache::{PlanCache, PLAN_CACHE_SHARDS};
+use crate::plan_cache::PlanCache;
 
 /// Default round cap for the general chase. The general chase may not
 /// terminate (composition of non-s-t tgds is undecidable, §6.1), so the
@@ -71,15 +71,6 @@ pub struct EngineConfig {
     /// Baseline execution budget (steps, rows, wall clock, cancellation)
     /// applied to every governed operator. Defaults to unbounded.
     pub budget: ExecBudget,
-    /// Reuse compiled [`ChaseProgram`]s across calls. The cache is
-    /// sharded ([`PLAN_CACHE_SHARDS`] lock stripes) and keyed by mapping
-    /// *name*, with each entry remembering the [`ArtifactId`] it was
-    /// compiled from: storing a new version under the same name evicts
-    /// the stale plan on the next lookup, so a replaced mapping can
-    /// never serve its predecessor's plan. Defaults to `true`; disable
-    /// to force per-call compilation (e.g. when benchmarking compile
-    /// cost).
-    pub cache_plans: bool,
     /// Drift threshold for adaptive re-optimization, as a ratio between a
     /// plan's compile-time body-relation cardinalities and the live ones
     /// (either direction, +1 smoothed). Chase programs are compiled by
@@ -88,11 +79,11 @@ pub struct EngineConfig {
     /// current statistics. Re-planning changes how much work a chase
     /// does, never its result. Defaults to `8.0`.
     pub replan_ratio: f64,
-    /// Degree of parallelism for chase and batch operators: the worker
-    /// count for [`Engine::exchange_batch`] and for the within-round
-    /// body-matching fan-out of `exchange` / `chase_general`. `1` runs
-    /// everything sequentially (the reference oracle — parallel runs
-    /// are bit-identical to it). Defaults to the machine's available
+    /// Degree of parallelism for the within-round body-matching fan-out
+    /// of `exchange` / `chase_general` (a governed exchange, the
+    /// server's, always runs on one thread). `1` runs everything
+    /// sequentially (the reference oracle — parallel runs are
+    /// bit-identical to it). Defaults to the machine's available
     /// parallelism.
     pub threads: usize,
     /// Repository durability mode. Defaults to [`Durability::Ephemeral`].
@@ -114,7 +105,6 @@ impl Default for EngineConfig {
             chase_max_rounds: DEFAULT_CHASE_ROUNDS,
             compose_clause_bound: mm_compose::DEFAULT_CLAUSE_BOUND,
             budget: ExecBudget::unbounded(),
-            cache_plans: true,
             replan_ratio: 8.0,
             threads: mm_parallel::available_parallelism(),
             durability: Durability::Ephemeral,
@@ -291,14 +281,17 @@ impl Engine {
     }
 
     /// The compiled chase program for mapping `name` at version `id`,
-    /// compiling (and caching, unless [`EngineConfig::cache_plans`] is
-    /// off) on first use. A cached plan compiled from an *older* version
-    /// of the same name is treated as a miss and replaced, and a cached
-    /// plan whose compile-time statistics have drifted from `db` beyond
-    /// [`EngineConfig::replan_ratio`] is invalidated and recompiled
-    /// against current cardinalities (counted as a plan misestimate plus
-    /// a re-plan). `db` only supplies cardinality statistics for the
-    /// compile; plan order never affects result sets.
+    /// compiling and caching it on first use. The cache is sharded
+    /// ([`PLAN_CACHE_SHARDS`](crate::plan_cache::PLAN_CACHE_SHARDS) lock
+    /// stripes) and keyed by mapping *name*, with each entry remembering
+    /// the [`ArtifactId`] it was compiled from. A cached plan compiled
+    /// from an *older* version of the same name is treated as a miss and
+    /// replaced, so a replaced mapping never serves its predecessor's
+    /// plan, and a cached plan whose compile-time statistics have drifted
+    /// from `db` beyond [`EngineConfig::replan_ratio`] is invalidated and
+    /// recompiled against current cardinalities (counted as a plan
+    /// misestimate plus a re-plan). `db` only supplies cardinality
+    /// statistics for the compile; plan order never affects result sets.
     fn chase_program(
         &self,
         name: &str,
@@ -309,10 +302,6 @@ impl Engine {
         let tel = &self.config.telemetry;
         let compile =
             |tgds: &[Tgd], db: &Database| Arc::new(ChaseProgram::compile_costed(tgds, db));
-        if !self.config.cache_plans {
-            tel.count(Counter::PlanCacheMisses, 1);
-            return compile(tgds, db);
-        }
         if let Some(program) = self.chase_plans.get(name, id) {
             if program.misestimated(db, self.config.replan_ratio) {
                 tel.count(Counter::PlanMisestimates, 1);
@@ -329,19 +318,6 @@ impl Engine {
         let program = compile(tgds, db);
         self.chase_plans.insert(name, id.clone(), Arc::clone(&program));
         program
-    }
-
-    /// How many compiled chase programs the engine currently holds —
-    /// observability for tests and tools.
-    pub fn cached_chase_plans(&self) -> usize {
-        self.chase_plans.len()
-    }
-
-    /// Per-shard plan counts of the sharded cache, in stripe order
-    /// (length [`PLAN_CACHE_SHARDS`]). Sums to
-    /// [`Self::cached_chase_plans`].
-    pub fn cached_chase_plan_shards(&self) -> [usize; PLAN_CACHE_SHARDS] {
-        self.chase_plans.shard_sizes()
     }
 
     /// Sample the instance layer's process-wide allocation totals into
@@ -430,7 +406,7 @@ impl Engine {
     /// every *confirmed* correspondence set stored in the repository
     /// (confidence 1.0 entries) into a [`mm_match::MatchMemory`] and
     /// boosts remembered pairs — the paper's "previous matches" evidence.
-    pub fn match_schemas_with_memory(
+    pub(crate) fn match_schemas_with_memory(
         &self,
         source: &str,
         target: &str,
@@ -632,7 +608,7 @@ impl Engine {
     /// Invert (§6.2): the *syntactic* inverse — swap the source/target
     /// roles of a stored mapping (not the semantic Inverse of §6.4, which
     /// is `mm_evolution::invert_views`).
-    pub fn invert(&self, mapping: &str, out_name: &str) -> Result<Mapping, EngineError> {
+    pub(crate) fn invert(&self, mapping: &str, out_name: &str) -> Result<Mapping, EngineError> {
         let (m, mid) = self.repo.latest_mapping(mapping)?;
         let inverted = m.inverted();
         let out = self.repo.store_mapping(out_name, inverted.clone())?;
@@ -669,27 +645,9 @@ impl Engine {
         target_schema: &str,
         source_db: &Database,
     ) -> Result<(Database, mm_chase::ChaseStats), EngineError> {
-        let (m, mid) = self.repo.latest_mapping(mapping)?;
-        let (t, _) = self.schema(target_schema)?;
-        let tgds = Self::tgds_of(&m)?;
-        let tel = &self.config.telemetry;
-        let mut span = Span::enter(tel, "engine.exchange", mid.to_string());
-        let program = self.chase_program(mapping, &mid, &tgds, source_db);
         let mut gov = Governor::new(&self.config.budget);
-        let result = program
-            .run_st(&t, source_db, &mut self.chase_ctx(&mut gov))
+        self.run_exchange(mapping, target_schema, source_db, &mut self.chase_ctx(&mut gov))
             .map(|run| (run.target, run.stats))
-            .map_err(|f| EngineError::Exec(f.into()));
-        match &result {
-            Ok((db, stats)) => {
-                span.field("fired", stats.fired);
-                span.field("target_tuples", db.total_tuples());
-            }
-            Err(e) => span.field("error", e.to_string()),
-        }
-        self.sample_alloc();
-        span.finish();
-        result
     }
 
     /// [`Self::exchange`] metered through a caller-supplied [`Governor`]
@@ -706,20 +664,52 @@ impl Engine {
         source_db: &Database,
         gov: &mut Governor,
     ) -> Result<(Database, mm_chase::ChaseStats), EngineError> {
+        let ctx = &mut ExecCtx { threads: 1, ..self.chase_ctx(gov) };
+        self.run_exchange(mapping, target_schema, source_db, ctx)
+            .map(|run| (run.target, run.stats))
+    }
+
+    /// [`Self::exchange_governed`] with an EXPLAIN report: alongside the
+    /// universal instance, a [`ChaseExplain`] carrying the compiled join
+    /// order and per-atom selectivities of every tgd body plus the
+    /// per-round chase deltas. The report is computed against the
+    /// *source* instance, so two identical invocations render
+    /// byte-identical text, and it describes the run it came from: the
+    /// same governor, the same single thread as a wire exchange.
+    pub fn explain_exchange(
+        &self,
+        mapping: &str,
+        target_schema: &str,
+        source_db: &Database,
+        gov: &mut Governor,
+    ) -> Result<(Database, mm_chase::ChaseStats, ChaseExplain), EngineError> {
+        let ctx = &mut ExecCtx { threads: 1, explain: true, ..self.chase_ctx(gov) };
+        let run = self.run_exchange(mapping, target_schema, source_db, ctx)?;
+        Ok((run.target, run.stats, explained(run.explain)?))
+    }
+
+    /// The one exchange body: resolve the mapping and target schema,
+    /// fetch (or compile) the cached plan, and run the s-t chase under
+    /// `ctx` inside an `engine.exchange` span.
+    fn run_exchange(
+        &self,
+        mapping: &str,
+        target_schema: &str,
+        source_db: &Database,
+        ctx: &mut ExecCtx<'_>,
+    ) -> Result<mm_chase::StRun, EngineError> {
         let (m, mid) = self.repo.latest_mapping(mapping)?;
         let (t, _) = self.schema(target_schema)?;
         let tgds = Self::tgds_of(&m)?;
         let tel = &self.config.telemetry;
         let mut span = Span::enter(tel, "engine.exchange", mid.to_string());
         let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        let result = program
-            .run_st(&t, source_db, &mut ExecCtx { threads: 1, ..self.chase_ctx(gov) })
-            .map(|run| (run.target, run.stats))
-            .map_err(|f| EngineError::Exec(f.into()));
+        let result =
+            program.run_st(&t, source_db, ctx).map_err(|f| EngineError::Exec(f.into()));
         match &result {
-            Ok((db, stats)) => {
-                span.field("fired", stats.fired);
-                span.field("target_tuples", db.total_tuples());
+            Ok(run) => {
+                span.field("fired", run.stats.fired);
+                span.field("target_tuples", run.target.total_tuples());
             }
             Err(e) => span.field("error", e.to_string()),
         }
@@ -879,28 +869,6 @@ impl Engine {
         Ok(self.propagator.status(id)?)
     }
 
-    /// [`Self::exchange`] with an EXPLAIN report: alongside the universal
-    /// instance, a [`ChaseExplain`] carrying the compiled join order and
-    /// per-atom selectivities of every tgd body plus the per-round chase
-    /// deltas. The report is computed against the *source* instance, so
-    /// two identical invocations render byte-identical text.
-    pub fn explain_exchange(
-        &self,
-        mapping: &str,
-        target_schema: &str,
-        source_db: &Database,
-    ) -> Result<(Database, mm_chase::ChaseStats, ChaseExplain), EngineError> {
-        let (m, mid) = self.repo.latest_mapping(mapping)?;
-        let (t, _) = self.schema(target_schema)?;
-        let tgds = Self::tgds_of(&m)?;
-        let program = self.chase_program(mapping, &mid, &tgds, source_db);
-        let mut gov = Governor::new(&self.config.budget);
-        let run = program
-            .run_st(&t, source_db, &mut ExecCtx { explain: true, ..self.chase_ctx(&mut gov) })
-            .map_err(|f| EngineError::Exec(f.into()))?;
-        Ok((run.target, run.stats, explained(run.explain)?))
-    }
-
     /// A plan-only EXPLAIN of the exchange `mapping` would run over
     /// `source_db`: the compiled (cached) join orders and per-atom
     /// cardinalities of every tgd body, with no rounds — nothing
@@ -982,151 +950,6 @@ impl Engine {
             .map_err(|f| EngineError::Exec(f.into()))?;
         Ok((db, run.outcome, explained(run.explain)?))
     }
-
-    /// Serve a batch of data-exchange requests, fanning the chases
-    /// across up to [`EngineConfig::threads`] workers.
-    ///
-    /// Semantics, request by request, are identical to calling
-    /// [`Self::exchange`] sequentially with `threads = 1` — same
-    /// universal instances, same labeled-null ids, same stats, results
-    /// in input order — except that the whole batch is metered against
-    /// **one** budget: every worker's governor is forked off a shared
-    /// meter, so the configured step/row caps bound the batch's *total*
-    /// work and a wall-clock deadline or [`mm_guard::CancelToken`] trip
-    /// stops all workers. One request's failure (unresolvable name,
-    /// budget trip) does not abort the others; each slot carries its own
-    /// result.
-    ///
-    /// **Multi-query sharing**: requests that are *identical* — same
-    /// mapping name, same target schema, same source instance (by
-    /// identity) — are chased once; duplicate slots receive a clone of
-    /// the representative's universal instance. The chase is
-    /// deterministic, so the clone is bit-identical (same tuples, same
-    /// labeled-null ids, same stats) to re-running it; the only
-    /// observable difference is that shared slots do not re-consume the
-    /// batch budget. Shared slots are counted in the
-    /// `mqo_shared_plans` metric and the batch span's `mqo_shared`
-    /// field.
-    pub fn exchange_batch(
-        &self,
-        requests: &[ExchangeRequest<'_>],
-    ) -> Vec<Result<(Database, mm_chase::ChaseStats), EngineError>> {
-        let tel = &self.config.telemetry;
-        let mut span = Span::enter(tel, "engine.exchange_batch", requests.len().to_string());
-        // multi-query sharing: map every request to the first identical
-        // one (itself when unique). Source instances compare by identity
-        // — a pointer, not a deep compare — so the dedup scan is O(n).
-        let rep: Vec<usize> = {
-            let mut seen: std::collections::HashMap<(usize, &str, &str), usize> =
-                std::collections::HashMap::new();
-            requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let key =
-                        (r.source_db as *const Database as usize, r.mapping, r.target_schema);
-                    *seen.entry(key).or_insert(i)
-                })
-                .collect()
-        };
-        let shared = rep.iter().enumerate().filter(|&(i, &r)| r != i).count() as u64;
-        // Resolve names and compile/fetch plans up front on the calling
-        // thread: repository and plan-cache access stays out of the
-        // workers, which then run pure chases over shared-`Arc` plans.
-        let resolved: Vec<Result<(Schema, Arc<ChaseProgram>), EngineError>> = requests
-            .iter()
-            .map(|r| {
-                let (m, mid) = self.repo.latest_mapping(r.mapping)?;
-                let (t, _) = self.schema(r.target_schema)?;
-                let tgds = Self::tgds_of(&m)?;
-                let program = self.chase_program(r.mapping, &mid, &tgds, r.source_db);
-                Ok((t, program))
-            })
-            .collect();
-        let lead = Governor::new(&self.config.budget);
-        let (_, govs) = lead.fork_shared(requests.len());
-        let govs: Vec<Mutex<Governor>> = govs.into_iter().map(Mutex::new).collect();
-        let (pooled, run) = mm_parallel::map_indexed(
-            self.config.threads,
-            requests.len(),
-            |i, _ctx| -> Result<_, std::convert::Infallible> {
-                if rep[i] != i {
-                    // duplicate of an earlier identical request: its slot
-                    // is filled by sharing after the pool joins
-                    return Ok(None);
-                }
-                let Ok((schema, program)) = &resolved[i] else {
-                    // resolve error: the slot is filled from `resolved`
-                    // after the pool joins
-                    return Ok(None);
-                };
-                let mut gov = govs[i].lock();
-                Ok(Some(
-                    program
-                        .run_st(
-                            schema,
-                            requests[i].source_db,
-                            &mut ExecCtx { threads: 1, ..self.chase_ctx(&mut gov) },
-                        )
-                        .map(|run| (run.target, run.stats))
-                        .map_err(|f| EngineError::Exec(f.into())),
-                ))
-            },
-        );
-        span.field("threads", self.config.threads);
-        if shared > 0 {
-            span.field("mqo_shared", shared);
-            tel.count(Counter::MqoSharedPlans, shared);
-        }
-        span.field("parallel.workers", run.workers);
-        span.field("parallel.steals", run.steals);
-        span.field("parallel.tasks", run.tasks);
-        if let Some(m) = tel.metrics() {
-            m.add(Counter::ParallelWorkers, run.workers as u64);
-            m.add(Counter::ParallelSteals, run.steals);
-            m.add(Counter::ParallelTasks, run.tasks);
-        }
-        self.sample_alloc();
-        span.finish();
-        let pooled = match pooled {
-            Ok(v) => v,
-            Err(never) => match never {},
-        };
-        let mut out: Vec<Result<(Database, mm_chase::ChaseStats), EngineError>> =
-            Vec::with_capacity(requests.len());
-        for (i, (slot, res)) in pooled.into_iter().zip(resolved).enumerate() {
-            if rep[i] != i {
-                // shared slot: resolve errors stay the slot's own; a
-                // resolved duplicate clones its representative's result
-                // (chase failures are Exec and clone; the representative
-                // cannot have failed resolution when the duplicate — the
-                // same inputs — resolved)
-                out.push(match res {
-                    Err(e) => Err(e),
-                    Ok(_) => match &out[rep[i]] {
-                        Ok((db, stats)) => Ok((db.clone(), *stats)),
-                        Err(EngineError::Exec(e)) => Err(EngineError::Exec(e.clone())),
-                        Err(_) => Err(EngineError::Exec(mm_guard::ExecError::internal(
-                            "exchange_batch shared slot lost its representative's result",
-                        ))),
-                    },
-                });
-                continue;
-            }
-            out.push(match (slot, res) {
-                (Some(outcome), Ok(_)) => outcome,
-                (None, Err(e)) => Err(e),
-                // a resolved request always produces Some, and a failed
-                // resolve always produces None — unreachable by
-                // construction, surfaced as an internal error not a panic
-                (Some(_), Err(e)) => Err(e),
-                (None, Ok(_)) => Err(EngineError::Exec(mm_guard::ExecError::internal(
-                    "exchange_batch worker produced no result for a resolved request",
-                ))),
-            });
-        }
-        out
-    }
 }
 
 /// The report of a chase run with [`ExecCtx::explain`] set.
@@ -1136,24 +959,31 @@ fn explained(explain: Option<ChaseExplain>) -> Result<ChaseExplain, EngineError>
     })
 }
 
-/// One request in an [`Engine::exchange_batch`] call: the same triple
-/// [`Engine::exchange`] takes.
-#[derive(Debug, Clone, Copy)]
-pub struct ExchangeRequest<'a> {
-    /// Stored mapping name (latest version is used).
-    pub mapping: &'a str,
-    /// Stored target-schema name.
-    pub target_schema: &'a str,
-    /// Source instance to chase.
-    pub source_db: &'a Database,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan_cache::PLAN_CACHE_SHARDS;
     use mm_expr::{Expr, MappingConstraint};
     use mm_instance::Value;
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl Engine {
+        /// How many compiled chase programs the engine currently holds.
+        pub(crate) fn cached_chase_plans(&self) -> usize {
+            self.chase_plans.len()
+        }
+
+        /// Per-shard plan counts of the sharded cache, in stripe order
+        /// (length [`PLAN_CACHE_SHARDS`]). Sums to
+        /// [`Self::cached_chase_plans`].
+        pub(crate) fn cached_chase_plan_shards(&self) -> [usize; PLAN_CACHE_SHARDS] {
+            self.chase_plans.shard_sizes()
+        }
+    }
+
+    fn unbounded() -> Governor {
+        Governor::new(&ExecBudget::unbounded())
+    }
 
     fn er() -> Schema {
         SchemaBuilder::new("ER")
@@ -1265,7 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_per_mapping_version_and_can_be_disabled() {
+    fn plan_cache_reuses_per_mapping_version() {
         let copy_mapping = || {
             let mut m = Mapping::new("S", "T");
             m.push_tgd(mm_expr::Tgd::new(
@@ -1322,16 +1152,14 @@ mod tests {
             engine.cached_chase_plans()
         );
 
-        // and the knob disables caching entirely
-        let uncached =
-            Engine::with_config(EngineConfig { cache_plans: false, ..Default::default() })
-                .unwrap();
-        let s = schemas(&uncached);
-        uncached.add_mapping("m", copy_mapping()).unwrap();
+        // the cached plan answers exactly like a fresh compile: a fresh
+        // engine's first call is a cache miss
+        let fresh = Engine::new();
+        let s = schemas(&fresh);
+        fresh.add_mapping("m", copy_mapping()).unwrap();
         let mut db = Database::empty_of(&s);
         db.insert("R", mm_instance::Tuple::from([Value::Int(1)]));
-        let (out3, _) = uncached.exchange("m", "T", &db).unwrap();
-        assert_eq!(uncached.cached_chase_plans(), 0);
+        let (out3, _) = fresh.exchange("m", "T", &db).unwrap();
         assert_eq!(out1, out3);
     }
 
@@ -1411,7 +1239,7 @@ mod tests {
         }
         engine.exchange("m", "T", &db1).unwrap();
         assert_eq!(engine.cached_chase_plans(), 1);
-        let (_, _, ex1) = engine.explain_exchange("m", "T", &db1).unwrap();
+        let (_, _, ex1) = engine.explain_exchange("m", "T", &db1, &mut unbounded()).unwrap();
         assert_eq!(ex1.tgds[0].body.join_order, ["Tiny", "Big"]);
         assert_eq!(tel.metrics().unwrap().snapshot().value("plan_replans"), 0);
 
@@ -1428,7 +1256,7 @@ mod tests {
         assert_eq!(snap.value("plan_misestimates"), 1);
         assert_eq!(snap.value("plan_replans"), 1);
         assert_eq!(engine.cached_chase_plans(), 1, "invalidate then reinsert, no growth");
-        let (_, _, ex2) = engine.explain_exchange("m", "T", &db2).unwrap();
+        let (_, _, ex2) = engine.explain_exchange("m", "T", &db2, &mut unbounded()).unwrap();
         assert_eq!(ex2.tgds[0].body.join_order, ["Big", "Tiny"], "order corrected");
         // the corrected plan fits current statistics: no further re-plan
         assert_eq!(tel.metrics().unwrap().snapshot().value("plan_replans"), 1);
@@ -1483,146 +1311,6 @@ mod tests {
         assert_eq!(out2.relation("U").unwrap().len(), 0, "stale v1 plan served");
         assert_eq!(out2.relation("V").unwrap().len(), 1);
         assert_eq!(engine.cached_chase_plans(), 1);
-    }
-
-    #[test]
-    fn exchange_batch_shares_identical_requests_bit_identically() {
-        // three identical requests plus one distinct: the identical ones
-        // chase once (two shared slots counted), and every slot still
-        // matches its sequential exchange — tuples and labeled-null ids.
-        let tel = Telemetry::new(mm_telemetry::RingCollector::with_capacity(256));
-        let engine = Engine::with_config(EngineConfig {
-            telemetry: tel.clone(),
-            ..Default::default()
-        })
-        .unwrap();
-        let s = SchemaBuilder::new("S")
-            .relation("R", &[("a", DataType::Int)])
-            .build()
-            .unwrap();
-        let t = SchemaBuilder::new("T")
-            .relation("U", &[("a", DataType::Int), ("w", DataType::Any)])
-            .build()
-            .unwrap();
-        engine.add_schema(s.clone()).unwrap();
-        engine.add_schema(t).unwrap();
-        let mut m = Mapping::new("S", "T");
-        // existential head: shared slots must reproduce null ids exactly
-        m.push_tgd(mm_expr::Tgd::new(
-            vec![mm_expr::Atom::vars("R", &["x"])],
-            vec![mm_expr::Atom::vars("U", &["x", "w"])],
-        ));
-        engine.add_mapping("m", m).unwrap();
-        let mut db_a = Database::empty_of(&s);
-        let mut db_b = Database::empty_of(&s);
-        for i in 0..5 {
-            db_a.insert("R", mm_instance::Tuple::from([Value::Int(i)]));
-            db_b.insert("R", mm_instance::Tuple::from([Value::Int(100 + i)]));
-        }
-        let req = |db| ExchangeRequest { mapping: "m", target_schema: "T", source_db: db };
-        let results =
-            engine.exchange_batch(&[req(&db_a), req(&db_a), req(&db_b), req(&db_a)]);
-        assert_eq!(tel.metrics().unwrap().snapshot().value("mqo_shared_plans"), 2);
-        let (seq_a, stats_a) = engine.exchange("m", "T", &db_a).unwrap();
-        let (seq_b, stats_b) = engine.exchange("m", "T", &db_b).unwrap();
-        let expect = [(&seq_a, stats_a), (&seq_a, stats_a), (&seq_b, stats_b), (&seq_a, stats_a)];
-        for (got, (db, stats)) in results.iter().zip(expect) {
-            let (gdb, gstats) = got.as_ref().unwrap();
-            assert_eq!(gdb, db);
-            assert_eq!(*gstats, stats);
-        }
-    }
-
-    #[test]
-    fn exchange_batch_matches_sequential_exchange() {
-        let engine = Engine::new();
-        let s = SchemaBuilder::new("S")
-            .relation("R", &[("a", DataType::Int)])
-            .build()
-            .unwrap();
-        let t = SchemaBuilder::new("T")
-            .relation("U", &[("a", DataType::Int), ("w", DataType::Any)])
-            .build()
-            .unwrap();
-        engine.add_schema(s.clone()).unwrap();
-        engine.add_schema(t).unwrap();
-        let mut m = Mapping::new("S", "T");
-        // existential head: null ids must match the sequential runs too
-        m.push_tgd(mm_expr::Tgd::new(
-            vec![mm_expr::Atom::vars("R", &["x"])],
-            vec![mm_expr::Atom::vars("U", &["x", "w"])],
-        ));
-        engine.add_mapping("m", m).unwrap();
-        let dbs: Vec<Database> = (0..6)
-            .map(|k| {
-                let mut db = Database::empty_of(&s);
-                for i in 0..=k {
-                    db.insert("R", mm_instance::Tuple::from([Value::Int(i as i64)]));
-                }
-                db
-            })
-            .collect();
-        let sequential: Vec<_> =
-            dbs.iter().map(|db| engine.exchange("m", "T", db).unwrap()).collect();
-        for threads in [1, 2, 4, 8] {
-            let batch_engine = Engine::with_config(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            })
-            .unwrap();
-            batch_engine.add_schema(s.clone()).unwrap();
-            batch_engine
-                .add_schema(engine.repo.latest_schema("T").unwrap().0)
-                .unwrap();
-            let mut m = Mapping::new("S", "T");
-            m.push_tgd(mm_expr::Tgd::new(
-                vec![mm_expr::Atom::vars("R", &["x"])],
-                vec![mm_expr::Atom::vars("U", &["x", "w"])],
-            ));
-            batch_engine.add_mapping("m", m).unwrap();
-            let requests: Vec<ExchangeRequest<'_>> = dbs
-                .iter()
-                .map(|db| ExchangeRequest { mapping: "m", target_schema: "T", source_db: db })
-                .collect();
-            let results = batch_engine.exchange_batch(&requests);
-            assert_eq!(results.len(), sequential.len());
-            for (i, (got, want)) in results.into_iter().zip(&sequential).enumerate() {
-                let got = got.unwrap();
-                assert_eq!(&got, want, "request {i} at threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn exchange_batch_reports_per_request_errors() {
-        let engine = Engine::new();
-        let s = SchemaBuilder::new("S")
-            .relation("R", &[("a", DataType::Int)])
-            .build()
-            .unwrap();
-        let t = SchemaBuilder::new("T")
-            .relation("U", &[("a", DataType::Int)])
-            .build()
-            .unwrap();
-        engine.add_schema(s.clone()).unwrap();
-        engine.add_schema(t).unwrap();
-        let mut m = Mapping::new("S", "T");
-        m.push_tgd(mm_expr::Tgd::new(
-            vec![mm_expr::Atom::vars("R", &["x"])],
-            vec![mm_expr::Atom::vars("U", &["x"])],
-        ));
-        engine.add_mapping("m", m).unwrap();
-        let mut db = Database::empty_of(&s);
-        db.insert("R", mm_instance::Tuple::from([Value::Int(1)]));
-        let requests = [
-            ExchangeRequest { mapping: "m", target_schema: "T", source_db: &db },
-            ExchangeRequest { mapping: "no_such_mapping", target_schema: "T", source_db: &db },
-            ExchangeRequest { mapping: "m", target_schema: "T", source_db: &db },
-        ];
-        let results = engine.exchange_batch(&requests);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(EngineError::Repository(_))), "{:?}", results[1]);
-        assert!(results[2].is_ok(), "one bad request must not poison the rest");
     }
 
     #[test]

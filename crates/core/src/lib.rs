@@ -11,6 +11,15 @@
 //! The operator sub-crates remain directly usable; the engine is the
 //! convenience layer gluing them to the repository. All public types of
 //! the sub-crates are re-exported under [`prelude`].
+//!
+//! Each operator has one entry point, and the served path is the only
+//! path: data exchange is [`Engine::exchange`] (configured budget) or
+//! [`Engine::exchange_governed`] (a caller's governor — the server's
+//! entry point, which a wire batch loops over), and
+//! [`Engine::explain_exchange`] shares that body under the caller's
+//! governor. A function is `pub` only when something outside its crate
+//! links it; the root `tests/surface.rs` holds each crate's `pub fn`
+//! count to a committed ceiling.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -20,7 +29,7 @@ pub mod plan_cache;
 pub mod script;
 
 pub use engine::{
-    Durability, Engine, EngineConfig, EngineError, ExchangeRequest, DEFAULT_CHASE_ROUNDS,
+    Durability, Engine, EngineConfig, EngineError, DEFAULT_CHASE_ROUNDS,
 };
 pub use plan_cache::{PlanCache, PLAN_CACHE_SHARDS};
 pub use script::{run_script, ScriptError};
@@ -28,7 +37,7 @@ pub use script::{run_script, ScriptError};
 /// One-stop imports for applications embedding the engine.
 pub mod prelude {
     pub use crate::engine::{
-        Durability, Engine, EngineConfig, EngineError, ExchangeRequest, DEFAULT_CHASE_ROUNDS,
+        Durability, Engine, EngineConfig, EngineError, DEFAULT_CHASE_ROUNDS,
     };
     pub use crate::plan_cache::{PlanCache, PLAN_CACHE_SHARDS};
     pub use crate::script::{run_script, ScriptError};

@@ -59,7 +59,7 @@ impl PlanCache {
     /// engine detects that a cached plan's compile-time statistics have
     /// drifted from the live instance, it invalidates here and recompiles
     /// against current cardinalities.
-    pub fn invalidate(&self, name: &str) -> bool {
+    pub(crate) fn invalidate(&self, name: &str) -> bool {
         self.shard(name).lock().remove(name).is_some()
     }
 
@@ -71,16 +71,6 @@ impl PlanCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Per-shard entry counts, in stripe order — observability for the
-    /// striping itself (tests assert entries actually spread out).
-    pub fn shard_sizes(&self) -> [usize; PLAN_CACHE_SHARDS] {
-        let mut out = [0; PLAN_CACHE_SHARDS];
-        for (o, s) in out.iter_mut().zip(&self.shards) {
-            *o = s.lock().len();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -90,6 +80,18 @@ mod tests {
     use mm_instance::Database;
     use mm_metamodel::{DataType, SchemaBuilder};
     use mm_repository::Repository;
+
+    impl PlanCache {
+        /// Per-shard entry counts, in stripe order — observability for the
+        /// striping itself (tests assert entries actually spread out).
+        pub(crate) fn shard_sizes(&self) -> [usize; PLAN_CACHE_SHARDS] {
+            let mut out = [0; PLAN_CACHE_SHARDS];
+            for (o, s) in out.iter_mut().zip(&self.shards) {
+                *o = s.lock().len();
+            }
+            out
+        }
+    }
 
     fn program() -> Arc<ChaseProgram> {
         let s = SchemaBuilder::new("S")

@@ -296,7 +296,7 @@ impl CqPlan {
 
     /// Source-atom indexes in canonical (greedy-at-first-compile) rank
     /// order — the enumeration order emitted position vectors are
-    /// expressed in. Equals [`CqPlan::source_order`] for greedy plans.
+    /// expressed in. Equals the walk order for greedy plans.
     pub fn canonical_source_order(&self) -> Vec<usize> {
         match &self.canon {
             Some(perm) => perm.iter().map(|&p| self.source[p]).collect(),
@@ -321,18 +321,6 @@ impl CqPlan {
 
     pub fn atoms(&self) -> &[AtomPlan] {
         &self.atoms
-    }
-
-    /// Plan position → source-atom index.
-    pub fn source_order(&self) -> &[usize] {
-        &self.source
-    }
-
-    /// Estimated cumulative match cardinality after each plan atom (plan
-    /// order). Empty unless this plan was compiled by
-    /// [`CqPlan::compile_costed`].
-    pub fn estimates(&self) -> &[f64] {
-        &self.estimates
     }
 
     /// Whether this plan was compiled by [`CqPlan::compile_costed`]
@@ -960,17 +948,6 @@ pub struct AtomExplain {
     pub est_rows: Option<u64>,
 }
 
-impl AtomExplain {
-    /// Fraction of the relation the range restriction admits, in
-    /// `[0, 1]`; `1.0` for an empty relation (nothing is excluded).
-    pub fn selectivity(&self) -> f64 {
-        if self.rows_total == 0 {
-            1.0
-        } else {
-            self.rows_admitted as f64 / self.rows_total as f64
-        }
-    }
-}
 
 /// Structured description of a compiled plan: [`CqPlan::explain`].
 #[derive(Debug, Clone, PartialEq)]
@@ -1061,6 +1038,13 @@ mod tests {
     use mm_guard::ExecBudget;
     use mm_instance::RelSchema;
     use mm_metamodel::DataType;
+
+    impl CqPlan {
+        /// Plan position → source-atom index.
+        pub(crate) fn source_order(&self) -> &[usize] {
+            &self.source
+        }
+    }
 
     fn db() -> Database {
         let mut db = Database::new("D");

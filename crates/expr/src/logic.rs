@@ -45,16 +45,6 @@ impl Term {
         }
     }
 
-    /// Collect the function symbols of the term into `out`.
-    pub fn funcs<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
-        if let Term::Func(f, args) = self {
-            out.insert(f);
-            for a in args {
-                a.funcs(out);
-            }
-        }
-    }
-
     /// Whether the term contains any function application.
     pub fn has_func(&self) -> bool {
         matches!(self, Term::Func(..))
@@ -194,7 +184,7 @@ impl Tgd {
     }
 
     /// Universally quantified variables: those of the body.
-    pub fn universal_vars(&self) -> BTreeSet<&str> {
+    pub(crate) fn universal_vars(&self) -> BTreeSet<&str> {
         let mut out = BTreeSet::new();
         for a in &self.body {
             for t in &a.terms {
@@ -215,12 +205,6 @@ impl Tgd {
         }
         out.retain(|v| !uni.contains(v));
         out
-    }
-
-    /// Whether the tgd is *full* (no existential variables). Full tgds
-    /// compose trivially; existentials are what force SO-tgds.
-    pub fn is_full(&self) -> bool {
-        self.existential_vars().is_empty()
     }
 
     /// Basic well-formedness: non-empty body/head, no function symbols.
@@ -267,16 +251,6 @@ impl Tgd {
         }
         Ok(())
     }
-
-    /// Rename every variable with a prefix — used to keep variable scopes
-    /// disjoint when combining tgds (composition, merge).
-    pub fn prefixed(&self, prefix: &str) -> Tgd {
-        let sub = |v: &str| Some(Term::Var(format!("{prefix}{v}")));
-        Tgd {
-            body: self.body.iter().map(|a| a.substitute(&sub)).collect(),
-            head: self.head.iter().map(|a| a.substitute(&sub)).collect(),
-        }
-    }
 }
 
 impl fmt::Display for Tgd {
@@ -302,12 +276,6 @@ pub struct SoClause {
     /// composition.
     pub eqs: Vec<(Term, Term)>,
     pub head: Vec<Atom>,
-}
-
-impl SoClause {
-    pub fn from_tgd_clause(body: Vec<Atom>, head: Vec<Atom>) -> Self {
-        SoClause { body, eqs: Vec::new(), head }
-    }
 }
 
 impl fmt::Display for SoClause {
@@ -378,6 +346,24 @@ impl fmt::Display for SoTgd {
 mod tests {
     use super::*;
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl Tgd {
+        /// Rename every variable with a prefix — used to keep variable scopes
+        /// disjoint when combining tgds (composition, merge).
+        pub(crate) fn prefixed(&self, prefix: &str) -> Tgd {
+            let sub = |v: &str| Some(Term::Var(format!("{prefix}{v}")));
+            Tgd {
+                body: self.body.iter().map(|a| a.substitute(&sub)).collect(),
+                head: self.head.iter().map(|a| a.substitute(&sub)).collect(),
+            }
+        }
+
+        /// Whether the tgd is *full* (no existential variables). Full tgds
+        /// compose trivially; existentials are what force SO-tgds.
+        pub(crate) fn is_full(&self) -> bool {
+            self.existential_vars().is_empty()
+        }
+    }
 
     fn tgd_emp() -> Tgd {
         // Emp(e) -> exists m . Mgr(e, m)

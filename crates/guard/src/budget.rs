@@ -90,26 +90,14 @@ impl ExecBudget {
         self
     }
 
-    pub fn hard_deadline(&self) -> Option<Instant> {
-        self.hard_deadline
-    }
-
     /// Attach an externally held cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
     }
 
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     pub fn max_rounds(&self) -> Option<u64> {
         self.max_rounds
-    }
-
-    pub fn max_clauses(&self) -> Option<u64> {
-        self.max_clauses
     }
 }
 

@@ -3,8 +3,6 @@
 use crate::relation::{RelSchema, Relation, Tuple};
 use crate::value::Value;
 use mm_metamodel::Schema;
-#[cfg(test)]
-use mm_metamodel::TYPE_ATTR;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,7 +44,7 @@ impl Database {
 
     /// The instance-level column layout for element `name` of `schema`.
     /// Delegates to [`Schema::instance_layout`].
-    pub fn instance_schema(schema: &Schema, name: &str) -> Option<RelSchema> {
+    pub(crate) fn instance_schema(schema: &Schema, name: &str) -> Option<RelSchema> {
         schema.instance_layout(name).map(RelSchema::new)
     }
 
@@ -130,7 +128,7 @@ impl fmt::Display for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_metamodel::{DataType, SchemaBuilder};
+    use mm_metamodel::{DataType, SchemaBuilder, TYPE_ATTR};
 
     fn er_schema() -> Schema {
         SchemaBuilder::new("ER")

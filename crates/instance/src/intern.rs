@@ -80,7 +80,7 @@ impl Symbol {
     /// The precomputed string hash ([`str_hash`] of the resolved text).
     /// An unresolvable id hashes as `str_hash("")`, consistent with its
     /// `""` resolution.
-    pub fn hash64(self) -> u64 {
+    pub(crate) fn hash64(self) -> u64 {
         entry(self.0).map_or_else(|| str_hash(""), |e| e.hash)
     }
 }
@@ -235,7 +235,7 @@ impl std::hash::Hasher for FxHasher {
 /// prefixes don't collide trivially). This is the hash precomputed per
 /// pool entry and written by `Value`'s `Hash` for text — computed here so
 /// `Value::Text` and `Value::Sym` of equal strings hash identically.
-pub fn str_hash(s: &str) -> u64 {
+pub(crate) fn str_hash(s: &str) -> u64 {
     use std::hash::Hasher;
     let mut h = FxHasher::default();
     h.write(s.as_bytes());

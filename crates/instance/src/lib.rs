@@ -20,7 +20,7 @@ pub mod value;
 
 pub use database::Database;
 pub use intern::{FxHasher, Symbol};
-pub use relation::{hash_values, RelIndex, RelSchema, Relation, Tuple, INLINE_ARITY};
+pub use relation::{RelIndex, RelSchema, Relation, Tuple, INLINE_ARITY};
 pub use stats::{ColSketch, RelStats};
 pub use validate::{validate, InstanceViolation};
 pub use value::Value;

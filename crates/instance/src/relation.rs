@@ -27,7 +27,7 @@ pub const INLINE_ARITY: usize = 4;
 /// [`Tuple`] over the same values caches at construction, so slice-keyed
 /// probes ([`RelIndex::probe`], [`Relation::contains_values`]) land in
 /// the same buckets as stored tuples without building a tuple.
-pub fn hash_values(values: &[Value]) -> u64 {
+pub(crate) fn hash_values(values: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     for v in values {
         v.hash(&mut h);
@@ -51,7 +51,7 @@ enum Repr {
 /// around heavily.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tuple {
-    /// [`hash_values`] of the payload, computed at construction.
+    /// `hash_values` of the payload, computed at construction.
     hash: u64,
     repr: Repr,
 }
@@ -95,8 +95,8 @@ impl Tuple {
         }
     }
 
-    /// The hash cached at construction ([`hash_values`] of the payload).
-    pub fn hash64(&self) -> u64 {
+    /// The hash cached at construction (`hash_values` of the payload).
+    pub(crate) fn hash64(&self) -> u64 {
         self.hash
     }
 
@@ -112,21 +112,12 @@ impl Tuple {
     /// [`Value::Null`] rather than panicking (the §7 no-panic guarantee on
     /// caller data): a NULL join key matches nothing under SQL semantics,
     /// so a malformed projection degrades to an empty join instead of
-    /// aborting. Use [`Tuple::try_project`] where out-of-range positions
-    /// must be detected instead of absorbed.
+    /// aborting.
     pub fn project(&self, positions: &[usize]) -> Tuple {
         Tuple::build(
             positions.len(),
             positions.iter().map(|&i| self.get(i).cloned().unwrap_or(Value::Null)),
         )
-    }
-
-    /// Strict projection: `None` if any position is out of range.
-    pub fn try_project(&self, positions: &[usize]) -> Option<Tuple> {
-        if positions.iter().any(|&i| i >= self.arity()) {
-            return None;
-        }
-        Some(self.project(positions))
     }
 
     /// Concatenate with another tuple.
@@ -276,7 +267,7 @@ impl RelIndex {
 
     /// Insertion positions of every tuple whose projection onto the index
     /// pattern equals `key`, in insertion order; empty when none match.
-    /// Allocation-free: the key slice is hashed once ([`hash_values`],
+    /// Allocation-free: the key slice is hashed once (`hash_values`,
     /// matching the cached tuple hashes in the buckets) and compared only
     /// within its hash group.
     pub fn probe(&self, key: &[Value]) -> &[u32] {
@@ -584,6 +575,16 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tuple {
+        /// Strict projection: `None` if any position is out of range.
+        pub(crate) fn try_project(&self, positions: &[usize]) -> Option<Tuple> {
+            if positions.iter().any(|&i| i >= self.arity()) {
+                return None;
+            }
+            Some(self.project(positions))
+        }
+    }
 
     fn r2(name_a: &str, name_b: &str) -> Relation {
         Relation::new(RelSchema::of(&[(name_a, DataType::Int), (name_b, DataType::Text)]))

@@ -56,11 +56,6 @@ impl ColSketch {
     pub fn count(&self, v: &Value) -> u32 {
         self.counts.get(v).copied().unwrap_or(0)
     }
-
-    /// The most common value and its row count, if any rows exist.
-    pub fn mcv(&self) -> Option<(&Value, u32)> {
-        self.mcv.as_ref().map(|(v, c)| (v, *c))
-    }
 }
 
 /// Statistics snapshot for one relation. Obtained from
@@ -131,6 +126,13 @@ mod tests {
 
     use super::*;
     use crate::relation::Tuple;
+
+    impl ColSketch {
+        /// The most common value and its row count, if any rows exist.
+        pub(crate) fn mcv(&self) -> Option<(&Value, u32)> {
+            self.mcv.as_ref().map(|(v, c)| (v, *c))
+        }
+    }
 
     fn tup(a: i64, b: i64) -> Tuple {
         Tuple::from([Value::Int(a), Value::Int(b)])

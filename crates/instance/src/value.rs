@@ -74,7 +74,7 @@ impl Value {
     }
 
     /// Whether the value is a constant (not NULL and not a labeled null).
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         !matches!(self, Value::Null | Value::Labeled(_))
     }
 
@@ -88,7 +88,7 @@ impl Value {
 
     /// Whether the value conforms to the attribute type `ty`
     /// (`Int` is accepted where `Double` is expected).
-    pub fn conforms_to(&self, ty: DataType) -> bool {
+    pub(crate) fn conforms_to(&self, ty: DataType) -> bool {
         match self.data_type() {
             Some(t) => t.compatible_with(ty),
             None => true, // nulls conform to any type; nullability is checked separately

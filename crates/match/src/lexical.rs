@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 /// Split an identifier into lowercase word tokens: `camelCase`,
 /// `PascalCase`, `snake_case`, `kebab-case`, and digit boundaries all
 /// split.
-pub fn tokenize(name: &str) -> Vec<String> {
+pub(crate) fn tokenize(name: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut cur = String::new();
     let mut prev_lower = false;
@@ -30,25 +30,9 @@ pub fn tokenize(name: &str) -> Vec<String> {
     tokens
 }
 
-/// Jaccard similarity of two token sets.
-pub fn token_jaccard(a: &[String], b: &[String]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let sa: HashSet<&str> = a.iter().map(String::as_str).collect();
-    let sb: HashSet<&str> = b.iter().map(String::as_str).collect();
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    if union == 0.0 {
-        0.0
-    } else {
-        inter / union
-    }
-}
-
 /// Dice coefficient over character trigrams of the lowercased names —
 /// robust to abbreviation and truncation.
-pub fn trigram_dice(a: &str, b: &str) -> f64 {
+pub(crate) fn trigram_dice(a: &str, b: &str) -> f64 {
     let ta = trigrams(a);
     let tb = trigrams(b);
     if ta.is_empty() && tb.is_empty() {
@@ -72,7 +56,7 @@ fn trigrams(s: &str) -> Vec<[char; 3]> {
 }
 
 /// Levenshtein distance, normalized into a similarity in `[0, 1]`.
-pub fn edit_similarity(a: &str, b: &str) -> f64 {
+pub(crate) fn edit_similarity(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.to_lowercase().chars().collect();
     let b: Vec<char> = b.to_lowercase().chars().collect();
     if a.is_empty() && b.is_empty() {
@@ -112,7 +96,7 @@ impl Thesaurus {
     }
 
     /// A thesaurus seeded with common database naming synonyms.
-    pub fn with_defaults() -> Self {
+    pub(crate) fn with_defaults() -> Self {
         let mut t = Self::new();
         for (a, b) in [
             ("id", "identifier"),
@@ -166,7 +150,7 @@ impl Thesaurus {
         }
     }
 
-    pub fn are_synonyms(&self, a: &str, b: &str) -> bool {
+    pub(crate) fn are_synonyms(&self, a: &str, b: &str) -> bool {
         a == b
             || matches!(
                 (self.group.get(a), self.group.get(b)),
@@ -175,7 +159,7 @@ impl Thesaurus {
     }
 
     /// Jaccard over tokens where synonym pairs count as intersecting.
-    pub fn synonym_jaccard(&self, a: &[String], b: &[String]) -> f64 {
+    pub(crate) fn synonym_jaccard(&self, a: &[String], b: &[String]) -> f64 {
         if a.is_empty() && b.is_empty() {
             return 1.0;
         }
@@ -203,7 +187,7 @@ impl Thesaurus {
 /// Combined lexical similarity: the maximum of synonym-aware token
 /// Jaccard, trigram Dice, and edit similarity. Max (not mean) because each
 /// signal covers a different failure mode of the others.
-pub fn name_similarity(a: &str, b: &str, thesaurus: &Thesaurus) -> f64 {
+pub(crate) fn name_similarity(a: &str, b: &str, thesaurus: &Thesaurus) -> f64 {
     let ta = tokenize(a);
     let tb = tokenize(b);
     let tok = thesaurus.synonym_jaccard(&ta, &tb);
@@ -215,6 +199,22 @@ pub fn name_similarity(a: &str, b: &str, thesaurus: &Thesaurus) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Jaccard similarity of two token sets.
+    pub(crate) fn token_jaccard(a: &[String], b: &[String]) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        let sa: HashSet<&str> = a.iter().map(String::as_str).collect();
+        let sb: HashSet<&str> = b.iter().map(String::as_str).collect();
+        let inter = sa.intersection(&sb).count() as f64;
+        let union = sa.union(&sb).count() as f64;
+        if union == 0.0 {
+            0.0
+        } else {
+            inter / union
+        }
+    }
 
     #[test]
     fn tokenizer_splits_conventions() {

@@ -252,20 +252,6 @@ impl IncrementalSession {
             .retain(|c| !(&c.source == source && &c.target == target));
     }
 
-    /// Remaining undecided candidates for a source path, best first.
-    pub fn undecided(&self, source: &PathRef) -> Vec<&Correspondence> {
-        self.candidates
-            .candidates_for(source)
-            .into_iter()
-            .filter(|c| {
-                !self
-                    .accepted
-                    .iter()
-                    .any(|(s, t)| s == &c.source && t == &c.target)
-            })
-            .collect()
-    }
-
     pub fn accepted(&self) -> &[(PathRef, PathRef)] {
         &self.accepted
     }
@@ -281,6 +267,22 @@ impl IncrementalSession {
 mod tests {
     use super::*;
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl IncrementalSession {
+        /// Remaining undecided candidates for a source path, best first.
+        pub(crate) fn undecided(&self, source: &PathRef) -> Vec<&Correspondence> {
+            self.candidates
+                .candidates_for(source)
+                .into_iter()
+                .filter(|c| {
+                    !self
+                        .accepted
+                        .iter()
+                        .any(|(s, t)| s == &c.source && t == &c.target)
+                })
+                .collect()
+        }
+    }
 
     fn schemas() -> (Schema, Schema) {
         let s = SchemaBuilder::new("S")

@@ -9,8 +9,6 @@
 
 use crate::lexical::tokenize;
 use mm_expr::{CorrespondenceSet, PathRef};
-#[cfg(test)]
-use mm_expr::Correspondence;
 use std::collections::HashSet;
 
 /// Normalized name pair: token sequences of the two sides.
@@ -56,16 +54,8 @@ impl MatchMemory {
         }
     }
 
-    /// Record every correspondence of a confirmed set (e.g. one stored in
-    /// the repository after the data architect signed it off).
-    pub fn remember_all(&mut self, confirmed: &CorrespondenceSet) {
-        for c in &confirmed.correspondences {
-            self.remember(&c.source, &c.target);
-        }
-    }
-
     /// Whether this (source, target) pair matches remembered history.
-    pub fn knows(&self, source: &PathRef, target: &PathRef) -> bool {
+    pub(crate) fn knows(&self, source: &PathRef, target: &PathRef) -> bool {
         let (se, sa) = Self::key(source);
         let (te, ta) = Self::key(target);
         match (sa, ta) {
@@ -111,7 +101,18 @@ pub fn remember_session(memory: &mut MatchMemory, accepted: &[(PathRef, PathRef)
 mod tests {
     use super::*;
     use crate::matcher::{match_schemas, MatchConfig};
+    use mm_expr::Correspondence;
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl MatchMemory {
+        /// Record every correspondence of a confirmed set (e.g. one stored in
+        /// the repository after the data architect signed it off).
+        pub(crate) fn remember_all(&mut self, confirmed: &CorrespondenceSet) {
+            for c in &confirmed.correspondences {
+                self.remember(&c.source, &c.target);
+            }
+        }
+    }
 
     #[test]
     fn memory_is_schema_independent_and_case_insensitive() {

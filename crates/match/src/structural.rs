@@ -108,7 +108,7 @@ impl Flooding {
         }
     }
 
-    pub fn attribute_score(&self, se: &str, sa: &str, te: &str, ta: &str) -> f64 {
+    pub(crate) fn attribute_score(&self, se: &str, sa: &str, te: &str, ta: &str) -> f64 {
         self.scores
             .get(&PairNode::Attribute {
                 source: (se.to_string(), sa.to_string()),
@@ -118,7 +118,7 @@ impl Flooding {
             .unwrap_or(0.0)
     }
 
-    pub fn element_score(&self, se: &str, te: &str) -> f64 {
+    pub(crate) fn element_score(&self, se: &str, te: &str) -> f64 {
         self.scores
             .get(&PairNode::Element { source: se.to_string(), target: te.to_string() })
             .copied()

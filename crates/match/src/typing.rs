@@ -5,7 +5,7 @@ use mm_metamodel::Attribute;
 /// Similarity contribution of the attribute types: the metamodel's type
 /// similarity scaled to leave head-room for a nullability-agreement bonus
 /// (two nullable or two mandatory attributes are slightly more alike).
-pub fn type_similarity(a: &Attribute, b: &Attribute) -> f64 {
+pub(crate) fn type_similarity(a: &Attribute, b: &Attribute) -> f64 {
     let base = 0.95 * a.ty.similarity(b.ty);
     let null_bonus = if a.nullable == b.nullable { 0.05 } else { 0.0 };
     base + null_bonus

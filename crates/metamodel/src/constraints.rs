@@ -59,20 +59,6 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// Whether the constraint mentions element `name`.
-    pub fn mentions(&self, name: &str) -> bool {
-        match self {
-            Constraint::Key(k) => k.element == name,
-            Constraint::ForeignKey(fk) => fk.from == name || fk.to == name,
-            Constraint::Inclusion(i) => i.from == name || i.to == name,
-            Constraint::Disjoint { left, right } => left == name || right == name,
-            Constraint::Covering { parent, children } => {
-                parent == name || children.iter().any(|c| c == name)
-            }
-            Constraint::NotNull { element, .. } => element == name,
-        }
-    }
-
     /// Every element the constraint mentions.
     pub fn elements(&self) -> Vec<&str> {
         match self {
@@ -195,6 +181,22 @@ mod tests {
     use super::*;
     use crate::builder::SchemaBuilder;
     use crate::types::DataType;
+
+    impl Constraint {
+        /// Whether the constraint mentions element `name`.
+        pub(crate) fn mentions(&self, name: &str) -> bool {
+            match self {
+                Constraint::Key(k) => k.element == name,
+                Constraint::ForeignKey(fk) => fk.from == name || fk.to == name,
+                Constraint::Inclusion(i) => i.from == name || i.to == name,
+                Constraint::Disjoint { left, right } => left == name || right == name,
+                Constraint::Covering { parent, children } => {
+                    parent == name || children.iter().any(|c| c == name)
+                }
+                Constraint::NotNull { element, .. } => element == name,
+            }
+        }
+    }
 
     fn rel_schema() -> Schema {
         SchemaBuilder::new("S")

@@ -152,22 +152,6 @@ impl Schema {
         Ok(())
     }
 
-    /// Remove an element by name, returning it. Constraints mentioning the
-    /// element are dropped as well (the caller is expected to have captured
-    /// them if they matter, e.g. Diff keeps them on the complement schema).
-    pub fn remove_element(&mut self, name: &str) -> Option<Element> {
-        let pos = *self.index.get(name)?;
-        let elem = self.elements.remove(pos);
-        self.index.remove(name);
-        for (_, idx) in self.index.iter_mut() {
-            if *idx > pos {
-                *idx -= 1;
-            }
-        }
-        self.constraints.retain(|c| !c.mentions(name));
-        Some(elem)
-    }
-
     pub fn element(&self, name: &str) -> Option<&Element> {
         self.index.get(name).map(|&i| &self.elements[i])
     }
@@ -213,7 +197,7 @@ impl Schema {
     }
 
     /// Direct children of entity type `name`.
-    pub fn children_of<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
+    pub(crate) fn children_of<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
         self.elements.iter().filter(move |e| match &e.kind {
             ElementKind::EntityType { parent: Some(p) } => p == name,
             _ => false,
@@ -399,6 +383,24 @@ impl fmt::Display for Schema {
 mod tests {
     use super::*;
     use crate::builder::SchemaBuilder;
+
+    impl Schema {
+        /// Remove an element by name, returning it. Constraints mentioning the
+        /// element are dropped as well (the caller is expected to have captured
+        /// them if they matter, e.g. Diff keeps them on the complement schema).
+        pub(crate) fn remove_element(&mut self, name: &str) -> Option<Element> {
+            let pos = *self.index.get(name)?;
+            let elem = self.elements.remove(pos);
+            self.index.remove(name);
+            for (_, idx) in self.index.iter_mut() {
+                if *idx > pos {
+                    *idx -= 1;
+                }
+            }
+            self.constraints.retain(|c| !c.mentions(name));
+            Some(elem)
+        }
+    }
 
     fn person_schema() -> Schema {
         SchemaBuilder::new("ER")

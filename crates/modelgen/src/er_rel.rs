@@ -89,7 +89,7 @@ pub struct ModelGenResult {
 
 /// The key attributes of the hierarchy rooted at `root`: the root's key
 /// constraint if present, otherwise its first attribute.
-pub fn hierarchy_key(schema: &Schema, root: &str) -> Result<Vec<Attribute>, ModelGenError> {
+pub(crate) fn hierarchy_key(schema: &Schema, root: &str) -> Result<Vec<Attribute>, ModelGenError> {
     let attrs = schema.all_attributes(root).map_err(ModelGenError::Construction)?;
     for c in &schema.constraints {
         if let Constraint::Key(Key { element, attributes }) = c {

@@ -36,4 +36,4 @@ pub use er_rel::{er_to_relational, InheritanceStrategy, ModelGenError, ModelGenR
 pub use nest::nest_relational;
 pub use nested::shred_nested;
 pub use rel_er::relational_to_er;
-pub use three_copy::{decode_universal, encode_universal, three_copy_translate};
+pub use three_copy::three_copy_translate;

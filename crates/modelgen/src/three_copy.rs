@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 /// Column layout of the universal triple relation:
 /// `(elem, tid, attr, vtype, value)`.
-pub fn universal_layout() -> RelSchema {
+pub(crate) fn universal_layout() -> RelSchema {
     RelSchema::of(&[
         ("elem", DataType::Text),
         ("tid", DataType::Int),
@@ -62,7 +62,7 @@ fn decode_value(vtype: &Value, value: &Value) -> Value {
 }
 
 /// Copy 1: encode a database into the universal triple format.
-pub fn encode_universal(schema: &Schema, db: &Database) -> Database {
+pub(crate) fn encode_universal(schema: &Schema, db: &Database) -> Database {
     let mut out = Database::new(format!("{}_univ", db.name));
     let mut rel = Relation::new(universal_layout());
     let mut tid: i64 = 0;
@@ -87,7 +87,7 @@ pub fn encode_universal(schema: &Schema, db: &Database) -> Database {
 }
 
 /// Copy 3: decode universal triples into an instance of `target`.
-pub fn decode_universal(target: &Schema, univ: &Database) -> Database {
+pub(crate) fn decode_universal(target: &Schema, univ: &Database) -> Database {
     let mut out = Database::empty_of(target);
     let Some(rel) = univ.relation("$univ") else { return out };
     // group triples by (elem, tid) preserving first-seen order
@@ -118,7 +118,7 @@ pub fn decode_universal(target: &Schema, univ: &Database) -> Database {
 /// Copy 2: reshape ER triples into relational triples per the inheritance
 /// strategy — the instance-level twin of the schema rules in
 /// [`crate::er_rel`].
-pub fn reshape_er_to_rel(
+pub(crate) fn reshape_er_to_rel(
     er: &Schema,
     univ: &Database,
     strategy: InheritanceStrategy,

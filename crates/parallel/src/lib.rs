@@ -25,7 +25,7 @@
 //! workspace every parallel caller maps worker errors to the same
 //! budget/cancel trip, so the distinction is invisible. Cooperative
 //! cancellation from inside tasks goes through the same flag via
-//! [`PoolCtx::abort`].
+//! `PoolCtx::abort`.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -60,7 +60,7 @@ impl PoolCtx {
 
     /// Ask every worker to stop picking up new tasks. In-flight tasks
     /// run to completion; the pool still merges whatever finished.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.abort.store(true, Ordering::Release);
     }
 
@@ -101,7 +101,7 @@ impl PoolRun {
 /// * On error, the smallest-index error among those encountered wins
 ///   and remaining queued items are dropped.
 /// * On success the result vector has exactly `items` entries unless a
-///   task called [`PoolCtx::abort`], in which case it holds the
+///   task called `PoolCtx::abort`, in which case it holds the
 ///   completed prefix-by-index of whatever finished.
 pub fn map_indexed<T, E, F>(threads: usize, items: usize, f: F) -> (Result<Vec<T>, E>, PoolRun)
 where

@@ -77,7 +77,7 @@ impl ChangeFeed {
     /// Is `cursor` still on the retained window — i.e. does the feed
     /// hold every event after it? A cursor at or past the newest event
     /// is trivially on the feed (nothing to replay).
-    pub fn covers(&self, cursor: u64) -> bool {
+    pub(crate) fn covers(&self, cursor: u64) -> bool {
         if cursor >= self.last_seq {
             return true;
         }

@@ -79,14 +79,6 @@ pub enum ResyncCause {
     Error,
 }
 
-impl ResyncCause {
-    /// Is this resync a recorded degradation (vs. a semantic resync
-    /// that is part of normal operation)?
-    pub fn is_degradation(&self) -> bool {
-        !matches!(self, ResyncCause::Initial | ResyncCause::Load)
-    }
-}
-
 impl fmt::Display for ResyncCause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -526,11 +518,6 @@ impl Propagator {
                 Mode::ResyncPending { cause } => Some(*cause),
             },
         })
-    }
-
-    /// All registered subscriber ids.
-    pub fn subscriber_ids(&self) -> Vec<u64> {
-        self.state.lock().subs.keys().copied().collect()
     }
 
     /// Sequence of the newest published event (0 before any publish).

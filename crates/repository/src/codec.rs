@@ -219,7 +219,7 @@ impl Reader {
 
     /// A length-prefixed string borrowed from the buffer, UTF-8 validated
     /// in place — for callers that do not keep the `String` (interning).
-    pub fn str_ref(&mut self) -> DecodeResult<&str> {
+    pub(crate) fn str_ref(&mut self) -> DecodeResult<&str> {
         let n = self.seq_len()?;
         let start = self.pos;
         self.pos += n;
@@ -234,7 +234,7 @@ impl Reader {
     /// element encodings take at least one byte, so any honest length
     /// fits. This bounds the *count* only; what a decoder reserves for
     /// that count goes through `reserve_bound`, which bounds the bytes.
-    pub fn seq_len(&mut self) -> DecodeResult<usize> {
+    pub(crate) fn seq_len(&mut self) -> DecodeResult<usize> {
         let n = self.u32()? as usize;
         if n > self.remaining() {
             return Err(DecodeError(format!(

@@ -226,11 +226,6 @@ impl FaultStorage {
         })
     }
 
-    /// Has a fault tripped yet?
-    pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
-    }
-
     fn guard(&self, file: &str) -> Result<(), StorageError> {
         if self.state.lock().crashed {
             Err(StorageError::Crashed { file: file.to_string() })
@@ -365,6 +360,13 @@ impl mm_telemetry::LineSink for StorageLineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultStorage {
+        /// Has a fault tripped yet?
+        pub(crate) fn crashed(&self) -> bool {
+            self.state.lock().crashed
+        }
+    }
 
     #[test]
     fn mem_storage_round_trips() {

@@ -461,11 +461,6 @@ impl Repository {
         self.durable.is_some()
     }
 
-    /// The sequence number of the last committed batch (durable mode).
-    pub fn durable_seq(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.state.lock().next_seq - 1)
-    }
-
     /// The error of the most recent failed auto-checkpoint, if any
     /// (taking clears it). Auto-checkpoint failures are not data loss —
     /// the WAL holds everything — but callers may want to surface them.
@@ -491,11 +486,6 @@ impl Repository {
     /// Names of all stored mappings.
     pub fn mapping_names(&self) -> Vec<String> {
         self.inner.read().mappings.keys().cloned().collect()
-    }
-
-    /// Names of all stored view sets.
-    pub fn viewset_names(&self) -> Vec<String> {
-        self.inner.read().viewsets.keys().cloned().collect()
     }
 
     /// Names of all stored correspondence sets.
@@ -1159,6 +1149,13 @@ mod tests {
     use crate::storage::MemStorage;
     use mm_expr::{Expr, MappingConstraint, ViewDef};
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl Repository {
+        /// The sequence number of the last committed batch (durable mode).
+        pub(crate) fn durable_seq(&self) -> Option<u64> {
+            self.durable.as_ref().map(|d| d.state.lock().next_seq - 1)
+        }
+    }
 
     fn sample_schema(name: &str) -> Schema {
         SchemaBuilder::new(name)

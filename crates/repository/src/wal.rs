@@ -155,7 +155,7 @@ pub struct WalReplay {
 impl WalReplay {
     /// Did the scan stop before the end — i.e. is there a torn or
     /// corrupted tail that recovery should truncate away?
-    pub fn truncated(&self) -> bool {
+    pub(crate) fn truncated(&self) -> bool {
         self.valid_len < self.total_len
     }
 }
@@ -182,7 +182,7 @@ impl Wal {
     /// once every byte (including the trailing record bytes the CRC
     /// covers) is persisted — a torn append is indistinguishable from no
     /// append after recovery.
-    pub fn append_batch(&self, seq: u64, records: &[WalRecord]) -> Result<usize, StorageError> {
+    pub(crate) fn append_batch(&self, seq: u64, records: &[WalRecord]) -> Result<usize, StorageError> {
         let mut body = Writer::new();
         body.u64(seq);
         body.u32(records.len() as u32);

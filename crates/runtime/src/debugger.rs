@@ -55,20 +55,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// The step with the largest intermediate result — usually where a
-    /// mapping bug (missing join condition, wrong selection) shows up.
-    /// On ties the deepest (first-evaluated) step wins: that is where the
-    /// blowup originates.
-    pub fn hottest(&self) -> Option<&TraceStep> {
-        let mut best: Option<&TraceStep> = None;
-        for s in &self.steps {
-            if best.map(|b| s.output_rows > b.output_rows).unwrap_or(true) {
-                best = Some(s);
-            }
-        }
-        best
-    }
-
     /// Steps whose output is empty — where data "disappears".
     pub fn empty_steps(&self) -> Vec<&TraceStep> {
         self.steps.iter().filter(|s| s.output_rows == 0).collect()
@@ -173,6 +159,22 @@ mod tests {
     use mm_expr::Predicate;
     use mm_instance::Value;
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl Trace {
+        /// The step with the largest intermediate result — usually where a
+        /// mapping bug (missing join condition, wrong selection) shows up.
+        /// On ties the deepest (first-evaluated) step wins: that is where the
+        /// blowup originates.
+        pub(crate) fn hottest(&self) -> Option<&TraceStep> {
+            let mut best: Option<&TraceStep> = None;
+            for s in &self.steps {
+                if best.map(|b| s.output_rows > b.output_rows).unwrap_or(true) {
+                    best = Some(s);
+                }
+            }
+            best
+        }
+    }
 
     fn setup() -> (Schema, Database) {
         let s = SchemaBuilder::new("S")

@@ -530,19 +530,6 @@ impl MaintenancePlan {
         MaintenancePlan { views: views.clone(), rules, explain }
     }
 
-    /// The strategy this plan will attempt for `view` (the incremental
-    /// attempt can still degrade to a recompute at run time if the delta
-    /// rules trip the budget).
-    pub fn planned_strategy(&self, view: &str) -> Option<MaintenanceStrategy> {
-        self.views.views.iter().position(|v| v.name == view).map(|i| {
-            if self.rules[i].is_some() {
-                MaintenanceStrategy::Incremental
-            } else {
-                MaintenanceStrategy::Recompute
-            }
-        })
-    }
-
     /// One line per view, in view-set order: `recompute`, or
     /// `incremental` followed by one `join(left=…, right=…)` per join
     /// (outermost first) saying how each stored side is reached —
@@ -731,6 +718,21 @@ mod tests {
     use mm_metamodel::{DataType, SchemaBuilder};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    impl MaintenancePlan {
+        /// The strategy this plan will attempt for `view` (the incremental
+        /// attempt can still degrade to a recompute at run time if the delta
+        /// rules trip the budget).
+        pub(crate) fn planned_strategy(&self, view: &str) -> Option<MaintenanceStrategy> {
+            self.views.views.iter().position(|v| v.name == view).map(|i| {
+                if self.rules[i].is_some() {
+                    MaintenanceStrategy::Incremental
+                } else {
+                    MaintenanceStrategy::Recompute
+                }
+            })
+        }
+    }
 
     /// Maintain through a pre-compiled plan under a fresh meter for
     /// `budget`, telemetry off.

@@ -22,9 +22,11 @@
 //!
 //! Each service has one entry point. Those with a telemetry or thread
 //! option take an [`mm_guard::ExecCtx`] ([`MaintenancePlan::maintain`],
-//! [`Mediator::plan_governed`], [`Mediator::answer_batch`]); those whose
-//! only option is a budget take a borrowed [`mm_guard::Governor`]
-//! ([`batch_load`], [`view_insert_delta_governed`]).
+//! [`Mediator::plan_governed`]); those whose only option is a budget take
+//! a borrowed [`mm_guard::Governor`] ([`batch_load`],
+//! [`view_insert_delta_governed`], [`Mediator::answer_with_plan`]). A
+//! batch of mediated queries is a loop of `answer_with_plan` over one
+//! plan.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

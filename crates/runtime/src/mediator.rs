@@ -8,7 +8,7 @@
 //! benchmarks them against each other.
 
 use mm_compose::compose_views;
-use mm_eval::{eval, eval_governed, unfold_query, EvalError};
+use mm_eval::{eval_governed, unfold_query, EvalError};
 use mm_expr::{Expr, ViewSet};
 use mm_guard::{Degradation, DegradationKind, ExecBudget, ExecCtx, ExecError, Governor};
 use mm_instance::{Database, Relation};
@@ -63,14 +63,6 @@ impl MediationPlan {
         match self.strategy {
             Strategy::Collapsed(_) => MediationMode::Collapsed,
             Strategy::Chained => MediationMode::Chained,
-        }
-    }
-
-    /// The pre-composed direct mapping, when the plan collapsed.
-    pub fn collapsed_views(&self) -> Option<&ViewSet> {
-        match &self.strategy {
-            Strategy::Collapsed(vs) => Some(vs),
-            Strategy::Chained => None,
         }
     }
 
@@ -150,29 +142,6 @@ impl<'a> Mediator<'a> {
         MediationExplain { mode: plan.mode(), hops: self.chain.len(), why, cause }
     }
 
-    /// Answer a top-level query by unfolding it hop by hop down the chain
-    /// and evaluating the final expression on the base database.
-    pub fn answer_chained(
-        &self,
-        query: &Expr,
-        base_db: &Database,
-    ) -> Result<Relation, EvalError> {
-        eval(&self.unfold(query), self.base_schema, base_db)
-    }
-
-    /// Like [`Self::answer_chained`], but runs the algebraic optimizer
-    /// (predicate pushdown + column pruning) on the collapsed expression
-    /// before evaluating — the §4 "optimization opportunities".
-    pub fn answer_chained_optimized(
-        &self,
-        query: &Expr,
-        base_db: &Database,
-    ) -> Result<Relation, EvalError> {
-        let q = self.unfold(query);
-        let optimized = mm_expr::optimize(&q, self.base_schema).map_err(EvalError::Static)?;
-        eval(&optimized, self.base_schema, base_db)
-    }
-
     /// Unfold a top-level query down to the base schema.
     pub fn unfold(&self, query: &Expr) -> Expr {
         let mut q = query.clone();
@@ -188,17 +157,6 @@ impl<'a> Mediator<'a> {
         let mut iter = self.chain.iter();
         let first = (*iter.next()?).clone();
         Some(iter.fold(first, |acc, next| compose_views(&acc, next)))
-    }
-
-    /// Answer a top-level query through a pre-collapsed mapping.
-    pub fn answer_collapsed(
-        &self,
-        collapsed: &ViewSet,
-        query: &Expr,
-        base_db: &Database,
-    ) -> Result<Relation, EvalError> {
-        let q = unfold_query(query, collapsed);
-        eval(&q, self.base_schema, base_db)
     }
 
     /// Decide the mediation strategy once, under the context's governor:
@@ -281,108 +239,25 @@ impl<'a> Mediator<'a> {
         let rows = eval_governed(&q, self.base_schema, base_db, gov)?;
         Ok(MediationResult { rows, mode: plan.mode(), degradation: plan.degradation.clone() })
     }
-
-    /// Answer a batch of queries through one prepared plan, fanning the
-    /// evaluations across up to the context's `threads` workers.
-    ///
-    /// Per query, results are identical to calling
-    /// [`Self::answer_with_plan`] in a sequential loop — same rows, same
-    /// order, results in input order — except the whole batch meters
-    /// against **one** budget: worker governors fork off the context's
-    /// governor through a shared meter, so its step/row caps bound the
-    /// batch's total work and a deadline or cancellation stops every
-    /// worker. One query's failure does not abort the others. The
-    /// plan-time degradation (if any) was recorded once by
-    /// [`Self::plan_governed`]; workers copy it into their results without
-    /// re-recording telemetry. With enabled telemetry the batch runs under
-    /// a `mediator.answer_batch` span carrying the pool statistics.
-    ///
-    /// **Multi-query sharing**: structurally identical queries in the
-    /// batch are evaluated once; duplicate slots receive a clone of the
-    /// representative's result. Evaluation is deterministic, so the
-    /// clone matches a re-run row for row — the only observable
-    /// difference is that shared slots do not re-consume the batch
-    /// budget. Shared slots are counted in the `mqo_shared_plans`
-    /// metric and the batch span's `mqo_shared` field.
-    pub fn answer_batch(
-        &self,
-        plan: &MediationPlan,
-        queries: &[Expr],
-        base_db: &Database,
-        ctx: &mut ExecCtx<'_>,
-    ) -> Vec<Result<MediationResult, EvalError>> {
-        // map every query to the first structurally equal one (itself
-        // when unique); batches are small, so the quadratic scan is fine
-        let rep: Vec<usize> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| queries[..i].iter().position(|p| p == q).unwrap_or(i))
-            .collect();
-        let shared = rep.iter().enumerate().filter(|&(i, &r)| r != i).count() as u64;
-        let (threads, tel) = (ctx.threads, &ctx.telemetry);
-        let (_, govs) = ctx.governor.fork_shared(queries.len());
-        let govs: Vec<parking_lot::Mutex<Governor>> =
-            govs.into_iter().map(parking_lot::Mutex::new).collect();
-        let (pooled, run) = mm_parallel::map_indexed(
-            threads,
-            queries.len(),
-            |i, _ctx| -> Result<_, std::convert::Infallible> {
-                if rep[i] != i {
-                    // duplicate of an earlier identical query: its slot
-                    // is filled by sharing after the pool joins
-                    return Ok(None);
-                }
-                let mut gov = govs[i].lock();
-                Ok(Some(self.answer_with_plan(plan, &queries[i], base_db, &mut gov)))
-            },
-        );
-        if tel.is_enabled() {
-            let mut span = mm_telemetry::Span::enter(
-                tel,
-                "mediator.answer_batch",
-                queries.len().to_string(),
-            );
-            span.field("threads", threads);
-            if shared > 0 {
-                span.field("mqo_shared", shared);
-            }
-            span.field("parallel.workers", run.workers);
-            span.field("parallel.steals", run.steals);
-            span.field("parallel.tasks", run.tasks);
-            span.finish();
-            if let Some(m) = tel.metrics() {
-                if shared > 0 {
-                    m.add(mm_telemetry::Counter::MqoSharedPlans, shared);
-                }
-                m.add(mm_telemetry::Counter::ParallelWorkers, run.workers as u64);
-                m.add(mm_telemetry::Counter::ParallelSteals, run.steals);
-                m.add(mm_telemetry::Counter::ParallelTasks, run.tasks);
-            }
-        }
-        let pooled = match pooled {
-            Ok(v) => v,
-            Err(never) => match never {},
-        };
-        let mut out: Vec<Result<MediationResult, EvalError>> =
-            Vec::with_capacity(queries.len());
-        for (i, slot) in pooled.into_iter().enumerate() {
-            match slot {
-                Some(r) => out.push(r),
-                // rep[i] < i by construction, so the representative's
-                // slot is already in `out`
-                None => out.push(out[rep[i]].clone()),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_expr::{CmpOp, Predicate, Scalar, ViewDef};
+    use mm_eval::eval;
+    use mm_expr::{Predicate, ViewDef};
     use mm_instance::{Tuple, Value};
     use mm_metamodel::{DataType, SchemaBuilder};
+
+    impl MediationPlan {
+        /// The pre-composed direct mapping, when the plan collapsed.
+        pub(crate) fn collapsed_views(&self) -> Option<&ViewSet> {
+            match &self.strategy {
+                Strategy::Collapsed(vs) => Some(vs),
+                Strategy::Chained => None,
+            }
+        }
+    }
 
     /// One-shot governed mediation: plan under `budget`, then answer; a
     /// degraded plan restarts the step meter but keeps the deadline and
@@ -399,19 +274,6 @@ mod tests {
             gov = Governor::new(budget);
         }
         m.answer_with_plan(&plan, q, db, &mut gov)
-    }
-
-    /// [`Mediator::answer_batch`] under a fresh meter for `budget`.
-    fn batch(
-        m: &Mediator<'_>,
-        plan: &MediationPlan,
-        queries: &[Expr],
-        db: &Database,
-        budget: &ExecBudget,
-        threads: usize,
-    ) -> Vec<Result<MediationResult, EvalError>> {
-        let mut gov = Governor::new(budget);
-        m.answer_batch(plan, queries, db, &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) })
     }
 
     fn base() -> (Schema, Database) {
@@ -470,9 +332,9 @@ mod tests {
         let (l1, l2) = chain();
         let m = Mediator::new(&s, vec![&l1, &l2]);
         let q = Expr::base("RomanAdults").project(&["name"]);
-        let chained = m.answer_chained(&q, &db).unwrap();
+        let chained = eval(&m.unfold(&q), &s, &db).unwrap();
         let collapsed = m.collapse().unwrap();
-        let direct = m.answer_collapsed(&collapsed, &q, &db).unwrap();
+        let direct = eval(&unfold_query(&q, &collapsed), &s, &db).unwrap();
         assert!(chained.set_eq(&direct));
         assert_eq!(chained.len(), 2); // ann, cyd
     }
@@ -493,11 +355,10 @@ mod tests {
         let (l1, l2) = chain();
         let m = Mediator::new(&s, vec![&l1, &l2]);
         let q = Expr::base("RomanAdults").project(&["name"]);
-        let plain = m.answer_chained(&q, &db).unwrap();
-        let fast = m.answer_chained_optimized(&q, &db).unwrap();
-        assert!(plain.set_eq(&fast));
-        // the optimized unfolding pushes both filters down to People
+        let plain = eval(&m.unfold(&q), &s, &db).unwrap();
         let opt = mm_expr::optimize(&m.unfold(&q), &s).unwrap();
+        assert!(plain.set_eq(&eval(&opt, &s, &db).unwrap()));
+        // the optimized unfolding pushes both filters down to People
         assert!(opt.to_string().contains("People) WHERE"), "{opt}");
     }
 
@@ -527,7 +388,7 @@ mod tests {
         assert_eq!(d.kind, DegradationKind::CollapsedToChained);
         assert!(matches!(d.cause, ExecError::BudgetExhausted { .. }));
         // the degraded answer still agrees with the ungoverned one
-        let oracle = m.answer_chained(&q, &db).unwrap();
+        let oracle = eval(&m.unfold(&q), &s, &db).unwrap();
         assert!(r.rows.set_eq(&oracle));
     }
 
@@ -585,115 +446,8 @@ mod tests {
             r.degradation,
             Some(Degradation { kind: DegradationKind::CollapsedToChained, .. })
         ));
-        let oracle = m.answer_chained(&q, &db).unwrap();
+        let oracle = eval(&m.unfold(&q), &s, &db).unwrap();
         assert!(r.rows.set_eq(&oracle));
-    }
-
-    #[test]
-    fn answer_batch_matches_sequential_answers() {
-        let (s, db) = base();
-        let (l1, l2) = chain();
-        let m = Mediator::new(&s, vec![&l1, &l2]);
-        let budget = ExecBudget::unbounded();
-        let plan = m.plan(&budget).unwrap();
-        let queries: Vec<Expr> = vec![
-            Expr::base("RomanAdults").project(&["name"]),
-            Expr::base("RomanAdults"),
-            Expr::base("RomanAdults").project(&["id"]),
-            Expr::base("RomanAdults").project(&["id", "name"]),
-        ];
-        let sequential: Vec<Relation> = queries
-            .iter()
-            .map(|q| m.answer_with_plan(&plan, q, &db, &mut Governor::new(&budget)).unwrap().rows)
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            let batch = batch(&m, &plan, &queries, &db, &budget, threads);
-            assert_eq!(batch.len(), queries.len());
-            for (i, (got, want)) in batch.into_iter().zip(&sequential).enumerate() {
-                let got = got.unwrap();
-                assert_eq!(got.mode, MediationMode::Collapsed);
-                assert_eq!(&got.rows, want, "query {i} at threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn answer_batch_shares_one_budget_across_queries() {
-        // Each query must cross at least one governor safepoint (every
-        // 1024 steps) for its consumption to reach the shared meter, so
-        // the base holds a few thousand rows rather than three.
-        let (s, _) = base();
-        let mut db = Database::empty_of(&s);
-        for i in 0..3000i64 {
-            db.insert(
-                "People",
-                Tuple::from([
-                    Value::Int(i),
-                    Value::text(format!("p{i}")),
-                    Value::Int(20 + (i % 50)),
-                    Value::text(if i % 2 == 0 { "rome" } else { "oslo" }),
-                ]),
-            );
-        }
-        let (l1, l2) = chain();
-        let m = Mediator::new(&s, vec![&l1, &l2]);
-        let plan = m.plan(&ExecBudget::unbounded()).unwrap();
-        let solo_steps = {
-            let mut gov = Governor::new(&ExecBudget::unbounded());
-            m.answer_with_plan(&plan, &Expr::base("RomanAdults"), &db, &mut gov).unwrap();
-            gov.steps_consumed()
-        };
-        assert!(solo_steps > 2048, "query must span several safepoints: {solo_steps}");
-        // a cap at 6x the per-query cost must trip somewhere in an
-        // 8-query batch, even with up to one safepoint of per-worker lag.
-        // Queries are structurally distinct (identical ones would be
-        // answered once by multi-query sharing and never trip the cap).
-        let budget = ExecBudget::unbounded().with_steps(solo_steps * 6);
-        let queries: Vec<Expr> = (0..8)
-            .map(|i| {
-                Expr::base("RomanAdults").select(Predicate::Cmp {
-                    op: CmpOp::Ge,
-                    left: Scalar::col("id"),
-                    right: Scalar::lit(i as i64),
-                })
-            })
-            .collect();
-        let batch = batch(&m, &plan, &queries, &db, &budget, 1);
-        let trips = batch
-            .iter()
-            .filter(|r| matches!(r, Err(EvalError::Exec(ExecError::BudgetExhausted { .. }))))
-            .count();
-        assert!(trips >= 1, "shared step cap must trip");
-        let oks = batch.iter().filter(|r| r.is_ok()).count();
-        assert!(oks >= 1, "early queries should finish under the cap");
-    }
-
-    #[test]
-    fn answer_batch_shares_identical_queries_bit_identically() {
-        // four slots, two distinct queries: the two duplicates are
-        // shared (counted in mqo_shared_plans) and still match their
-        // sequential answers row for row.
-        let (s, db) = base();
-        let (l1, l2) = chain();
-        let ring = mm_telemetry::RingCollector::with_capacity(64);
-        let tel = mm_telemetry::Telemetry::new(ring);
-        let m = Mediator::new(&s, vec![&l1, &l2]);
-        let budget = ExecBudget::unbounded();
-        let plan = m.plan(&budget).unwrap();
-        let q1 = Expr::base("RomanAdults");
-        let q2 = Expr::base("RomanAdults").project(&["name"]);
-        let queries = vec![q1.clone(), q2.clone(), q1.clone(), q2.clone()];
-        let mut gov = Governor::new(&budget);
-        let ctx = &mut ExecCtx { telemetry: tel.clone(), threads: 2, ..ExecCtx::new(&mut gov) };
-        let batch = m.answer_batch(&plan, &queries, &db, ctx);
-        assert_eq!(tel.metrics().unwrap().snapshot().value("mqo_shared_plans"), 2);
-        let sequential: Vec<Relation> = queries
-            .iter()
-            .map(|q| m.answer_with_plan(&plan, q, &db, &mut Governor::new(&budget)).unwrap().rows)
-            .collect();
-        for (got, want) in batch.into_iter().zip(&sequential) {
-            assert_eq!(&got.unwrap().rows, want);
-        }
     }
 
     #[test]
@@ -718,10 +472,10 @@ mod tests {
         let refs: Vec<&ViewSet> = hops.iter().collect();
         let m = Mediator::new(&s, refs);
         let q = Expr::base("V4");
-        let r = m.answer_chained(&q, &db).unwrap();
+        let r = eval(&m.unfold(&q), &s, &db).unwrap();
         assert_eq!(r.len(), 2);
         let collapsed = m.collapse().unwrap();
-        let r2 = m.answer_collapsed(&collapsed, &q, &db).unwrap();
+        let r2 = eval(&unfold_query(&q, &collapsed), &s, &db).unwrap();
         assert!(r.set_eq(&r2));
     }
 }

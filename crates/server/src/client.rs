@@ -45,10 +45,6 @@ impl ClientError {
         self.code() == Some(ERR_OVERLOADED)
     }
 
-    pub fn is_shutting_down(&self) -> bool {
-        self.code() == Some(ERR_SHUTTING_DOWN)
-    }
-
     /// `retry_after`-style triage for a failed call, given how many
     /// retries have already happened (`attempt`, 0-based).
     ///
@@ -61,7 +57,7 @@ impl ClientError {
     /// (typed engine errors, protocol faults, I/O) also fails fast —
     /// retrying a malformed request or a desynchronized stream cannot
     /// help.
-    pub fn retry_advice(&self, attempt: u32) -> RetryAdvice {
+    pub(crate) fn retry_advice(&self, attempt: u32) -> RetryAdvice {
         match self.code() {
             Some(ERR_OVERLOADED) | Some(ERR_QUEUE_FULL) => {
                 RetryAdvice::After(backoff_delay(attempt))
@@ -71,7 +67,7 @@ impl ClientError {
     }
 }
 
-/// What [`ClientError::retry_advice`] tells the caller's retry loop.
+/// What `ClientError::retry_advice` tells the caller's retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryAdvice {
     /// Transient overload: wait this long, then retry.
@@ -86,7 +82,7 @@ pub enum RetryAdvice {
 /// does not retry in lockstep. No RNG dependency — the jitter is a
 /// pure function of the attempt number, which keeps retry schedules
 /// reproducible in tests.
-pub fn backoff_delay(attempt: u32) -> Duration {
+pub(crate) fn backoff_delay(attempt: u32) -> Duration {
     let base_ms = 10u64.saturating_mul(1u64 << attempt.min(7)).min(1_000);
     let jitter = (u64::from(attempt) + 1)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -150,8 +146,6 @@ pub struct Client {
     trace_seed: u64,
     /// The trace id stamped on the most recent call (0 before any).
     last_trace_id: u64,
-    /// When false, calls go out untraced (trace id 0).
-    tracing: bool,
 }
 
 impl Client {
@@ -174,7 +168,6 @@ impl Client {
             deadline_ms: 0,
             trace_seed: mix64(conn ^ 0x6D6D_5F74_7261_6365), // "mm_trace"
             last_trace_id: 0,
-            tracing: true,
         })
     }
 
@@ -185,15 +178,8 @@ impl Client {
         self.deadline_ms = ms;
     }
 
-    /// Turn trace-id stamping on or off (on by default). Untraced calls
-    /// carry trace id 0: the server serves them identically but records
-    /// no span tree for them.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
     /// The trace id stamped on the most recent call (0 before the first
-    /// call or with tracing off) — pass it to [`Client::trace`] to pull
+    /// call) — pass it to [`Client::trace`] to pull
     /// the server-side record of that request.
     pub fn last_trace_id(&self) -> u64 {
         self.last_trace_id
@@ -215,12 +201,9 @@ impl Client {
     fn call(&mut self, op: Op, body: impl FnOnce(&mut Writer)) -> Result<OkBody, ClientError> {
         let req_id = self.next_req;
         self.next_req += 1;
-        let trace_id = if self.tracing {
-            // Guaranteed non-zero: 0 is the untraced sentinel.
-            mix64(self.trace_seed.wrapping_add(req_id)) | 1
-        } else {
-            0
-        };
+        // Guaranteed non-zero: 0 is the untraced sentinel, which only
+        // other clients send.
+        let trace_id = mix64(self.trace_seed.wrapping_add(req_id)) | 1;
         self.last_trace_id = trace_id;
         let mut w = begin_request(req_id, self.deadline_ms, trace_id, op);
         body(&mut w);
@@ -437,7 +420,7 @@ impl Client {
         }
     }
 
-    /// Run `op` under [`ClientError::retry_advice`]: transient overload
+    /// Run `op` under `ClientError::retry_advice`: transient overload
     /// rejections (50/51) back off and retry up to `max_attempts` total
     /// tries; drain (52) and every other error return immediately.
     pub fn retrying<T>(

@@ -184,14 +184,14 @@ impl FlightRecorder {
     /// Should a request with this summary keep its full detail? True
     /// past the latency threshold and for every degraded, errored, or
     /// rejected request — the paths worth a postmortem.
-    pub fn qualifies(&self, s: &RequestSummary) -> bool {
+    pub(crate) fn qualifies(&self, s: &RequestSummary) -> bool {
         s.latency_us >= self.slow_threshold_us
             || s.degraded
             || !matches!(s.outcome, Outcome::Ok)
     }
 
     /// Record one finished request. `detail` carries the captured span
-    /// tree and EXPLAIN for requests that [`Self::qualifies`]; pass
+    /// tree and EXPLAIN for requests that `Self::qualifies`; pass
     /// `None` when the caller captured nothing (rejections, fast
     /// requests). Returns the summary's assigned sequence.
     pub fn record(
@@ -217,16 +217,9 @@ impl FlightRecorder {
         seq
     }
 
-    /// The most recent summaries, oldest first, capped at `max`.
-    pub fn recent(&self, max: usize) -> Vec<RequestSummary> {
-        let buf = lock_ignoring_poison(&self.recent);
-        let skip = buf.len().saturating_sub(max);
-        buf.iter().skip(skip).cloned().collect()
-    }
-
     /// Slow-log entries as stable JSON lines, oldest first, capped at
     /// `max` (0 = everything retained).
-    pub fn slow_lines(&self, max: usize) -> Vec<String> {
+    pub(crate) fn slow_lines(&self, max: usize) -> Vec<String> {
         let buf = lock_ignoring_poison(&self.slow);
         let max = if max == 0 { buf.len() } else { max };
         let skip = buf.len().saturating_sub(max);
@@ -234,14 +227,14 @@ impl FlightRecorder {
     }
 
     /// Entries currently held by the slow log.
-    pub fn slow_len(&self) -> u64 {
+    pub(crate) fn slow_len(&self) -> u64 {
         lock_ignoring_poison(&self.slow).len() as u64
     }
 
     /// Everything the recorder holds for `trace_id`: full slow entries
     /// when the trace kept one, bare summaries from the recent ring
     /// otherwise. Oldest first.
-    pub fn trace_lines(&self, trace_id: u64) -> Vec<String> {
+    pub(crate) fn trace_lines(&self, trace_id: u64) -> Vec<String> {
         if trace_id == 0 {
             return Vec::new();
         }
@@ -276,6 +269,15 @@ mod tests {
 
     use super::*;
     use mm_telemetry::VecSink;
+
+    impl FlightRecorder {
+        /// The most recent summaries, oldest first, capped at `max`.
+        pub(crate) fn recent(&self, max: usize) -> Vec<RequestSummary> {
+            let buf = lock_ignoring_poison(&self.recent);
+            let skip = buf.len().saturating_sub(max);
+            buf.iter().skip(skip).cloned().collect()
+        }
+    }
 
     fn summary(op: &'static str, latency_us: u64, trace_id: u64) -> RequestSummary {
         RequestSummary {

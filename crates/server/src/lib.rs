@@ -27,11 +27,10 @@ pub mod flight;
 pub mod protocol;
 pub mod server;
 
-pub use client::{backoff_delay, Client, ClientError, MediateReply, RetryAdvice};
+pub use client::{Client, ClientError, MediateReply, RetryAdvice};
 pub use flight::{FlightRecorder, Outcome, RequestSummary, SlowEntry};
 pub use protocol::{
-    decode_notification, encode_notification, engine_error_code, exec_error_code,
-    is_introspection_op, propagate_error_code, HealthReport, Op, Request, WireStats,
-    DEFAULT_MAX_FRAME_LEN, ERR_UNKNOWN_INSTANCE, ERR_UNKNOWN_SUBSCRIBER,
+    engine_error_code, HealthReport, Op, Request, WireStats, DEFAULT_MAX_FRAME_LEN,
+    ERR_UNKNOWN_INSTANCE, ERR_UNKNOWN_SUBSCRIBER,
 };
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -25,7 +25,7 @@
 //! op-tagged result body and status 1 carries `code u32 | message str`.
 //!
 //! Every error a client can receive has a stable numeric code; the
-//! [`exec_error_code`]/[`engine_error_code`] maps are exhaustive
+//! `exec_error_code`/[`engine_error_code`] maps are exhaustive
 //! `match`es with no wildcard arm, so adding an error variant anywhere
 //! in the engine fails to compile until the protocol assigns it a code.
 
@@ -106,7 +106,7 @@ pub const ERR_RESYNC_FAILED: u32 = 62;
 
 /// The wire code for a governance error. Exhaustive on purpose: a new
 /// [`ExecError`] variant is a compile error here until it gets a code.
-pub fn exec_error_code(e: &ExecError) -> u32 {
+pub(crate) fn exec_error_code(e: &ExecError) -> u32 {
     match e {
         ExecError::BudgetExhausted { .. } => ERR_BUDGET_EXHAUSTED,
         ExecError::Cancelled { .. } => ERR_CANCELLED,
@@ -120,8 +120,8 @@ pub fn exec_error_code(e: &ExecError) -> u32 {
 }
 
 /// The wire code for a propagation error. Exhaustive on purpose, like
-/// [`exec_error_code`].
-pub fn propagate_error_code(e: &PropagateError) -> u32 {
+/// `exec_error_code`.
+pub(crate) fn propagate_error_code(e: &PropagateError) -> u32 {
     match e {
         PropagateError::UnknownSubscriber(_) => ERR_UNKNOWN_SUBSCRIBER,
         PropagateError::UnknownInstance(_) => ERR_UNKNOWN_INSTANCE,
@@ -130,7 +130,7 @@ pub fn propagate_error_code(e: &PropagateError) -> u32 {
 }
 
 /// The wire code for an engine error. Execution errors keep their
-/// [`exec_error_code`] so a client sees the same code whether a budget
+/// `exec_error_code` so a client sees the same code whether a budget
 /// tripped inside `exchange` or a bare governed operator.
 pub fn engine_error_code(e: &EngineError) -> u32 {
     match e {
@@ -259,7 +259,7 @@ pub enum Op {
 
 /// Is `op` one of the read-only introspection selectors the server
 /// answers inline, even while shedding or draining?
-pub fn is_introspection_op(op: u8) -> bool {
+pub(crate) fn is_introspection_op(op: u8) -> bool {
     op == Op::Metrics as u8
         || op == Op::Health as u8
         || op == Op::SlowLog as u8
@@ -731,7 +731,7 @@ fn decode_resync_cause(tag: u8) -> DecodeResult<ResyncCause> {
 }
 
 /// Encode one notification (the typed push frame's body).
-pub fn encode_notification(w: &mut Writer, n: &Notification) {
+pub(crate) fn encode_notification(w: &mut Writer, n: &Notification) {
     match n {
         Notification::Delta { seq, view_inserts } => {
             w.u8(0);
@@ -751,7 +751,7 @@ pub fn encode_notification(w: &mut Writer, n: &Notification) {
 }
 
 /// Decode one notification.
-pub fn decode_notification(r: &mut Reader) -> DecodeResult<Notification> {
+pub(crate) fn decode_notification(r: &mut Reader) -> DecodeResult<Notification> {
     Ok(match r.u8()? {
         0 => {
             let seq = r.u64()?;
@@ -865,7 +865,7 @@ pub fn encode_ok(req_id: u64, body: &OkBody) -> Bytes {
 }
 
 /// Encode an error response payload.
-pub fn encode_err(req_id: u64, code: u32, message: &str) -> Bytes {
+pub(crate) fn encode_err(req_id: u64, code: u32, message: &str) -> Bytes {
     let mut w = Writer::new();
     w.u64(req_id);
     w.u8(1);
@@ -879,7 +879,7 @@ pub fn encode_err(req_id: u64, code: u32, message: &str) -> Bytes {
 pub type DecodedResponse = (u64, Result<OkBody, (u32, String)>);
 
 /// Decode a response payload (the client side of [`encode_ok`]/
-/// [`encode_err`]). The payload must use every byte: trailing bytes are
+/// `encode_err`). The payload must use every byte: trailing bytes are
 /// a decode error.
 pub fn decode_response(payload: Bytes) -> DecodeResult<DecodedResponse> {
     let mut r = Reader::new(payload);
@@ -959,13 +959,13 @@ pub fn decode_response(payload: Bytes) -> DecodeResult<DecodedResponse> {
 // ---------------------------------------------------------------------
 
 /// Encode a relation: attribute list then tuple list.
-pub fn encode_relation(w: &mut Writer, rel: &Relation) {
+pub(crate) fn encode_relation(w: &mut Writer, rel: &Relation) {
     rel.encode(w);
 }
 
 /// Decode a relation (tuples are deduplicated on insert, the same
 /// set semantics [`Relation::insert`] maintains).
-pub fn decode_relation(r: &mut Reader) -> DecodeResult<Relation> {
+pub(crate) fn decode_relation(r: &mut Reader) -> DecodeResult<Relation> {
     Relation::decode(r)
 }
 
@@ -1059,7 +1059,7 @@ mod tests {
         ));
 
         let mut buf = Vec::new();
-        write_frame(&mut buf, &vec![0u8; 64]).unwrap();
+        write_frame(&mut buf, &[0u8; 64]).unwrap();
         assert!(matches!(
             read_frame(&mut buf.as_slice(), 16),
             Err(FrameError::TooLarge { len: 64, max: 16 })

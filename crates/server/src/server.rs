@@ -366,12 +366,6 @@ impl ServerHandle {
         &self.shared.tel
     }
 
-    /// The flight recorder: recent-request summaries and the slow-query
-    /// log, also reachable over the wire via the introspection ops.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.shared.flight
-    }
-
     /// Graceful shutdown: refuse new requests with `ShuttingDown`,
     /// drain queued and inflight work (bounded by
     /// [`ServerConfig::drain_timeout`]), close sessions, join all
@@ -927,11 +921,10 @@ fn execute(
             (r, None)
         }
         Request::ExplainExchange { mapping, target_schema, source_db } => {
-            // The explain path runs under the engine's configured budget
-            // (reports are for operators, not tenants); the deadline is
-            // still honored at the boundary by the pre-execution check.
+            // Metered like the exchange it explains: the request's
+            // deadline and the session's budget bound the whole run.
             let r = engine
-                .explain_exchange(&mapping, &target_schema, &source_db)
+                .explain_exchange(&mapping, &target_schema, &source_db, gov)
                 .map(|(db, stats, explain)| OkBody::Explain {
                     db,
                     stats: WireStats::from(stats),

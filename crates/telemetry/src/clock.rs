@@ -22,7 +22,7 @@ pub fn elapsed_us(since: Instant) -> u64 {
 
 /// A [`Duration`] as whole microseconds, saturating at `u64::MAX`.
 #[inline]
-pub fn duration_us(d: Duration) -> u64 {
+pub(crate) fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 

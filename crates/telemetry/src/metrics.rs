@@ -57,12 +57,9 @@ pub enum Counter {
     /// Plans recompiled by adaptive re-optimization (cache invalidation
     /// + costed recompile, or a mid-chase plan swap).
     PlanReplans,
-    /// Duplicate batch entries served from a shared evaluation by
-    /// multi-query optimization instead of re-running.
-    MqoSharedPlans,
 }
 
-const COUNTERS: usize = Counter::MqoSharedPlans as usize + 1;
+const COUNTERS: usize = Counter::PlanReplans as usize + 1;
 
 impl Counter {
     /// Stable snapshot key.
@@ -86,7 +83,6 @@ impl Counter {
             Counter::ParallelTasks => "parallel_tasks",
             Counter::PlanMisestimates => "plan_misestimates",
             Counter::PlanReplans => "plan_replans",
-            Counter::MqoSharedPlans => "mqo_shared_plans",
         }
     }
 
@@ -110,7 +106,6 @@ impl Counter {
             Counter::ParallelTasks,
             Counter::PlanMisestimates,
             Counter::PlanReplans,
-            Counter::MqoSharedPlans,
         ]
     }
 }
@@ -249,7 +244,7 @@ impl PropagateCounter {
 /// counts accumulate in `mm-instance` process-wide statics (telemetry
 /// sits *below* the instance crate, so it cannot read them itself);
 /// the engine samples the running totals at operation boundaries and
-/// raises these monotone gauges via [`EngineMetrics::raise_alloc`].
+/// raises these monotone gauges via `EngineMetrics::raise_alloc`.
 /// Snapshots render them under dotted `alloc.*` keys with zero values
 /// elided, so a process that never spilled a tuple or interned a
 /// string carries no allocation rows at all.
@@ -575,7 +570,7 @@ impl EngineMetrics {
 
     /// Add `n` to a server counter (relaxed; totals only).
     #[inline]
-    pub fn add_server(&self, c: ServerCounter, n: u64) {
+    pub(crate) fn add_server(&self, c: ServerCounter, n: u64) {
         self.server_counters[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
@@ -614,12 +609,12 @@ impl EngineMetrics {
     /// can race freely: `fetch_max` keeps the gauge at the freshest
     /// observed total.
     #[inline]
-    pub fn raise_alloc(&self, c: AllocCounter, v: u64) {
+    pub(crate) fn raise_alloc(&self, c: AllocCounter, v: u64) {
         self.alloc_counters[c as usize].fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value of an allocation gauge.
-    pub fn get_alloc(&self, c: AllocCounter) -> u64 {
+    pub(crate) fn get_alloc(&self, c: AllocCounter) -> u64 {
         self.alloc_counters[c as usize].load(Ordering::Relaxed)
     }
 
@@ -635,20 +630,10 @@ impl EngineMetrics {
         self.hists[h as usize].observe(value);
     }
 
-    /// The live [`Histogram`] behind `h`, for direct quantile reads.
-    pub fn hist(&self, h: Hist) -> &Histogram {
-        &self.hists[h as usize]
-    }
-
     /// Record one per-op service-time observation (µs).
     #[inline]
     pub fn observe_op_service_us(&self, op: ServerOp, us: u64) {
         self.op_service[op as usize].observe(us);
-    }
-
-    /// The per-op service-time [`Histogram`] for `op`.
-    pub fn op_service(&self, op: ServerOp) -> &Histogram {
-        &self.op_service[op as usize]
     }
 
     /// Record one degradation at `site` attributed to `cause`.

@@ -38,7 +38,7 @@ pub struct Fragment {
 
 impl Fragment {
     /// Does an entity of most-derived type `ty` belong to this fragment?
-    pub fn contains_type(&self, schema: &Schema, ty: &str) -> bool {
+    pub(crate) fn contains_type(&self, schema: &Schema, ty: &str) -> bool {
         if !schema.is_subtype(ty, &self.extent_type) {
             return false;
         }

@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 /// given exponent (inverse-CDF over precomputed cumulative weights —
 /// rank 0 is the heavy head). Exposed so tests and benches can reuse the
 /// sampler for their own column shapes.
-pub fn zipf_sample(cumulative: &[f64], rng: &mut SmallRng) -> usize {
+pub(crate) fn zipf_sample(cumulative: &[f64], rng: &mut SmallRng) -> usize {
     let total = *cumulative.last().expect("non-empty weights");
     let needle = rng.gen_range(0.0..total);
     cumulative.partition_point(|&c| c <= needle).min(cumulative.len() - 1)
@@ -34,7 +34,7 @@ pub fn zipf_sample(cumulative: &[f64], rng: &mut SmallRng) -> usize {
 
 /// Cumulative Zipf weights for `domain` ranks at `exponent` — feed to
 /// [`zipf_sample`].
-pub fn zipf_weights(domain: usize, exponent: f64) -> Vec<f64> {
+pub(crate) fn zipf_weights(domain: usize, exponent: f64) -> Vec<f64> {
     let mut acc = 0.0;
     (1..=domain.max(1))
         .map(|rank| {

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let q = Expr::base("customers")
         .select(Predicate::col_eq_lit("city", "rome"))
         .project(&["name"]);
-    let romans = mediator.answer_chained(&q, &db)?;
+    let romans = eval(&mediator.unfold(&q), &legacy, &db)?;
     println!("== Roman customers through the wrapper ==\n{romans}");
 
     // --- an entity-side mapping for update propagation: the wrapper's

@@ -88,6 +88,10 @@ fn full_operator_tour_with_lineage() {
     let (_, qid) = engine.repo.latest_viewset("ER->ER_rel.qviews").expect("stored");
     let upstream = engine.repo.upstream(&qid);
     assert!(upstream.iter().any(|a| a.name.name == "ER" && a.kind == ArtifactKind::Schema));
+    // ... and impact analysis runs the other way: the qviews are among
+    // the artifacts derived from the ER schema
+    let (_, er_id) = engine.repo.latest_schema("ER").expect("stored");
+    assert!(engine.repo.downstream(&er_id).contains(&qid));
 
     // Snapshot round-trip preserves the session
     let bytes = engine.repo.snapshot();
@@ -115,4 +119,34 @@ fn engine_surfaces_operator_errors() {
         engine.modelgen_er_to_relational("Flat", InheritanceStrategy::Flat),
         Err(EngineError::ModelGen(_))
     ));
+}
+
+/// ModelGen both ways (§3) through the engine: ER → relational → ER.
+/// The wrapper direction recovers every entity and each of its declared
+/// attributes by name, and stores its output with a lineage edge back to
+/// the relational schema it was derived from.
+#[test]
+fn modelgen_round_trip_keeps_entity_and_attribute_names() {
+    let engine = Engine::new();
+    engine.add_schema(paper_er()).unwrap();
+    let rel = engine
+        .modelgen_er_to_relational("ER", InheritanceStrategy::Vertical)
+        .expect("er -> relational");
+    let back = engine.modelgen_relational_to_er(&rel.schema.name).expect("relational -> er");
+    for entity in paper_er().elements() {
+        let got = back
+            .schema
+            .element(&entity.name)
+            .unwrap_or_else(|| panic!("entity {} lost:\n{}", entity.name, back.schema));
+        for attr in entity.attribute_names() {
+            assert!(
+                got.attribute_names().any(|a| a == attr),
+                "{}.{attr} lost:\n{}",
+                entity.name,
+                back.schema
+            );
+        }
+    }
+    let (_, id) = engine.repo.latest_schema(&back.schema.name).expect("stored");
+    assert!(engine.repo.upstream(&id).iter().any(|a| a.name.name == rel.schema.name));
 }

@@ -12,9 +12,8 @@
 //!
 //! The other executors that take a context or a thread count:
 //! `CqPlan::execute` (greedy and costed plans under threads × `limit`)
-//! against the naive CQ oracle, `MaintenancePlan::maintain` and
-//! `compose_st_tgds` under telemetry {disabled, ring}, and
-//! `Mediator::answer_batch` under threads against a sequential loop.
+//! against the naive CQ oracle, and `MaintenancePlan::maintain` and
+//! `compose_st_tgds` under telemetry {disabled, ring}.
 
 use mm_chase::testkit::{chase_general_reference, chase_st_reference};
 use mm_eval::testkit::find_homomorphisms_naive;
@@ -417,65 +416,5 @@ proptest! {
             prop_assert_eq!(ring.events_for("compose.splice").len(), usize::from(on));
         }
         prop_assert_eq!(&results[0], &results[1]);
-    }
-
-    /// `Mediator::answer_batch` at threads {1, 2, 4}, over a collapsed or
-    /// a degraded plan and a batch with repeated queries, returns what a
-    /// sequential `answer_with_plan` loop returns, slot by slot.
-    #[test]
-    fn answer_batch_matches_a_sequential_loop(
-        rows in arb_rows(),
-        picks in proptest::collection::vec(0usize..4, 1..8),
-        degrade in any::<bool>(),
-    ) {
-        let schema = binary_schema("Base", "S", 1);
-        let mut db = Database::empty_of(&schema);
-        for (a, b) in &rows {
-            db.insert("S0", Tuple::from([Value::Int(*a), Value::Int(*b)]));
-        }
-        let mut l1 = ViewSet::new("Base", "L1");
-        l1.push(ViewDef::new(
-            "Big",
-            Expr::base("S0").select(Predicate::Cmp {
-                op: CmpOp::Ge,
-                left: Scalar::col("a"),
-                right: Scalar::lit(3i64),
-            }),
-        ));
-        let mut l2 = ViewSet::new("L1", "L2");
-        l2.push(ViewDef::new("Top", Expr::base("Big").project(&["b"])));
-        let m = Mediator::new(&schema, vec![&l1, &l2]);
-        let budget = if degrade {
-            ExecBudget::unbounded().with_clauses(1)
-        } else {
-            ExecBudget::unbounded()
-        };
-        let plan = m.plan(&budget).expect("degrades, not fails");
-        prop_assert_eq!(plan.degradation().is_some(), degrade);
-        let family = [
-            Expr::base("Top"),
-            Expr::base("Top").select(Predicate::Cmp {
-                op: CmpOp::Gt,
-                left: Scalar::col("b"),
-                right: Scalar::lit(4i64),
-            }),
-            Expr::base("Big").project(&["a"]),
-            Expr::base("Big"),
-        ];
-        let queries: Vec<Expr> = picks.iter().map(|&i| family[i].clone()).collect();
-        let unbounded = ExecBudget::unbounded();
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| m.answer_with_plan(&plan, q, &db, &mut Governor::new(&unbounded)))
-            .map(|r| r.map(|r| (r.rows, r.mode, r.degradation)))
-            .collect();
-        for threads in THREADS {
-            let mut gov = Governor::new(&unbounded);
-            let ctx = &mut ExecCtx { threads, ..ExecCtx::new(&mut gov) };
-            let batch = m.answer_batch(&plan, &queries, &db, ctx);
-            let batch: Vec<_> =
-                batch.into_iter().map(|r| r.map(|r| (r.rows, r.mode, r.degradation))).collect();
-            prop_assert_eq!(&batch, &sequential, "threads={}", threads);
-        }
     }
 }

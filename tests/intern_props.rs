@@ -256,8 +256,8 @@ fn pristine_durable_files() -> BTreeMap<String, Vec<u8>> {
         db.insert(
             "R",
             Tuple::new(vec![
-                Value::text(&format!("warehouse-district-{i:03}-primary")),
-                Value::text(&format!("{i}")),
+                Value::text(format!("warehouse-district-{i:03}-primary")),
+                Value::text(format!("{i}")),
                 Value::Int(i),
             ]),
         );
@@ -268,7 +268,7 @@ fn pristine_durable_files() -> BTreeMap<String, Vec<u8>> {
         db.insert(
             "R",
             Tuple::new(vec![
-                Value::text(&format!("post-checkpoint-{i}")),
+                Value::text(format!("post-checkpoint-{i}")),
                 Value::text("tail"),
                 Value::Int(i),
             ]),

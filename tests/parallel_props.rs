@@ -1,4 +1,4 @@
-//! Property tests for the parallel execution core (PR 5): every parallel
+//! Property tests for the parallel execution core: every parallel
 //! entry point must be **bit-identical** to its sequential counterpart —
 //! same tuples, same labeled-null identities, same binding order, same
 //! stats — at every thread count, because parallelism here is a pure
@@ -8,12 +8,8 @@
 //!   sequence on random databases and random conjunctive queries;
 //! * the parallel s-t and general chases reach the sequential fixpoint
 //!   bit-identically on the adversarial `workload::faults` inputs;
-//! * `Engine::exchange_batch` equals a sequential `exchange` loop slot
-//!   by slot, in input order;
 //! * cancellation and step-budget trips surface as their typed errors
-//!   from inside a parallel region instead of wedging the pool;
-//! * a batch of mediated queries over one degraded plan records the
-//!   plan-time degradation exactly once, not once per query.
+//!   from inside a parallel region instead of wedging the pool.
 
 use mm_eval::ExecOptions;
 use mm_workload::faults;
@@ -173,72 +169,7 @@ proptest! {
     }
 }
 
-// --- (c) batch serving == sequential loop -----------------------------------
-
-/// An engine storing `R(a,b) → ∃w. U(a,w)` — an existential head, so
-/// batch/sequential agreement covers null minting, not just copying.
-fn exchange_engine(threads: usize) -> Engine {
-    let src = SchemaBuilder::new("Src")
-        .relation("R", &[("a", DataType::Int), ("b", DataType::Int)])
-        .build()
-        .expect("static schema");
-    let tgt = SchemaBuilder::new("Tgt")
-        .relation("U", &[("a", DataType::Int), ("w", DataType::Int)])
-        .build()
-        .expect("static schema");
-    let mut m = Mapping::new("Src", "Tgt");
-    m.push_tgd(Tgd::new(vec![Atom::vars("R", &["x", "y"])], vec![Atom::vars("U", &["x", "w"])]));
-    let engine =
-        Engine::with_config(EngineConfig { threads, ..Default::default() }).expect("ephemeral");
-    engine.add_schema(src).expect("store src");
-    engine.add_schema(tgt).expect("store tgt");
-    engine.add_mapping("m", m).expect("store m");
-    engine
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16 })]
-
-    /// `exchange_batch` over random batches equals a sequential
-    /// `exchange` loop slot by slot — same universal instances, same
-    /// null ids, same stats, results in input order.
-    #[test]
-    fn exchange_batch_matches_sequential_loop(sizes in proptest::collection::vec(0usize..40, 1..7)) {
-        let src = SchemaBuilder::new("Src")
-            .relation("R", &[("a", DataType::Int), ("b", DataType::Int)])
-            .build()
-            .expect("static schema");
-        let dbs: Vec<Database> = sizes
-            .iter()
-            .map(|&n| {
-                let mut db = Database::empty_of(&src);
-                for i in 0..n as i64 {
-                    db.insert("R", Tuple::from([Value::Int(i), Value::Int(i + 1)]));
-                }
-                db
-            })
-            .collect();
-        let seq_engine = exchange_engine(1);
-        let expected: Vec<(Database, ChaseStats)> = dbs
-            .iter()
-            .map(|db| seq_engine.exchange("m", "Tgt", db).expect("unbounded"))
-            .collect();
-        for threads in THREADS {
-            let engine = exchange_engine(threads);
-            let requests: Vec<ExchangeRequest<'_>> = dbs
-                .iter()
-                .map(|db| ExchangeRequest { mapping: "m", target_schema: "Tgt", source_db: db })
-                .collect();
-            let got = engine.exchange_batch(&requests);
-            prop_assert_eq!(got.len(), expected.len());
-            for (i, (g, e)) in got.into_iter().zip(&expected).enumerate() {
-                prop_assert_eq!(&g.expect("unbounded"), e, "slot {} threads={}", i, threads);
-            }
-        }
-    }
-}
-
-// --- (d) faults inside a parallel region ------------------------------------
+// --- (c) faults inside a parallel region ------------------------------------
 
 /// Cancellation tripped mid-run surfaces as [`ExecError::Cancelled`]
 /// from the parallel chase at every thread count: the pool joins, the
@@ -292,83 +223,3 @@ fn step_budget_trips_inside_the_parallel_chase() {
     }
 }
 
-// --- (e) batch mediation records a plan degradation once --------------------
-
-/// Planning under a tight clause budget degrades collapsed→chained and
-/// records that once; a parallel batch of answers over the degraded plan
-/// copies the degradation into every result **without** re-recording it
-/// — the mediator metric stays at exactly 1 after an 8-query batch.
-#[test]
-fn batch_mediation_records_plan_degradation_exactly_once() {
-    let s = SchemaBuilder::new("Base")
-        .relation("People", &[
-            ("id", DataType::Int),
-            ("name", DataType::Text),
-            ("age", DataType::Int),
-            ("city", DataType::Text),
-        ])
-        .build()
-        .expect("static schema");
-    let mut db = Database::empty_of(&s);
-    for (id, name, age, city) in
-        [(1, "ann", 31, "rome"), (2, "bob", 17, "oslo"), (3, "cyd", 45, "rome")]
-    {
-        db.insert(
-            "People",
-            Tuple::from([
-                Value::Int(id),
-                Value::text(name),
-                Value::Int(age),
-                Value::text(city),
-            ]),
-        );
-    }
-    let mut l1 = ViewSet::new("Base", "L1");
-    l1.push(ViewDef::new(
-        "Adults",
-        Expr::base("People").select(Predicate::Cmp {
-            op: CmpOp::Ge,
-            left: Scalar::col("age"),
-            right: Scalar::lit(18i64),
-        }),
-    ));
-    let mut l2 = ViewSet::new("L1", "L2");
-    l2.push(ViewDef::new(
-        "RomanAdults",
-        Expr::base("Adults").select(Predicate::col_eq_lit("city", "rome")).project(&["id", "name"]),
-    ));
-    let ring = RingCollector::with_capacity(256);
-    let tel = Telemetry::new(ring);
-    let m = Mediator::new(&s, vec![&l1, &l2]);
-    let mut gov = Governor::new(&ExecBudget::unbounded().with_clauses(1));
-    let plan = m
-        .plan_governed(&mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) })
-        .expect("degrades, not fails");
-    assert_eq!(plan.mode(), MediationMode::Chained);
-    assert!(plan.degradation().is_some());
-    let queries: Vec<Expr> = (0..8).map(|_| Expr::base("RomanAdults")).collect();
-    let mut gov = Governor::new(&ExecBudget::unbounded());
-    let ctx = &mut ExecCtx { telemetry: tel.clone(), threads: 4, ..ExecCtx::new(&mut gov) };
-    let batch = m.answer_batch(&plan, &queries, &db, ctx);
-    let oracle = m
-        .answer_with_plan(
-            &plan,
-            &Expr::base("RomanAdults"),
-            &db,
-            &mut Governor::new(&ExecBudget::unbounded()),
-        )
-        .expect("unbounded");
-    assert_eq!(batch.len(), 8);
-    for r in batch {
-        let r = r.expect("unbounded");
-        assert_eq!(r.mode, MediationMode::Chained);
-        assert!(r.degradation.is_some(), "every result carries the plan degradation");
-        assert_eq!(r.rows, oracle.rows);
-    }
-    let metrics = tel.metrics().expect("ring telemetry has metrics");
-    assert_eq!(
-        metrics.degradations_at(DegradationSite::Mediator),
-        1,
-        "the plan-time degradation is recorded once, not once per query"
-    );
-}

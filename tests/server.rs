@@ -99,6 +99,9 @@ fn exchange_explain_and_script_round_trip() {
 
     let (_, _, explain) = client.explain_exchange("copy", "Dst", &src).expect("explain");
     assert!(explain.contains("tgd"), "explain report looks empty: {explain:?}");
+    // the report describes the run it explains: a wire exchange is
+    // single-threaded under the request's governor
+    assert!(explain.contains("threads=1"), "{explain}");
 
     let outputs = client
         .script("schema Extra {\n  table E0(a: int, b: int)\n}\nshow schema Extra")
@@ -158,7 +161,7 @@ fn mediation_round_trips_over_the_wire() {
         .expect("wire mediation");
 
     let mediator = Mediator::new(&gen.schema, vec![&qv]);
-    let local = mediator.answer_chained(&q, &tables).expect("local mediation");
+    let local = eval(&mediator.unfold(&q), &gen.schema, &tables).expect("local mediation");
     assert!(reply.rows.set_eq(&local));
     assert_eq!(reply.rows.len(), 1);
     handle.shutdown().expect("shutdown");
@@ -566,6 +569,24 @@ fn expired_deadline_surfaces_as_wire_code() {
 
     let snap = tel.metrics().expect("metrics").snapshot();
     assert!(snap.value("server.timed_out") >= 1);
+    handle.shutdown().expect("shutdown");
+}
+
+/// An EXPLAIN is metered like the exchange it explains: the request's
+/// deadline bounds the whole run, not just the admission check.
+#[test]
+fn explain_exchange_honours_the_request_deadline() {
+    let handle = Server::start(test_engine(EngineConfig::default()), fast_config()).expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    client.set_deadline_ms(1);
+    let err = client
+        .explain_exchange("quad", "QTgt", &faults::quadratic_join(2_000).2)
+        .expect_err("a 1ms deadline cannot satisfy a slow explained exchange");
+    assert_eq!(err.code(), Some(ERR_DEADLINE_EXCEEDED), "got {err}");
+
+    client.set_deadline_ms(0);
+    client.explain_exchange("copy", "Dst", &small_source()).expect("default deadline suffices");
     handle.shutdown().expect("shutdown");
 }
 

@@ -31,6 +31,10 @@ fn join_scenario() -> (Schema, Schema, Mapping, Database) {
     (src, tgt, m, db)
 }
 
+fn unbounded() -> Governor {
+    Governor::new(&ExecBudget::unbounded())
+}
+
 fn engine_with(src: Schema, tgt: Schema, m: Mapping, tel: Telemetry) -> Engine {
     let engine =
         Engine::with_config(EngineConfig { telemetry: tel, ..Default::default() }).unwrap();
@@ -48,7 +52,8 @@ fn explain_exchange_is_populated_and_byte_stable() {
     let (src, tgt, m, db) = join_scenario();
     let engine = engine_with(src, tgt, m, Telemetry::disabled());
 
-    let (out, stats, explain) = engine.explain_exchange("m", "Tgt", &db).unwrap();
+    let (out, stats, explain) =
+        engine.explain_exchange("m", "Tgt", &db, &mut unbounded()).unwrap();
     assert_eq!(out.relation("U").unwrap().len(), 4);
     assert_eq!(stats.fired, 4);
 
@@ -69,7 +74,7 @@ fn explain_exchange_is_populated_and_byte_stable() {
     assert_eq!(explain.rounds[0].new_tuples, 4);
 
     // rendered text is deterministic: two identical runs, identical bytes
-    let (_, _, again) = engine.explain_exchange("m", "Tgt", &db).unwrap();
+    let (_, _, again) = engine.explain_exchange("m", "Tgt", &db, &mut unbounded()).unwrap();
     assert_eq!(explain, again);
     let a = explain.to_node().to_string();
     let b = again.to_node().to_string();
@@ -271,7 +276,8 @@ fn ivm_degradations_mirror_as_events() {
 
 /// Satellite: plan-cache hits and misses are metered across repeated
 /// exchanges of the same mapping version, a newly stored version
-/// invalidates (new ArtifactId → miss), and uncached engines only miss.
+/// invalidates (new ArtifactId → miss), and a cache hit answers exactly
+/// like a fresh engine's first call, which is a miss.
 #[test]
 fn plan_cache_counters_track_hits_misses_and_invalidation() {
     let (src, tgt, m, db) = join_scenario();
@@ -294,26 +300,14 @@ fn plan_cache_counters_track_hits_misses_and_invalidation() {
     engine.add_mapping("m", m.clone()).unwrap();
     engine.exchange("m", "Tgt", &db).unwrap();
     assert_eq!((value("plan_cache_hits"), value("plan_cache_misses")), (2, 2));
-    engine.exchange("m", "Tgt", &db).unwrap();
+    let (cached, _) = engine.exchange("m", "Tgt", &db).unwrap();
     assert_eq!((value("plan_cache_hits"), value("plan_cache_misses")), (3, 2));
 
-    // with caching disabled every exchange is a miss
-    let ring2 = RingCollector::with_capacity(256);
-    let tel2 = Telemetry::new(ring2);
-    let uncached = Engine::with_config(EngineConfig {
-        cache_plans: false,
-        telemetry: tel2.clone(),
-        ..Default::default()
-    })
-    .unwrap();
-    uncached.add_schema(src).unwrap();
-    uncached.add_schema(tgt).unwrap();
-    uncached.add_mapping("m", m).unwrap();
-    uncached.exchange("m", "Tgt", &db).unwrap();
-    uncached.exchange("m", "Tgt", &db).unwrap();
-    let snap = tel2.metrics().unwrap().snapshot();
-    assert_eq!(snap.value("plan_cache_hits"), 0);
-    assert_eq!(snap.value("plan_cache_misses"), 2);
+    let fresh_tel = Telemetry::new(RingCollector::with_capacity(256));
+    let fresh = engine_with(src, tgt, m, fresh_tel.clone());
+    let (compiled, _) = fresh.exchange("m", "Tgt", &db).unwrap();
+    assert_eq!(fresh_tel.metrics().unwrap().snapshot().value("plan_cache_misses"), 1);
+    assert_eq!(cached, compiled);
 }
 
 /// Engine operators nest spans (engine.exchange → chase.st), carry the
@@ -631,7 +625,7 @@ fn json_lines_stream_through_mem_storage_parses() {
     let engine = engine_with(src, tgt, m, tel);
     engine.exchange("m", "Tgt", &db).unwrap();
     engine.exchange("m", "Tgt", &db).unwrap();
-    engine.explain_exchange("m", "Tgt", &db).unwrap();
+    engine.explain_exchange("m", "Tgt", &db, &mut unbounded()).unwrap();
 
     let bytes = (storage as Arc<dyn Storage>).read("telemetry.jsonl").unwrap().unwrap();
     let text = String::from_utf8(bytes.to_vec()).unwrap();
