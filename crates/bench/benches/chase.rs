@@ -89,7 +89,9 @@ fn bench_core_minimization(c: &mut Criterion) {
         rel.insert(Tuple::from([Value::Int(i), Value::Labeled(i as u64)]));
     }
     db.insert_relation("R", rel);
-    c.bench_function("eq7_core_minimization", |b| b.iter(|| core_of(&db)));
+    c.bench_function("eq7_core_minimization", |b| {
+        b.iter(|| core_of(&db, &mut Governor::new(&ExecBudget::unbounded())))
+    });
 }
 
 criterion_group!(

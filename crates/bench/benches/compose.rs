@@ -16,7 +16,7 @@ fn bench_sotgd_composition(c: &mut Criterion) {
             |b, (m12, m23)| {
                 b.iter(|| {
                     let mut gov = Governor::new(&ExecBudget::unbounded());
-                    compose_st_tgds(m12, m23, 1 << 22, &mut ExecCtx::new(&mut gov))
+                    compose_st_tgds(m12, m23, &mut ExecCtx::new(&mut gov))
                         .expect("within bound")
                 })
             },
@@ -29,7 +29,7 @@ fn bench_deskolemize(c: &mut Criterion) {
     let (_, _, _, m12, m23) = composition_chain(2, 6);
     let unbounded = || Governor::new(&ExecBudget::unbounded());
     let so =
-        compose_st_tgds(&m12, &m23, 1 << 22, &mut ExecCtx::new(&mut unbounded())).expect("compose");
+        compose_st_tgds(&m12, &m23, &mut ExecCtx::new(&mut unbounded())).expect("compose");
     c.bench_function("eq1_deskolemize_attempt", |b| {
         b.iter(|| try_deskolemize(&so, &mut unbounded()))
     });

@@ -57,7 +57,7 @@ pub fn eq1_compose_point(producers: usize, body_atoms: usize) -> Eq1Row {
     let (_, _, _, m12, m23) = wl::composition_chain(producers, body_atoms);
     let mut gov = Governor::new(&ExecBudget::unbounded());
     let (so, took) = timed(|| {
-        compose_st_tgds(&m12, &m23, 1 << 22, &mut ExecCtx::new(&mut gov)).expect("within bound")
+        compose_st_tgds(&m12, &m23, &mut ExecCtx::new(&mut gov)).expect("within bound")
     });
     let deskolemizable = try_deskolemize(&so, &mut gov).expect("unbounded").is_some();
     Eq1Row {

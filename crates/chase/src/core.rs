@@ -7,11 +7,12 @@
 //! nulls may map to anything) that is not surjective, and quotient the
 //! instance by it.
 //!
-//! Exact core computation is exponential in the number of nulls per block;
-//! the search below is complete for the small-to-medium instances the
-//! engine produces but bounds its backtracking, falling back to the
-//! (still universal, just non-minimal) input when the bound trips.
+//! Exact core computation is exponential in the number of nulls per block,
+//! so the search runs under a [`Governor`]: every backtracking node is one
+//! step, and a step cap, wall clock or cancellation ends the search with
+//! the typed [`ExecError`] rather than a silently non-minimal result.
 
+use mm_guard::{ExecError, Governor};
 use mm_instance::{Database, Tuple, Value};
 use std::collections::HashMap;
 
@@ -20,44 +21,28 @@ use std::collections::HashMap;
 pub struct CoreStats {
     pub tuples_before: usize,
     pub tuples_after: usize,
-    /// True if the backtracking bound was hit (result may not be minimal).
-    pub bounded: bool,
 }
-
-const SEARCH_BUDGET: usize = 200_000;
 
 /// Compute the core of `db` (in place on a clone), returning the reduced
-/// database and stats.
-pub fn core_of(db: &Database) -> (Database, CoreStats) {
+/// database and stats. Each backtracking node of the endomorphism search
+/// is one step on `gov`.
+pub fn core_of(db: &Database, gov: &mut Governor) -> Result<(Database, CoreStats), ExecError> {
     let mut cur = db.clone();
     let before = cur.total_tuples();
-    let mut bounded = false;
-    loop {
-        match find_proper_endomorphism(&cur) {
-            Search::Found(h) => {
-                cur = apply_endomorphism(&cur, &h);
-            }
-            Search::None => break,
-            Search::Bounded => {
-                bounded = true;
-                break;
-            }
-        }
+    while let Some(h) = find_proper_endomorphism(&cur, gov)? {
+        cur = apply_endomorphism(&cur, &h);
     }
     let after = cur.total_tuples();
-    (cur, CoreStats { tuples_before: before, tuples_after: after, bounded })
-}
-
-enum Search {
-    Found(HashMap<u64, Value>),
-    None,
-    Bounded,
+    Ok((cur, CoreStats { tuples_before: before, tuples_after: after }))
 }
 
 /// Look for an endomorphism h (identity on constants, arbitrary on
 /// labeled nulls) such that h(db) ⊆ db and h is not injective on the
 /// tuples (i.e. the image has strictly fewer tuples).
-fn find_proper_endomorphism(db: &Database) -> Search {
+fn find_proper_endomorphism(
+    db: &Database,
+    gov: &mut Governor,
+) -> Result<Option<HashMap<u64, Value>>, ExecError> {
     // collect all labeled nulls
     let mut nulls: Vec<u64> = Vec::new();
     for (_, rel) in db.relations() {
@@ -72,7 +57,7 @@ fn find_proper_endomorphism(db: &Database) -> Search {
         }
     }
     if nulls.is_empty() {
-        return Search::None;
+        return Ok(None);
     }
     // candidate images per null: any value occurring in the same column of
     // the same relation
@@ -99,14 +84,8 @@ fn find_proper_endomorphism(db: &Database) -> Search {
         .flat_map(|(n, r)| r.iter().map(move |t| (n.to_string(), t.clone())))
         .collect();
     let mut assign: HashMap<u64, Value> = HashMap::new();
-    let mut budget = SEARCH_BUDGET;
-    if search(db, &tuples, &nulls, 0, &candidates, &mut assign, &mut budget) {
-        Search::Found(assign)
-    } else if budget == 0 {
-        Search::Bounded
-    } else {
-        Search::None
-    }
+    let found = search(db, &tuples, &nulls, 0, &candidates, &mut assign, gov)?;
+    Ok(found.then_some(assign))
 }
 
 #[allow(clippy::expect_used)] // invariant-backed: see expect messages
@@ -117,12 +96,9 @@ fn search(
     idx: usize,
     candidates: &HashMap<u64, Vec<Value>>,
     assign: &mut HashMap<u64, Value>,
-    budget: &mut usize,
-) -> bool {
-    if *budget == 0 {
-        return false;
-    }
-    *budget -= 1;
+    gov: &mut Governor,
+) -> Result<bool, ExecError> {
+    gov.step()?;
     if idx == nulls.len() {
         // full assignment: is the image consistent and strictly smaller?
         let mut image_count = 0usize;
@@ -131,13 +107,13 @@ fn search(
             let img = map_tuple(t, assign);
             let rel = db.relation(name).expect("relation exists");
             if !rel.contains(&img) {
-                return false;
+                return Ok(false);
             }
             if seen.entry(name.as_str()).or_default().insert(img) {
                 image_count += 1;
             }
         }
-        return image_count < tuples.len();
+        return Ok(image_count < tuples.len());
     }
     let n = nulls[idx];
     for cand in &candidates[&n] {
@@ -149,12 +125,12 @@ fn search(
             let Some(img) = try_map_tuple(t, assign) else { return true };
             db.relation(name).expect("relation exists").contains(&img)
         });
-        if ok && search(db, tuples, nulls, idx + 1, candidates, assign, budget) {
-            return true;
+        if ok && search(db, tuples, nulls, idx + 1, candidates, assign, gov)? {
+            return Ok(true);
         }
         assign.remove(&n);
     }
-    false
+    Ok(false)
 }
 
 fn map_tuple(t: &Tuple, assign: &HashMap<u64, Value>) -> Tuple {
@@ -198,8 +174,13 @@ fn apply_endomorphism(db: &Database, h: &HashMap<u64, Value>) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mm_guard::{ExecBudget, Resource};
     use mm_instance::RelSchema;
     use mm_metamodel::DataType;
+
+    fn core(db: &Database) -> (Database, CoreStats) {
+        core_of(db, &mut Governor::new(&ExecBudget::unbounded())).unwrap()
+    }
 
     fn rel2() -> RelSchema {
         RelSchema::of(&[("a", DataType::Any), ("b", DataType::Any)])
@@ -213,10 +194,9 @@ mod tests {
         r.insert(Tuple::from([Value::Int(1), Value::Int(2)]));
         r.insert(Tuple::from([Value::Int(1), Value::Labeled(0)]));
         db.insert_relation("R", r);
-        let (core, stats) = core_of(&db);
+        let (core, stats) = core(&db);
         assert_eq!(stats.tuples_before, 2);
         assert_eq!(stats.tuples_after, 1);
-        assert!(!stats.bounded);
         assert!(core.relation("R").unwrap().contains(&Tuple::from([Value::Int(1), Value::Int(2)])));
     }
 
@@ -227,7 +207,7 @@ mod tests {
         let mut r = mm_instance::Relation::new(rel2());
         r.insert(Tuple::from([Value::Int(1), Value::Labeled(0)]));
         db.insert_relation("R", r);
-        let (core, stats) = core_of(&db);
+        let (core, stats) = core(&db);
         assert_eq!(stats.tuples_after, 1);
         assert!(core.relation("R").unwrap().iter().next().unwrap().values()[1].is_labeled());
     }
@@ -243,7 +223,7 @@ mod tests {
         r.insert(Tuple::from([Value::Int(1), Value::Int(5)]));
         r.insert(Tuple::from([Value::Int(5), Value::Int(2)]));
         db.insert_relation("R", r);
-        let (core, stats) = core_of(&db);
+        let (core, stats) = core(&db);
         assert_eq!(stats.tuples_after, 2);
         assert!(core.is_ground());
     }
@@ -255,7 +235,7 @@ mod tests {
         r.insert(Tuple::from([Value::Int(1), Value::Int(2)]));
         r.insert(Tuple::from([Value::Int(3), Value::Int(4)]));
         db.insert_relation("R", r);
-        let (core, stats) = core_of(&db);
+        let (core, stats) = core(&db);
         assert_eq!(stats.tuples_before, stats.tuples_after);
         assert_eq!(core.total_tuples(), 2);
     }
@@ -269,8 +249,28 @@ mod tests {
         r.insert(Tuple::from([Value::Int(3), Value::Int(4)]));
         r.insert(Tuple::from([Value::Int(3), Value::Labeled(1)]));
         db.insert_relation("R", r);
-        let (core, _) = core_of(&db);
+        let (core, _) = core(&db);
         assert_eq!(core.total_tuples(), 2);
         assert!(core.is_ground());
+    }
+
+    #[test]
+    fn search_past_the_step_cap_is_a_typed_error() {
+        // three interchangeable nulls: the search needs more than two
+        // backtracking nodes to find the fold
+        let mut db = Database::new("U");
+        let mut r = mm_instance::Relation::new(rel2());
+        r.insert(Tuple::from([Value::Int(1), Value::Int(2)]));
+        for l in 0..3 {
+            r.insert(Tuple::from([Value::Int(1), Value::Labeled(l)]));
+        }
+        db.insert_relation("R", r);
+        let err = core_of(&db, &mut Governor::new(&ExecBudget::unbounded().with_steps(2)))
+            .unwrap_err();
+        assert!(
+            matches!(err, ExecError::BudgetExhausted { resource: Resource::Steps, limit: 2, .. }),
+            "{err:?}"
+        );
+        assert_eq!(core(&db).0.total_tuples(), 1);
     }
 }

@@ -16,7 +16,8 @@
 //! * [`certain::certain_answers`] — query evaluation with labeled-null
 //!   filtering;
 //! * [`core::core_of`] — greedy core minimization of a universal instance
-//!   ("Data exchange: getting to the core").
+//!   ("Data exchange: getting to the core"), one governor step per
+//!   backtracking node.
 //!
 //! Both chases run under an [`mm_guard::ExecCtx`]: budget, telemetry,
 //! threads, adaptive re-planning and EXPLAIN are its fields, and no

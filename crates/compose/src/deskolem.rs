@@ -117,7 +117,7 @@ fn fold_term(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sotgd::{compose_st_tgds, DEFAULT_CLAUSE_BOUND};
+    use crate::sotgd::compose_st_tgds;
     use mm_expr::SoClause;
     use mm_guard::{ExecBudget, ExecCtx};
 
@@ -233,7 +233,7 @@ mod tests {
         )];
         let mut gov = Governor::new(&ExecBudget::unbounded());
         let so =
-            compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, &mut ExecCtx::new(&mut gov)).unwrap();
+            compose_st_tgds(&m12, &m23, &mut ExecCtx::new(&mut gov)).unwrap();
         let tgds = deskolemize(&so).expect("composition should be first-order here");
         assert_eq!(tgds.len(), 1);
         assert_eq!(tgds[0].body[0].relation, "R");

@@ -9,9 +9,11 @@
 //!   compose by substitution — the Figure 6 schema-evolution example;
 //! * **Logic** ([`sotgd`]): st-tgds are *not* closed under composition
 //!   (Fagin et al.); the composition algorithm Skolemizes into second-
-//!   order tgds, with a worst-case exponential output. [`deskolem`] tries
-//!   to fold the result back into first-order st-tgds when the function
-//!   terms allow it;
+//!   order tgds, with a worst-case exponential output that only the
+//!   governor's clause cap bounds (a trip is `ComposeError::Exec` with
+//!   `BudgetExhausted { Clauses }`). [`deskolem`] tries to fold the
+//!   result back into first-order st-tgds when the function terms allow
+//!   it;
 //! * **Transport** ([`transport`]): the instance-level semantics, used to
 //!   validate the syntactic algorithms — chase through S2 and compare
 //!   (up to homomorphic equivalence) with applying the composed mapping
@@ -27,5 +29,5 @@ pub mod transport;
 
 pub use algebraic::{compose_expr_mappings, compose_views};
 pub use deskolem::try_deskolemize;
-pub use sotgd::{apply_sotgd, compose_st_tgds, ComposeError, DEFAULT_CLAUSE_BOUND};
+pub use sotgd::{apply_sotgd, compose_st_tgds, ComposeError};
 pub use transport::transport_via;

@@ -22,11 +22,9 @@ use std::fmt;
 pub enum ComposeError {
     /// A constraint of the first mapping is not a valid tgd.
     InvalidTgd(String),
-    /// Output size exceeded the configured bound (the exponential blowup
-    /// is real; callers opt into large outputs explicitly).
-    OutputTooLarge { clauses: usize, bound: usize },
-    /// Governance failure: execution budget tripped or cancellation
-    /// observed while splicing.
+    /// Governance failure: the clause cap (the exponential blowup is
+    /// real), another budget cap, or cancellation tripped while
+    /// splicing.
     Exec(ExecError),
 }
 
@@ -34,9 +32,6 @@ impl fmt::Display for ComposeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ComposeError::InvalidTgd(m) => write!(f, "invalid tgd: {m}"),
-            ComposeError::OutputTooLarge { clauses, bound } => {
-                write!(f, "composition produced {clauses} clauses, bound is {bound}")
-            }
             ComposeError::Exec(e) => write!(f, "composition aborted: {e}"),
         }
     }
@@ -50,16 +45,14 @@ impl From<ExecError> for ComposeError {
     }
 }
 
-/// Default bound on the number of output clauses.
-pub const DEFAULT_CLAUSE_BOUND: usize = 1 << 16;
-
 /// Compose `m12 : S1 → S2` with `m23 : S2 → S3`, producing an SO-tgd from
-/// S1 to S3. `clause_bound` caps the (worst-case exponential) output.
+/// S1 to S3.
 ///
-/// In addition to the hard `clause_bound`, the context's governor meters
-/// the splice — its clause cap, step cap, wall clock and cancellation
-/// token are observed per produced clause *before* the clause is
-/// materialized, since the splice loop is the exponential part. With
+/// The context's governor meters the splice: its clause cap (which
+/// bounds the worst-case exponential output), step cap, wall clock and
+/// cancellation token are observed per produced clause *before* the
+/// clause is materialized, since the splice loop is the exponential
+/// part. A budget without a clause cap does not bound the output. With
 /// enabled telemetry the call runs under a `compose.splice` span carrying
 /// input sizes, emitted-clause count and the governor's final
 /// consumption, and feeds [`Counter::ComposeClausesEmitted`] and the
@@ -67,16 +60,15 @@ pub const DEFAULT_CLAUSE_BOUND: usize = 1 << 16;
 pub fn compose_st_tgds(
     m12: &[Tgd],
     m23: &[Tgd],
-    clause_bound: usize,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<SoTgd, ComposeError> {
     let tel = &ctx.telemetry;
     if !tel.is_enabled() {
-        return compose_impl(m12, m23, clause_bound, ctx.governor);
+        return compose_impl(m12, m23, ctx.governor);
     }
     let started = mm_telemetry::clock::now();
     let mut span = Span::enter(tel, "compose.splice", "");
-    let result = compose_impl(m12, m23, clause_bound, ctx.governor);
+    let result = compose_impl(m12, m23, ctx.governor);
     span.field("m12_tgds", m12.len());
     span.field("m23_tgds", m23.len());
     match &result {
@@ -99,12 +91,7 @@ pub fn compose_st_tgds(
     result
 }
 
-fn compose_impl(
-    m12: &[Tgd],
-    m23: &[Tgd],
-    clause_bound: usize,
-    gov: &mut Governor,
-) -> Result<SoTgd, ComposeError> {
+fn compose_impl(m12: &[Tgd], m23: &[Tgd], gov: &mut Governor) -> Result<SoTgd, ComposeError> {
     for t in m12.iter().chain(m23) {
         t.validate().map_err(|e| ComposeError::InvalidTgd(e.to_string()))?;
     }
@@ -141,15 +128,9 @@ fn compose_impl(
         };
         let mut combo = vec![0usize; options.len()];
         loop {
-            // govern *before* materializing the next clause: the hard
-            // bound stops the exponential splice without first paying
-            // for the oversized clause
-            if out_clauses.len() + 1 > clause_bound {
-                return Err(ComposeError::OutputTooLarge {
-                    clauses: out_clauses.len() + 1,
-                    bound: clause_bound,
-                });
-            }
+            // govern *before* materializing the next clause: the clause
+            // cap stops the exponential splice without first paying for
+            // the oversized clause
             gov.clauses(out_clauses.len() as u64 + 1)?;
             gov.step()?;
             // build one spliced clause
@@ -344,11 +325,14 @@ mod tests {
     use mm_guard::ExecBudget;
     use mm_metamodel::{DataType, SchemaBuilder};
 
-    /// Unmetered, untraced composition.
-    fn compose(m12: &[Tgd], m23: &[Tgd], bound: usize) -> Result<SoTgd, ComposeError> {
-        let mut gov = Governor::new(&ExecBudget::unbounded());
-        compose_st_tgds(m12, m23, bound, &mut ExecCtx::new(&mut gov))
+    /// Untraced composition under a clause cap.
+    fn compose(m12: &[Tgd], m23: &[Tgd], clauses: u64) -> Result<SoTgd, ComposeError> {
+        let mut gov = Governor::new(&ExecBudget::unbounded().with_clauses(clauses));
+        compose_st_tgds(m12, m23, &mut ExecCtx::new(&mut gov))
     }
+
+    /// A clause cap no test composition reaches.
+    const CLAUSES: u64 = 1 << 16;
 
     fn apply(so: &SoTgd, db: &Database, target: &Schema) -> Result<Database, ExecError> {
         apply_sotgd(so, db, target, &mut Governor::new(&ExecBudget::unbounded()))
@@ -373,7 +357,7 @@ mod tests {
 
     #[test]
     fn fagin_example_produces_function_terms_and_equality() {
-        let so = compose(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&m12(), &m23(), CLAUSES).unwrap();
         assert_eq!(so.clauses.len(), 2);
         // first clause: Emp(e) -> Mgr(e, f(e))
         let c0 = &so.clauses[0];
@@ -392,7 +376,7 @@ mod tests {
     fn full_tgds_compose_to_function_free_clauses() {
         let a = vec![Tgd::new(vec![Atom::vars("R", &["x", "y"])], vec![Atom::vars("S", &["x", "y"])])];
         let b = vec![Tgd::new(vec![Atom::vars("S", &["x", "y"])], vec![Atom::vars("T", &["y", "x"])])];
-        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, CLAUSES).unwrap();
         assert_eq!(so.clauses.len(), 1);
         let c = &so.clauses[0];
         assert!(c.eqs.is_empty());
@@ -409,7 +393,7 @@ mod tests {
             vec![Atom::vars("S", &["x"]), Atom::vars("Z", &["x"])],
             vec![Atom::vars("T", &["x"])],
         )];
-        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, CLAUSES).unwrap();
         assert!(so.clauses.is_empty());
     }
 
@@ -424,7 +408,7 @@ mod tests {
             vec![Atom::vars("S", &["x"]), Atom::vars("S", &["y"])],
             vec![Atom::vars("T", &["x", "y"])],
         )];
-        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, CLAUSES).unwrap();
         assert_eq!(so.clauses.len(), 4);
     }
 
@@ -443,7 +427,17 @@ mod tests {
             vec![Atom::vars("T", &["x", "y", "z"])],
         )];
         let err = compose(&a, &b, 4).unwrap_err();
-        assert!(matches!(err, ComposeError::OutputTooLarge { .. }));
+        assert!(
+            matches!(
+                err,
+                ComposeError::Exec(ExecError::BudgetExhausted {
+                    resource: mm_guard::Resource::Clauses,
+                    consumed: 5,
+                    limit: 4
+                })
+            ),
+            "{err:?}"
+        );
     }
 
     /// End-to-end semantic validation: applying the composed SO-tgd to D1
@@ -471,7 +465,7 @@ mod tests {
         let (d3_chase, _, _) = transport_via(&s2, &m12(), &s3, &m23(), &d1).unwrap();
 
         // direct: apply composed SO-tgd
-        let so = compose(&m12(), &m23(), DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&m12(), &m23(), CLAUSES).unwrap();
         let d3_direct = apply(&so, &d1, &s3).unwrap();
 
         assert!(
@@ -492,7 +486,7 @@ mod tests {
             vec![Atom::vars("S", &["x", "y"]), Atom::vars("S", &["y", "x"])],
             vec![Atom::vars("T", &["x"])],
         )];
-        let so = compose(&a, &b, DEFAULT_CLAUSE_BOUND).unwrap();
+        let so = compose(&a, &b, CLAUSES).unwrap();
         let s1 = SchemaBuilder::new("S1")
             .relation("R", &[("x", DataType::Int)])
             .build()

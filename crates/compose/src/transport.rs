@@ -32,7 +32,7 @@ pub fn transport_via(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sotgd::{apply_sotgd, compose_st_tgds, DEFAULT_CLAUSE_BOUND};
+    use crate::sotgd::{apply_sotgd, compose_st_tgds};
     use mm_chase::hom_equivalent;
     use mm_expr::Atom;
     use mm_instance::{Tuple, Value};
@@ -68,7 +68,7 @@ mod tests {
         let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
         let mut gov = Governor::new(&ExecBudget::unbounded());
         let so =
-            compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, &mut ExecCtx::new(&mut gov)).unwrap();
+            compose_st_tgds(&m12, &m23, &mut ExecCtx::new(&mut gov)).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3, &mut gov).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
         assert_eq!(d3_direct.relation("C").unwrap().len(), 4);
@@ -105,7 +105,7 @@ mod tests {
         let (d3_chase, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).unwrap();
         let mut gov = Governor::new(&ExecBudget::unbounded());
         let so =
-            compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, &mut ExecCtx::new(&mut gov)).unwrap();
+            compose_st_tgds(&m12, &m23, &mut ExecCtx::new(&mut gov)).unwrap();
         let d3_direct = apply_sotgd(&so, &d1, &s3, &mut gov).unwrap();
         assert!(hom_equivalent(&d3_chase, &d3_direct));
         assert_eq!(d3_direct.relation("Q").unwrap().len(), 3);

@@ -25,6 +25,21 @@ use crate::plan_cache::PlanCache;
 /// [`mm_guard::ExecError::Diverged`] rather than a silent stop.
 pub const DEFAULT_CHASE_ROUNDS: u64 = 256;
 
+/// Default clause cap for the engine's operators. SO-tgd composition is
+/// worst-case exponential in its output (§6.1), so a composition past
+/// this many clauses trips `BudgetExhausted { Clauses }`; the same cap
+/// bounds the node count of a view-set composition.
+const DEFAULT_CLAUSES: u64 = 1 << 16;
+
+/// Drift threshold for adaptive re-optimization, as a ratio between a
+/// plan's compile-time body-relation cardinalities and the live ones
+/// (either direction, +1 smoothed). Chase programs are compiled by the
+/// cost-based planner ([`mm_chase::ChaseProgram::compile_costed`]); a
+/// cached or mid-run plan past the threshold is re-planned against
+/// current statistics. Re-planning changes how much work a chase does,
+/// never its result.
+const REPLAN_RATIO: f64 = 8.0;
+
 /// Where the engine's repository lives.
 #[derive(Clone, Default)]
 pub enum Durability {
@@ -34,51 +49,34 @@ pub enum Durability {
     Ephemeral,
     /// Journal every repository write through a write-ahead log on this
     /// storage, running crash recovery on open (DESIGN.md §9).
-    Durable {
-        storage: Arc<dyn Storage>,
-        options: DurableOptions,
-    },
+    Durable { storage: Arc<dyn Storage> },
 }
 
 impl fmt::Debug for Durability {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Durability::Ephemeral => f.write_str("Ephemeral"),
-            Durability::Durable { options, .. } => f
-                .debug_struct("Durable")
-                .field("options", options)
-                .finish_non_exhaustive(),
+            Durability::Durable { .. } => f.write_str("Durable"),
         }
     }
 }
 
-/// Resource-governance knobs for engine operators.
+/// Engine knobs: the execution budget, parallelism, durability,
+/// propagation and telemetry.
 ///
-/// The engine threads these through every operator that can run away:
-/// data exchange (chase), general chase, and mapping composition. The
-/// default configuration is permissive — an unbounded [`ExecBudget`],
-/// [`DEFAULT_CHASE_ROUNDS`] rounds for the general chase, and
-/// [`mm_compose::DEFAULT_CLAUSE_BOUND`] clauses for SO-tgd composition —
-/// so ungoverned callers see the historical behavior.
+/// Every resource limit of an engine operator is a cap of
+/// [`EngineConfig::budget`]. The default configuration is permissive:
+/// an unbounded budget, into which the engine fills
+/// [`DEFAULT_CHASE_ROUNDS`] rounds and 65 536 clauses, so the general
+/// chase and SO-tgd composition still stop.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Round cap for general-chase invocations whose budget does not set
-    /// one. Defaults to [`DEFAULT_CHASE_ROUNDS`].
-    pub chase_max_rounds: u64,
-    /// Clause cap for SO-tgd composition. Defaults to
-    /// [`mm_compose::DEFAULT_CLAUSE_BOUND`].
-    pub compose_clause_bound: usize,
-    /// Baseline execution budget (steps, rows, wall clock, cancellation)
-    /// applied to every governed operator. Defaults to unbounded.
+    /// Execution budget (steps, rows, rounds, clauses, wall clock,
+    /// cancellation) every governed operator runs under. A round or
+    /// clause cap it leaves unset is filled in with the engine default
+    /// ([`DEFAULT_CHASE_ROUNDS`] rounds, 65 536 clauses). Defaults to
+    /// unbounded.
     pub budget: ExecBudget,
-    /// Drift threshold for adaptive re-optimization, as a ratio between a
-    /// plan's compile-time body-relation cardinalities and the live ones
-    /// (either direction, +1 smoothed). Chase programs are compiled by
-    /// the cost-based planner ([`mm_chase::ChaseProgram::compile_costed`]);
-    /// a cached or mid-run plan past the threshold is re-planned against
-    /// current statistics. Re-planning changes how much work a chase
-    /// does, never its result. Defaults to `8.0`.
-    pub replan_ratio: f64,
     /// Degree of parallelism for the within-round body-matching fan-out
     /// of `exchange` / `chase_general` (a governed exchange, the
     /// server's, always runs on one thread). `1` runs everything
@@ -88,8 +86,8 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Repository durability mode. Defaults to [`Durability::Ephemeral`].
     pub durability: Durability,
-    /// Update-propagation knobs: subscriber queue bounds, feed
-    /// retention, and the per-event delta budget (DESIGN.md §14).
+    /// Update-propagation knobs: subscriber queue bounds and the
+    /// per-event delta budget (DESIGN.md §14).
     pub propagate: PropagateConfig,
     /// Telemetry handle threaded through every operator and the
     /// repository: operator spans, engine metrics, and degradation
@@ -102,10 +100,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            chase_max_rounds: DEFAULT_CHASE_ROUNDS,
-            compose_clause_bound: mm_compose::DEFAULT_CLAUSE_BOUND,
             budget: ExecBudget::unbounded(),
-            replan_ratio: 8.0,
             threads: mm_parallel::available_parallelism(),
             durability: Durability::Ephemeral,
             propagate: PropagateConfig::default(),
@@ -164,7 +159,18 @@ macro_rules! from_err {
 from_err!(Repository, RepositoryError);
 from_err!(ModelGen, mm_modelgen::ModelGenError);
 from_err!(TransGen, mm_transgen::TransGenError);
-from_err!(Compose, mm_compose::ComposeError);
+
+/// A budget trip inside composition is the same error as anywhere else
+/// in the engine ([`EngineError::Exec`]), so it maps to the same wire
+/// code; only a composition-specific failure stays `Compose`.
+impl From<mm_compose::ComposeError> for EngineError {
+    fn from(e: mm_compose::ComposeError) -> Self {
+        match e {
+            mm_compose::ComposeError::Exec(e) => EngineError::Exec(e),
+            e => EngineError::Compose(e),
+        }
+    }
+}
 from_err!(Eval, mm_eval::EvalError);
 from_err!(Corr, mm_transgen::CorrError);
 from_err!(Inverse, mm_evolution::InverseError);
@@ -211,8 +217,8 @@ impl Engine {
         }
     }
 
-    /// An engine with explicit governance knobs (round caps, clause
-    /// bounds, execution budget, durability). Fallible because a
+    /// An engine with explicit knobs (execution budget, parallelism,
+    /// durability, propagation, telemetry). Fallible because a
     /// [`Durability::Durable`] configuration opens the storage and runs
     /// crash recovery.
     pub fn with_config(config: EngineConfig) -> Result<Self, EngineError> {
@@ -222,9 +228,8 @@ impl Engine {
                 repo.set_telemetry(config.telemetry.clone());
                 repo
             }
-            Durability::Durable { storage, options } => Repository::open_durable_with_telemetry(
+            Durability::Durable { storage } => Repository::open_durable_with_telemetry(
                 Arc::clone(storage),
-                options.clone(),
                 config.telemetry.clone(),
             )?,
         };
@@ -269,13 +274,13 @@ impl Engine {
 
     /// Open (or recover) a durable engine over `storage` with otherwise
     /// default configuration — shorthand for [`Engine::with_config`]
-    /// with [`Durability::Durable`].
+    /// with [`Durability::Durable`]. [`DurableOptions`] has no fields.
     pub fn open_durable(
         storage: Arc<dyn Storage>,
-        options: DurableOptions,
+        _options: DurableOptions,
     ) -> Result<Self, EngineError> {
         Engine::with_config(EngineConfig {
-            durability: Durability::Durable { storage, options },
+            durability: Durability::Durable { storage },
             ..EngineConfig::default()
         })
     }
@@ -288,7 +293,7 @@ impl Engine {
     /// from an *older* version of the same name is treated as a miss and
     /// replaced, so a replaced mapping never serves its predecessor's
     /// plan, and a cached plan whose compile-time statistics have drifted
-    /// from `db` beyond [`EngineConfig::replan_ratio`] is invalidated and
+    /// from `db` beyond [`REPLAN_RATIO`] is invalidated and
     /// recompiled against current cardinalities (counted as a plan
     /// misestimate plus a re-plan). `db` only supplies cardinality
     /// statistics for the compile; plan order never affects result sets.
@@ -303,7 +308,7 @@ impl Engine {
         let compile =
             |tgds: &[Tgd], db: &Database| Arc::new(ChaseProgram::compile_costed(tgds, db));
         if let Some(program) = self.chase_plans.get(name, id) {
-            if program.misestimated(db, self.config.replan_ratio) {
+            if program.misestimated(db, REPLAN_RATIO) {
                 tel.count(Counter::PlanMisestimates, 1);
                 self.chase_plans.invalidate(name);
                 let fresh = compile(tgds, db);
@@ -340,16 +345,11 @@ impl Engine {
         ]);
     }
 
-    /// The budget chase-based operators run under: the configured
-    /// baseline, with the configured round cap filled in when the
-    /// baseline does not set one.
-    fn chase_budget(&self) -> ExecBudget {
-        let b = self.config.budget.clone();
-        if b.max_rounds().is_none() {
-            b.with_rounds(self.config.chase_max_rounds)
-        } else {
-            b
-        }
+    /// The budget every governor the engine creates meters against: the
+    /// configured budget, with [`DEFAULT_CHASE_ROUNDS`] rounds and
+    /// [`DEFAULT_CLAUSES`] clauses filled in where it sets no cap.
+    fn budget(&self) -> ExecBudget {
+        self.config.budget.clone().with_default_caps(DEFAULT_CHASE_ROUNDS, DEFAULT_CLAUSES)
     }
 
     /// The context every chase the engine runs executes under: the
@@ -360,7 +360,7 @@ impl Engine {
             governor: gov,
             telemetry: self.config.telemetry.clone(),
             threads: self.config.threads,
-            replan_ratio: Some(self.config.replan_ratio),
+            replan_ratio: Some(REPLAN_RATIO),
             explain: false,
         }
     }
@@ -503,10 +503,10 @@ impl Engine {
     }
 
     /// Compose two stored view sets (`first` base→mid, `second` mid→top),
-    /// storing the collapsed result. The size of the composed definitions
-    /// is checked against the configured budget's clause cap, so a
-    /// blowing-up chain trips `BudgetExhausted` instead of storing an
-    /// enormous mapping.
+    /// storing the collapsed result. The node count of the composed
+    /// definitions is checked against the budget's clause cap (65 536
+    /// unless the configured budget sets one), so a blowing-up chain
+    /// trips `BudgetExhausted` instead of storing an enormous mapping.
     pub fn compose(
         &self,
         first: &str,
@@ -516,7 +516,7 @@ impl Engine {
         let (a, aid) = self.repo.latest_viewset(first)?;
         let (b, bid) = self.repo.latest_viewset(second)?;
         let composed = mm_compose::compose_views(&a, &b);
-        let mut gov = Governor::new(&self.config.budget);
+        let mut gov = Governor::new(&self.budget());
         let nodes: usize = composed.views.iter().map(|v| v.expr.size()).sum();
         gov.clauses(nodes as u64)?;
         gov.steps_n(nodes as u64)?;
@@ -526,9 +526,11 @@ impl Engine {
     }
 
     /// Compose two stored *tgd* mappings (§6.1): Skolemize into an
-    /// SO-tgd under the configured clause bound and budget, then try to
-    /// fold the result back into first-order st-tgds. When folding
-    /// succeeds the first-order mapping is stored under `out_name`.
+    /// SO-tgd under the budget's clause cap (65 536 unless the configured
+    /// budget sets one), then try to fold the result back into
+    /// first-order st-tgds. When folding succeeds the first-order
+    /// mapping is stored under `out_name`. A budget trip in either step
+    /// is [`EngineError::Exec`], as in every other operator.
     pub fn compose_tgd_mappings(
         &self,
         first: &str,
@@ -543,11 +545,10 @@ impl Engine {
         let mut span = Span::enter(tel, "engine.compose.tgd", format!("{aid} * {bid}"));
         // compose and deskolemize are metered separately, each under a
         // fresh governor for the configured budget
-        let mut gov = Governor::new(&self.config.budget);
+        let mut gov = Governor::new(&self.budget());
         let so = match mm_compose::compose_st_tgds(
             &t12,
             &t23,
-            self.config.compose_clause_bound,
             &mut ExecCtx { telemetry: tel.clone(), ..ExecCtx::new(&mut gov) },
         ) {
             Ok(so) => {
@@ -559,7 +560,7 @@ impl Engine {
                 return Err(e.into());
             }
         };
-        let mut gov = Governor::new(&self.config.budget);
+        let mut gov = Governor::new(&self.budget());
         let folded = match mm_compose::try_deskolemize(&so, &mut gov)? {
             Some(tgds) => {
                 let mut m = Mapping::new(m12.source_schema.clone(), m23.target_schema.clone());
@@ -645,7 +646,7 @@ impl Engine {
         target_schema: &str,
         source_db: &Database,
     ) -> Result<(Database, mm_chase::ChaseStats), EngineError> {
-        let mut gov = Governor::new(&self.config.budget);
+        let mut gov = Governor::new(&self.budget());
         self.run_exchange(mapping, target_schema, source_db, &mut self.chase_ctx(&mut gov))
             .map(|run| (run.target, run.stats))
     }
@@ -894,9 +895,8 @@ impl Engine {
 
     /// Run the bounded general chase of `source_db` with a stored tgd
     /// mapping's constraints plus the key egds of `schema`. The chase may
-    /// diverge, so it runs under the configured round cap
-    /// ([`EngineConfig::chase_max_rounds`], default
-    /// [`DEFAULT_CHASE_ROUNDS`]) and budget; divergence surfaces as
+    /// diverge, so it runs under the budget's round cap (default
+    /// [`DEFAULT_CHASE_ROUNDS`]); divergence surfaces as
     /// [`EngineError::Exec`] with [`mm_guard::ExecError::Diverged`].
     pub fn chase_general(
         &self,
@@ -914,7 +914,7 @@ impl Engine {
         let program = self.chase_program(mapping, &mid, &tgds, &db);
         // adaptive: at each round boundary, plans whose statistics
         // drifted past the configured ratio are re-planned mid-run
-        let mut gov = Governor::new(&self.chase_budget());
+        let mut gov = Governor::new(&self.budget());
         let result = program
             .run_general(&mut db, &egds, &mut self.chase_ctx(&mut gov))
             .map(|run| run.outcome)
@@ -944,7 +944,7 @@ impl Engine {
         let egds = mm_chase::egds_from_keys(&s);
         let mut db = source_db.clone();
         let program = self.chase_program(mapping, &mid, &tgds, &db);
-        let mut gov = Governor::new(&self.chase_budget());
+        let mut gov = Governor::new(&self.budget());
         let run = program
             .run_general(&mut db, &egds, &mut ExecCtx { explain: true, ..self.chase_ctx(&mut gov) })
             .map_err(|f| EngineError::Exec(f.into()))?;

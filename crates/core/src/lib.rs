@@ -50,7 +50,7 @@ pub mod prelude {
     };
     pub use mm_compose::{
         apply_sotgd, compose_expr_mappings, compose_st_tgds, compose_views, transport_via,
-        try_deskolemize, ComposeError, DEFAULT_CLAUSE_BOUND,
+        try_deskolemize, ComposeError,
     };
     pub use mm_eval::{
         eval, eval_governed, find_homomorphisms, find_homomorphisms_costed,

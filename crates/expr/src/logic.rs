@@ -347,24 +347,6 @@ mod tests {
     use super::*;
     use mm_metamodel::{DataType, SchemaBuilder};
 
-    impl Tgd {
-        /// Rename every variable with a prefix — used to keep variable scopes
-        /// disjoint when combining tgds (composition, merge).
-        pub(crate) fn prefixed(&self, prefix: &str) -> Tgd {
-            let sub = |v: &str| Some(Term::Var(format!("{prefix}{v}")));
-            Tgd {
-                body: self.body.iter().map(|a| a.substitute(&sub)).collect(),
-                head: self.head.iter().map(|a| a.substitute(&sub)).collect(),
-            }
-        }
-
-        /// Whether the tgd is *full* (no existential variables). Full tgds
-        /// compose trivially; existentials are what force SO-tgds.
-        pub(crate) fn is_full(&self) -> bool {
-            self.existential_vars().is_empty()
-        }
-    }
-
     fn tgd_emp() -> Tgd {
         // Emp(e) -> exists m . Mgr(e, m)
         Tgd::new(vec![Atom::vars("Emp", &["e"])], vec![Atom::vars("Mgr", &["e", "m"])])
@@ -375,16 +357,6 @@ mod tests {
         let t = tgd_emp();
         assert_eq!(t.universal_vars().into_iter().collect::<Vec<_>>(), ["e"]);
         assert_eq!(t.existential_vars().into_iter().collect::<Vec<_>>(), ["m"]);
-        assert!(!t.is_full());
-    }
-
-    #[test]
-    fn full_tgd_detected() {
-        let t = Tgd::new(
-            vec![Atom::vars("R", &["x", "y"])],
-            vec![Atom::vars("S", &["y", "x"])],
-        );
-        assert!(t.is_full());
     }
 
     #[test]
@@ -443,13 +415,6 @@ mod tests {
         let t = Tgd::new(vec![Atom::vars("R", &["x"])], vec![Atom::vars("S", &["x"])]);
         let so = SoTgd::skolemize(&[t], "f");
         assert!(so.functions.is_empty());
-    }
-
-    #[test]
-    fn prefixed_renames_all_vars() {
-        let t = tgd_emp().prefixed("p_");
-        assert_eq!(t.body[0].terms[0], Term::var("p_e"));
-        assert_eq!(t.head[0].terms[1], Term::var("p_m"));
     }
 
     #[test]

@@ -96,6 +96,14 @@ impl ExecBudget {
         self
     }
 
+    /// Fill in the round and clause caps where this budget sets none;
+    /// caps it already has are kept.
+    pub fn with_default_caps(mut self, rounds: u64, clauses: u64) -> Self {
+        self.max_rounds.get_or_insert(rounds);
+        self.max_clauses.get_or_insert(clauses);
+        self
+    }
+
     pub fn max_rounds(&self) -> Option<u64> {
         self.max_rounds
     }

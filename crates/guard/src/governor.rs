@@ -444,6 +444,25 @@ mod tests {
     }
 
     #[test]
+    fn default_caps_fill_only_unset_caps() {
+        let mut g = Governor::new(&ExecBudget::unbounded().with_default_caps(3, 5));
+        g.round(3).expect("round 3 of 3");
+        g.clauses(5).expect("clause 5 of 5");
+        assert!(matches!(
+            g.round(4),
+            Err(ExecError::BudgetExhausted { resource: Resource::Rounds, limit: 3, .. })
+        ));
+        assert!(matches!(
+            g.clauses(6),
+            Err(ExecError::BudgetExhausted { resource: Resource::Clauses, limit: 5, .. })
+        ));
+        let explicit = ExecBudget::unbounded().with_rounds(1).with_clauses(2);
+        let mut g = Governor::new(&explicit.with_default_caps(3, 5));
+        assert!(g.round(2).is_err());
+        assert!(g.clauses(3).is_err());
+    }
+
+    #[test]
     fn cancellation_observed_at_safepoint() {
         let token = CancelToken::new();
         let mut g = Governor::new(&ExecBudget::unbounded().with_cancel(token.clone()));

@@ -576,16 +576,6 @@ impl fmt::Display for Relation {
 mod tests {
     use super::*;
 
-    impl Tuple {
-        /// Strict projection: `None` if any position is out of range.
-        pub(crate) fn try_project(&self, positions: &[usize]) -> Option<Tuple> {
-            if positions.iter().any(|&i| i >= self.arity()) {
-                return None;
-            }
-            Some(self.project(positions))
-        }
-    }
-
     fn r2(name_a: &str, name_b: &str) -> Relation {
         Relation::new(RelSchema::of(&[(name_a, DataType::Int), (name_b, DataType::Text)]))
     }
@@ -778,11 +768,6 @@ mod tests {
     fn project_clamps_out_of_range_to_null() {
         let tp = Tuple::from([Value::Int(1), Value::text("x")]);
         assert_eq!(tp.project(&[0, 7]), Tuple::from([Value::Int(1), Value::Null]));
-        assert_eq!(tp.try_project(&[0, 7]), None);
-        assert_eq!(
-            tp.try_project(&[1, 0]),
-            Some(Tuple::from([Value::text("x"), Value::Int(1)]))
-        );
     }
 
     #[test]

@@ -200,22 +200,6 @@ pub(crate) fn name_similarity(a: &str, b: &str, thesaurus: &Thesaurus) -> f64 {
 mod tests {
     use super::*;
 
-    /// Jaccard similarity of two token sets.
-    pub(crate) fn token_jaccard(a: &[String], b: &[String]) -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        let sa: HashSet<&str> = a.iter().map(String::as_str).collect();
-        let sb: HashSet<&str> = b.iter().map(String::as_str).collect();
-        let inter = sa.intersection(&sb).count() as f64;
-        let union = sa.union(&sb).count() as f64;
-        if union == 0.0 {
-            0.0
-        } else {
-            inter / union
-        }
-    }
-
     #[test]
     fn tokenizer_splits_conventions() {
         assert_eq!(tokenize("customerName"), ["customer", "name"]);
@@ -264,13 +248,5 @@ mod tests {
         assert_eq!(levenshtein(&['a', 'b'], &['a', 'c']), 1);
         assert_eq!(levenshtein(&[], &['a']), 1);
         assert_eq!(levenshtein(&['k', 'i', 't', 't', 'e', 'n'], &['s', 'i', 't', 't', 'i', 'n', 'g']), 3);
-    }
-
-    #[test]
-    fn jaccard_symmetry() {
-        let a = tokenize("order_line_item");
-        let b = tokenize("LineItem");
-        assert_eq!(token_jaccard(&a, &b), token_jaccard(&b, &a));
-        assert!(token_jaccard(&a, &b) > 0.5);
     }
 }

@@ -104,16 +104,6 @@ mod tests {
     use mm_expr::Correspondence;
     use mm_metamodel::{DataType, SchemaBuilder};
 
-    impl MatchMemory {
-        /// Record every correspondence of a confirmed set (e.g. one stored in
-        /// the repository after the data architect signed it off).
-        pub(crate) fn remember_all(&mut self, confirmed: &CorrespondenceSet) {
-            for c in &confirmed.correspondences {
-                self.remember(&c.source, &c.target);
-            }
-        }
-    }
-
     #[test]
     fn memory_is_schema_independent_and_case_insensitive() {
         let mut m = MatchMemory::new();
@@ -179,24 +169,5 @@ mod tests {
         memory.apply(&mut cs);
         assert_eq!(cs.len(), 1); // nothing added
         assert_eq!(cs.correspondences[0].confidence, 0.5); // nothing boosted
-    }
-
-    #[test]
-    fn remember_all_ingests_a_confirmed_set() {
-        let mut confirmed = CorrespondenceSet::new("S", "T");
-        confirmed.push(Correspondence::new(
-            PathRef::attr("A", "x"),
-            PathRef::attr("B", "y"),
-            1.0,
-        ));
-        confirmed.push(Correspondence::new(
-            PathRef::element("A"),
-            PathRef::element("B"),
-            1.0,
-        ));
-        let mut m = MatchMemory::new();
-        m.remember_all(&confirmed);
-        assert_eq!(m.len(), 2);
-        assert!(m.knows(&PathRef::element("A"), &PathRef::element("B")));
     }
 }

@@ -182,22 +182,6 @@ mod tests {
     use crate::builder::SchemaBuilder;
     use crate::types::DataType;
 
-    impl Constraint {
-        /// Whether the constraint mentions element `name`.
-        pub(crate) fn mentions(&self, name: &str) -> bool {
-            match self {
-                Constraint::Key(k) => k.element == name,
-                Constraint::ForeignKey(fk) => fk.from == name || fk.to == name,
-                Constraint::Inclusion(i) => i.from == name || i.to == name,
-                Constraint::Disjoint { left, right } => left == name || right == name,
-                Constraint::Covering { parent, children } => {
-                    parent == name || children.iter().any(|c| c == name)
-                }
-                Constraint::NotNull { element, .. } => element == name,
-            }
-        }
-    }
-
     fn rel_schema() -> Schema {
         SchemaBuilder::new("S")
             .relation("R", &[("a", DataType::Int), ("b", DataType::Text)])
@@ -270,26 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn mentions_and_elements() {
+    fn covering_lists_parent_then_children() {
         let c = Constraint::Covering {
             parent: "P".into(),
             children: vec!["E".into(), "C".into()],
         };
-        assert!(c.mentions("P"));
-        assert!(c.mentions("C"));
-        assert!(!c.mentions("X"));
         assert_eq!(c.elements(), vec!["P", "E", "C"]);
-    }
-
-    #[test]
-    fn removing_element_drops_its_constraints() {
-        let mut s = rel_schema();
-        s.add_constraint(Constraint::Key(Key {
-            element: "R".into(),
-            attributes: vec!["a".into()],
-        }))
-        .unwrap();
-        s.remove_element("R");
-        assert!(s.constraints.is_empty());
     }
 }

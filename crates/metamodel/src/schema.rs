@@ -384,24 +384,6 @@ mod tests {
     use super::*;
     use crate::builder::SchemaBuilder;
 
-    impl Schema {
-        /// Remove an element by name, returning it. Constraints mentioning the
-        /// element are dropped as well (the caller is expected to have captured
-        /// them if they matter, e.g. Diff keeps them on the complement schema).
-        pub(crate) fn remove_element(&mut self, name: &str) -> Option<Element> {
-            let pos = *self.index.get(name)?;
-            let elem = self.elements.remove(pos);
-            self.index.remove(name);
-            for (_, idx) in self.index.iter_mut() {
-                if *idx > pos {
-                    *idx -= 1;
-                }
-            }
-            self.constraints.retain(|c| !c.mentions(name));
-            Some(elem)
-        }
-    }
-
     fn person_schema() -> Schema {
         SchemaBuilder::new("ER")
             .entity("Person", &[("Id", DataType::Int), ("Name", DataType::Text)])
@@ -506,17 +488,6 @@ mod tests {
     fn ancestry_root_last() {
         let s = person_schema();
         assert_eq!(s.ancestry("Customer").unwrap(), ["Customer", "Person"]);
-    }
-
-    #[test]
-    fn remove_element_reindexes() {
-        let mut s = person_schema();
-        assert!(s.remove_element("Customer").is_some());
-        assert!(s.element("Customer").is_none());
-        assert!(s.element("Employee").is_some());
-        assert_eq!(s.len(), 2);
-        // index still consistent
-        assert_eq!(s.element("Employee").unwrap().name, "Employee");
     }
 
     #[test]

@@ -20,6 +20,11 @@ use std::fmt;
 
 use crate::feed::{ChangeFeed, ChangeKind, FeedEvent};
 
+/// How many recent feed events the propagator retains for cursor-resume
+/// checks: a resume cursor older than this window degrades to
+/// `Resync { CursorLost }`.
+const RETAIN_EVENTS: usize = 256;
+
 /// Tuning knobs for the propagation pipeline.
 #[derive(Debug, Clone)]
 pub struct PropagateConfig {
@@ -33,8 +38,6 @@ pub struct PropagateConfig {
     pub high_water: usize,
     /// Queue depth at which the lagging flag clears.
     pub low_water: usize,
-    /// How many recent feed events to retain for cursor-resume checks.
-    pub retain_events: usize,
     /// Step budget for computing one event's view deltas for one
     /// subscriber — the delta rules over all its views, and the seeding
     /// of its maintained views when the event is its first after a
@@ -51,7 +54,6 @@ impl Default for PropagateConfig {
             queue_bound: 64,
             high_water: 48,
             low_water: 16,
-            retain_events: 256,
             delta_steps: Some(200_000),
         }
     }
@@ -217,12 +219,11 @@ pub struct Propagator {
 
 impl Propagator {
     pub fn new(cfg: PropagateConfig, tel: Telemetry) -> Self {
-        let retain = cfg.retain_events;
         Propagator {
             cfg,
             tel,
             state: Mutex::new(State {
-                feed: ChangeFeed::new(retain),
+                feed: ChangeFeed::new(RETAIN_EVENTS),
                 instances: BTreeMap::new(),
                 subs: BTreeMap::new(),
             }),

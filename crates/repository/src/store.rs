@@ -205,29 +205,21 @@ struct TxState {
     buffer: Vec<WalRecord>,
 }
 
-/// Durability knobs for [`Repository::open_durable`].
+/// Options of [`Repository::open_durable`]. It has none: a durable
+/// repository checkpoints only when [`Repository::checkpoint`] is called
+/// (the server does at drain).
 #[derive(Debug, Clone, Default)]
-pub struct DurableOptions {
-    /// Automatically [`Repository::checkpoint`] after this many committed
-    /// WAL batches. `None` (the default) checkpoints only on demand.
-    /// Auto-checkpoint failures do not fail the triggering write (the
-    /// WAL already has the data); they are recorded and retrievable via
-    /// [`Repository::take_checkpoint_error`].
-    pub checkpoint_every: Option<u64>,
-}
+pub struct DurableOptions {}
 
 struct DurState {
     /// Sequence number the next committed batch will carry.
     next_seq: u64,
-    batches_since_checkpoint: u64,
-    checkpoint_error: Option<StorageError>,
 }
 
 struct DurableCore {
     storage: Arc<dyn Storage>,
     wal: Wal,
     state: Mutex<DurState>,
-    opts: DurableOptions,
 }
 
 impl DurableCore {
@@ -239,7 +231,6 @@ impl DurableCore {
         let started = tel.is_enabled().then(mm_telemetry::clock::now);
         let frame_bytes = self.wal.append_batch(st.next_seq, records)?;
         st.next_seq += 1;
-        st.batches_since_checkpoint += 1;
         tel.count(Counter::WalFramesAppended, 1);
         tel.count(Counter::WalBytesAppended, frame_bytes as u64);
         if let (Some(t0), Some(m)) = (started, tel.metrics()) {
@@ -316,7 +307,6 @@ macro_rules! accessors {
                     name: VersionedName { name, version: versions.len() as u32 - 1 },
                 }
             };
-            self.maybe_autocheckpoint();
             Ok(id)
         }
 
@@ -377,11 +367,13 @@ impl Repository {
     ///    below the snapshot's sequence (idempotent replay);
     /// 4. physically truncate any torn/corrupted WAL tail so later
     ///    appends extend the valid prefix.
+    ///
+    /// [`DurableOptions`] has no fields.
     pub fn open_durable(
         storage: Arc<dyn Storage>,
-        opts: DurableOptions,
+        _opts: DurableOptions,
     ) -> Result<Self, RepositoryError> {
-        Self::open_durable_with_telemetry(storage, opts, Telemetry::disabled())
+        Self::open_durable_with_telemetry(storage, Telemetry::disabled())
     }
 
     /// [`Repository::open_durable`] with a telemetry handle attached:
@@ -390,7 +382,6 @@ impl Repository {
     /// [`Repository::set_telemetry`] after a plain open).
     pub fn open_durable_with_telemetry(
         storage: Arc<dyn Storage>,
-        opts: DurableOptions,
         tel: Telemetry,
     ) -> Result<Self, RepositoryError> {
         let started = mm_telemetry::clock::now();
@@ -438,12 +429,7 @@ impl Repository {
             durable: Some(DurableCore {
                 storage,
                 wal,
-                state: Mutex::new(DurState {
-                    next_seq: last_seq + 1,
-                    batches_since_checkpoint: 0,
-                    checkpoint_error: None,
-                }),
-                opts,
+                state: Mutex::new(DurState { next_seq: last_seq + 1 }),
             }),
             telemetry: tel,
             ephemeral_seq: AtomicU64::new(0),
@@ -459,13 +445,6 @@ impl Repository {
     /// Is this repository journaling through a WAL?
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
-    }
-
-    /// The error of the most recent failed auto-checkpoint, if any
-    /// (taking clears it). Auto-checkpoint failures are not data loss —
-    /// the WAL holds everything — but callers may want to surface them.
-    pub fn take_checkpoint_error(&self) -> Option<StorageError> {
-        self.durable.as_ref().and_then(|d| d.state.lock().checkpoint_error.take())
     }
 
     accessors!(store_schema, get_schema, latest_schema, schema_versions,
@@ -538,7 +517,6 @@ impl Repository {
                 seq
             }
         };
-        self.maybe_autocheckpoint();
         Ok(seq)
     }
 
@@ -688,7 +666,6 @@ impl Repository {
             }
             store.lineage.push(edge);
         }
-        self.maybe_autocheckpoint();
         Ok(())
     }
 
@@ -775,7 +752,6 @@ impl Repository {
                 self.ephemeral_seq.fetch_add(1, Ordering::AcqRel);
             }
         }
-        self.maybe_autocheckpoint();
         Ok(())
     }
 
@@ -814,7 +790,7 @@ impl Repository {
             return Err(RepositoryError::TransactionActive);
         }
         let store = self.inner.read();
-        let mut st = d.state.lock();
+        let st = d.state.lock();
         let bytes = snapshot_bytes(&store, st.next_seq - 1);
         drop(store);
         d.storage.write(SNAPSHOT_TMP_FILE, &bytes)?;
@@ -822,7 +798,6 @@ impl Repository {
         // from here the snapshot is authoritative; resetting the log is
         // best-effort (stale frames are skipped by sequence on recovery)
         d.wal.reset()?;
-        st.batches_since_checkpoint = 0;
         self.telemetry.count(Counter::Checkpoints, 1);
         if let Some(m) = self.telemetry.metrics() {
             let elapsed = mm_telemetry::clock::elapsed_us(started);
@@ -830,25 +805,6 @@ impl Repository {
             m.observe_hist(Hist::WalCheckpointUs, elapsed);
         }
         Ok(())
-    }
-
-    fn maybe_autocheckpoint(&self) {
-        let Some(d) = &self.durable else { return };
-        let Some(every) = d.opts.checkpoint_every else { return };
-        if d.state.lock().batches_since_checkpoint < every {
-            return;
-        }
-        if let Err(e) = self.checkpoint() {
-            // not data loss (the WAL has everything); record for callers
-            if let Some(d) = &self.durable {
-                let err = match e {
-                    RepositoryError::Storage(s) => s,
-                    RepositoryError::TransactionActive => return, // retry later
-                    other => StorageError::io(SNAPSHOT_FILE, other.to_string()),
-                };
-                d.state.lock().checkpoint_error = Some(err);
-            }
-        }
     }
 
     /// Serialize the whole repository to a self-validating snapshot:
@@ -1416,26 +1372,5 @@ mod tests {
         assert!(matches!(repo.begin(), Err(RepositoryError::TransactionActive)));
         repo.rollback().unwrap();
         assert!(matches!(repo.checkpoint(), Err(RepositoryError::NotDurable)));
-    }
-
-    #[test]
-    fn autocheckpoint_resets_wal_periodically() {
-        let mem = MemStorage::new();
-        let repo = Repository::open_durable(
-            mem.clone(),
-            DurableOptions { checkpoint_every: Some(2) },
-        )
-        .unwrap();
-        repo.store_schema("A", sample_schema("A")).unwrap();
-        assert!(mem.len_of(WAL_FILE).is_some());
-        repo.store_schema("B", sample_schema("B")).unwrap(); // triggers
-        assert_eq!(mem.len_of(WAL_FILE), None);
-        assert!(mem.len_of(SNAPSHOT_FILE).is_some());
-        assert!(repo.take_checkpoint_error().is_none());
-        drop(repo);
-        let reopened =
-            Repository::open_durable(mem.clone(), DurableOptions::default()).unwrap();
-        assert_eq!(reopened.schema_versions("A"), 1);
-        assert_eq!(reopened.schema_versions("B"), 1);
     }
 }

@@ -44,50 +44,6 @@ impl ClientError {
     pub fn is_overloaded(&self) -> bool {
         self.code() == Some(ERR_OVERLOADED)
     }
-
-    /// `retry_after`-style triage for a failed call, given how many
-    /// retries have already happened (`attempt`, 0-based).
-    ///
-    /// Transient overload — the admission rejections `Overloaded` (50)
-    /// and `QueueFull` (51) — earns a capped, jittered exponential
-    /// backoff: the server shed this request to protect itself, and
-    /// the same request is expected to succeed once pressure drops.
-    /// `ShuttingDown` (52) fails fast: the server is draining for good
-    /// and retrying against it only delays failover. Every other error
-    /// (typed engine errors, protocol faults, I/O) also fails fast —
-    /// retrying a malformed request or a desynchronized stream cannot
-    /// help.
-    pub(crate) fn retry_advice(&self, attempt: u32) -> RetryAdvice {
-        match self.code() {
-            Some(ERR_OVERLOADED) | Some(ERR_QUEUE_FULL) => {
-                RetryAdvice::After(backoff_delay(attempt))
-            }
-            _ => RetryAdvice::FailFast,
-        }
-    }
-}
-
-/// What `ClientError::retry_advice` tells the caller's retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryAdvice {
-    /// Transient overload: wait this long, then retry.
-    After(Duration),
-    /// Drain or a non-admission error: do not retry.
-    FailFast,
-}
-
-/// Backoff for retry `attempt` (0-based): exponential from 10 ms,
-/// capped at 1 s, with deterministic multiplicative-hash jitter in the
-/// upper half of the window so a fleet of clients rejected together
-/// does not retry in lockstep. No RNG dependency — the jitter is a
-/// pure function of the attempt number, which keeps retry schedules
-/// reproducible in tests.
-pub(crate) fn backoff_delay(attempt: u32) -> Duration {
-    let base_ms = 10u64.saturating_mul(1u64 << attempt.min(7)).min(1_000);
-    let jitter = (u64::from(attempt) + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        % (base_ms / 2 + 1);
-    Duration::from_millis(base_ms / 2 + jitter)
 }
 
 /// SplitMix64 finalizer: the trace-id generator. A pure bijective
@@ -417,29 +373,6 @@ impl Client {
         match self.send(&Request::TraceGet { trace_id })? {
             OkBody::Trace { lines } => Ok(lines),
             other => Err(ClientError::Protocol(format!("expected trace body, got {other:?}"))),
-        }
-    }
-
-    /// Run `op` under `ClientError::retry_advice`: transient overload
-    /// rejections (50/51) back off and retry up to `max_attempts` total
-    /// tries; drain (52) and every other error return immediately.
-    pub fn retrying<T>(
-        &mut self,
-        max_attempts: u32,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut attempt = 0;
-        loop {
-            match op(self) {
-                Ok(v) => return Ok(v),
-                Err(e) => match e.retry_advice(attempt) {
-                    RetryAdvice::After(delay) if attempt + 1 < max_attempts => {
-                        std::thread::sleep(delay);
-                        attempt += 1;
-                    }
-                    _ => return Err(e),
-                },
-            }
         }
     }
 }

@@ -27,7 +27,7 @@ pub mod flight;
 pub mod protocol;
 pub mod server;
 
-pub use client::{Client, ClientError, MediateReply, RetryAdvice};
+pub use client::{Client, ClientError, MediateReply};
 pub use flight::{FlightRecorder, Outcome, RequestSummary, SlowEntry};
 pub use protocol::{
     engine_error_code, HealthReport, Op, Request, WireStats, DEFAULT_MAX_FRAME_LEN,

@@ -48,9 +48,8 @@ pub fn terminating_chain(n: usize) -> (Schema, Database, Vec<Tgd>) {
 }
 
 /// A composition input engineered to splice `producers ^ body_atoms`
-/// clauses — exponential in the second mapping's body width. Feed a
-/// clause bound below that count to trip `OutputTooLarge`, or a clause
-/// budget to trip `BudgetExhausted`.
+/// clauses — exponential in the second mapping's body width. A clause
+/// cap below that count trips `BudgetExhausted { Clauses }`.
 pub fn exponential_compose(
     producers: usize,
     body_atoms: usize,

@@ -96,7 +96,7 @@ pub fn composition_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_compose::{compose_st_tgds, DEFAULT_CLAUSE_BOUND};
+    use mm_compose::compose_st_tgds;
     use mm_guard::{ExecBudget, ExecCtx, Governor};
 
     #[test]
@@ -114,7 +114,7 @@ mod tests {
             let (_, _, _, m12, m23) = composition_chain(p, b);
             let mut gov = Governor::new(&ExecBudget::unbounded());
             let ctx = &mut ExecCtx::new(&mut gov);
-            let so = compose_st_tgds(&m12, &m23, DEFAULT_CLAUSE_BOUND, ctx).unwrap();
+            let so = compose_st_tgds(&m12, &m23, ctx).unwrap();
             assert_eq!(so.clauses.len(), p.pow(b as u32), "producers={p} atoms={b}");
         }
     }

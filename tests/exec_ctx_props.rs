@@ -398,21 +398,21 @@ proptest! {
     }
 
     /// `compose_st_tgds` under telemetry off and on returns the same
-    /// SO-tgd — or the same typed failure under a small clause bound —
+    /// SO-tgd — or the same typed failure under a small clause cap —
     /// and a traced call is exactly one `compose.splice` span.
     #[test]
     fn compose_is_telemetry_invariant(
         m12 in arb_tgds(&["S0", "S1"], &["T", "U"]),
         m23 in arb_tgds(&["T", "U"], &["V", "W"]),
-        bound in prop_oneof![Just(DEFAULT_CLAUSE_BOUND), 1usize..8],
+        clauses in prop_oneof![Just(u64::MAX), 1u64..8],
     ) {
         let mut results = Vec::new();
         for on in [false, true] {
             let ring = RingCollector::with_capacity(16);
             let telemetry = if on { Telemetry::new(ring.clone()) } else { Telemetry::disabled() };
-            let mut gov = Governor::new(&ExecBudget::unbounded());
+            let mut gov = Governor::new(&ExecBudget::unbounded().with_clauses(clauses));
             let ctx = &mut ExecCtx { telemetry, ..ExecCtx::new(&mut gov) };
-            results.push(compose_st_tgds(&m12, &m23, bound, ctx));
+            results.push(compose_st_tgds(&m12, &m23, ctx));
             prop_assert_eq!(ring.events_for("compose.splice").len(), usize::from(on));
         }
         prop_assert_eq!(&results[0], &results[1]);

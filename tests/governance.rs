@@ -4,6 +4,7 @@
 //! never run unbounded.
 
 use mm_engine::prelude::*;
+use mm_server::protocol::{engine_error_code, ERR_BUDGET_EXHAUSTED};
 use mm_workload::faults;
 
 fn store_tgd_mapping(engine: &Engine, name: &str, source: &str, target: &str, tgds: Vec<Tgd>) {
@@ -14,12 +15,36 @@ fn store_tgd_mapping(engine: &Engine, name: &str, source: &str, target: &str, tg
     engine.add_mapping(name, m).unwrap();
 }
 
-/// The divergent tgd set trips `Diverged` at the configured round cap
+/// A view chain whose composition has `2^depth2 - 1 + 2^depth2 * (2^(depth1 + 1) - 1)`
+/// nodes: `V1` is a balanced union tree with `2^depth1` leaves over `R0`,
+/// and `V2` one with `2^depth2` leaves over `V1`. Unions survive
+/// `compose_views`' simplification, and a balanced tree keeps the
+/// recursion shallow.
+fn union_chain(depth1: u32, depth2: u32) -> (ViewSet, ViewSet) {
+    fn tree(leaf: &str, depth: u32) -> Expr {
+        if depth == 0 {
+            Expr::base(leaf)
+        } else {
+            tree(leaf, depth - 1).union_all(tree(leaf, depth - 1))
+        }
+    }
+    let mut v1 = ViewSet::new("Big", "L1");
+    v1.push(ViewDef::new("V1", tree("R0", depth1)));
+    let mut v2 = ViewSet::new("L1", "L2");
+    v2.push(ViewDef::new("V2", tree("V1", depth2)));
+    (v1, v2)
+}
+
+/// The divergent tgd set trips `Diverged` at the budget's round cap
 /// instead of silently stopping or spinning forever.
 #[test]
 fn divergent_chase_trips_diverged() {
     let (schema, db, tgds) = faults::divergent_tgds();
-    let engine = Engine::with_config(EngineConfig { chase_max_rounds: 16, ..Default::default() }).unwrap();
+    let engine = Engine::with_config(EngineConfig {
+        budget: ExecBudget::unbounded().with_rounds(16),
+        ..Default::default()
+    })
+    .unwrap();
     engine.add_schema(schema).unwrap();
     store_tgd_mapping(&engine, "loop", "Loop", "Loop", tgds);
     let err = engine.chase_general("loop", "Loop", &db).unwrap_err();
@@ -35,8 +60,9 @@ fn divergent_chase_trips_diverged() {
 fn divergent_chase_respects_wall_clock() {
     let (schema, db, tgds) = faults::divergent_tgds();
     let engine = Engine::with_config(EngineConfig {
-        chase_max_rounds: u64::MAX,
-        budget: ExecBudget::unbounded().with_wall(std::time::Duration::from_millis(50)),
+        budget: ExecBudget::unbounded()
+            .with_rounds(u64::MAX)
+            .with_wall(std::time::Duration::from_millis(50)),
         ..Default::default()
     })
     .unwrap();
@@ -71,8 +97,7 @@ fn cancellation_stops_divergent_chase() {
     let (schema, db, tgds) = faults::divergent_tgds();
     let token = faults::cancel_after(5);
     let engine = Engine::with_config(EngineConfig {
-        chase_max_rounds: u64::MAX,
-        budget: ExecBudget::unbounded().with_cancel(token),
+        budget: ExecBudget::unbounded().with_rounds(u64::MAX).with_cancel(token),
         ..Default::default()
     })
     .unwrap();
@@ -134,24 +159,47 @@ fn governed_exchange_matches_legacy_chase() {
     assert_eq!(stats.fired, legacy_stats.fired);
 }
 
-/// Exponential SO-tgd composition trips the engine's clause bound with a
-/// typed `ComposeError` instead of materializing 4^4 clauses.
+/// Exponential SO-tgd composition trips the clause cap at the first
+/// clause past it, with a typed error and nothing stored, instead of
+/// materializing 4^4 clauses; a cap of exactly 4^4 lets it through.
 #[test]
 fn exponential_compose_trips_clause_bound() {
     let (_, _, _, m12, m23) = faults::exponential_compose(4, 4);
-    let engine = Engine::with_config(EngineConfig {
-        compose_clause_bound: 32, // < 4^4 = 256
-        ..Default::default()
-    })
-    .unwrap();
-    store_tgd_mapping(&engine, "m12", "S1", "S2", m12);
-    store_tgd_mapping(&engine, "m23", "S2", "S3", m23);
-    let err = engine.compose_tgd_mappings("m12", "m23", "m13").unwrap_err();
-    assert!(matches!(err, EngineError::Compose(ComposeError::OutputTooLarge { .. })), "{err:?}");
+    let engine = |clauses: u64| {
+        let e = Engine::with_config(EngineConfig {
+            budget: ExecBudget::unbounded().with_clauses(clauses),
+            ..Default::default()
+        })
+        .unwrap();
+        store_tgd_mapping(&e, "m12", "S1", "S2", m12.clone());
+        store_tgd_mapping(&e, "m23", "S2", "S3", m23.clone());
+        e
+    };
+
+    let tight = engine(32); // < 4^4 = 256
+    let err = tight.compose_tgd_mappings("m12", "m23", "m13").map(|_| ()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            EngineError::Exec(ExecError::BudgetExhausted {
+                resource: Resource::Clauses,
+                consumed: 33,
+                limit: 32,
+            })
+        ),
+        "{err:?}"
+    );
+    assert!(tight.repo.latest_mapping("m13").is_err());
+
+    let exact = engine(256);
+    let (so, _folded) = exact.compose_tgd_mappings("m12", "m23", "m13").unwrap();
+    assert_eq!(so.clauses.len(), 256);
 }
 
-/// The same composition under a clause *budget* (rather than the bound)
-/// surfaces `BudgetExhausted { resource: Clauses }`.
+/// One small clause budget bounds both compose operators, and a trip
+/// is the same typed error with the same wire code in both: tgd
+/// composition stops before materializing 4^4 clauses, view composition
+/// before storing a 63-node chain.
 #[test]
 fn exponential_compose_trips_clause_budget() {
     let (_, _, _, m12, m23) = faults::exponential_compose(4, 4);
@@ -162,17 +210,95 @@ fn exponential_compose_trips_clause_budget() {
     .unwrap();
     store_tgd_mapping(&engine, "m12", "S1", "S2", m12);
     store_tgd_mapping(&engine, "m23", "S2", "S3", m23);
-    let err = engine.compose_tgd_mappings("m12", "m23", "m13").unwrap_err();
+    let (v1, v2) = union_chain(1, 4); // 15 + 16 * 3 = 63 nodes
+    engine.add_viewset("v1", v1).unwrap();
+    engine.add_viewset("v2", v2).unwrap();
+    let errors = [
+        engine.compose_tgd_mappings("m12", "m23", "m13").map(|_| ()).unwrap_err(),
+        engine.compose("v1", "v2", "v12").map(|_| ()).unwrap_err(),
+    ];
+    for err in &errors {
+        assert!(
+            matches!(
+                err,
+                EngineError::Exec(ExecError::BudgetExhausted {
+                    resource: Resource::Clauses,
+                    limit: 32,
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(engine_error_code(err), ERR_BUDGET_EXHAUSTED, "{err:?}");
+    }
+    assert!(engine.repo.latest_mapping("m13").is_err());
+    assert!(engine.repo.latest_viewset("v12").is_err());
+}
+
+/// A budget that sets neither a round nor a clause cap still gets the
+/// engine defaults: the general chase diverges at 256 rounds, tgd
+/// composition stops at 65 536 clauses, and so does a view composition
+/// past 65 536 nodes. Explicit caps win over the defaults.
+#[test]
+fn engine_defaults_fill_unset_caps() {
+    let engine = |budget: ExecBudget| {
+        Engine::with_config(EngineConfig { budget, ..Default::default() }).unwrap()
+    };
+    let defaults = engine(ExecBudget::unbounded().with_steps(u64::MAX));
+    let explicit = engine(ExecBudget::unbounded().with_rounds(300).with_clauses(1 << 18));
+
+    let (schema, db, tgds) = faults::divergent_tgds();
+    for (e, rounds) in [(&defaults, 256), (&explicit, 300)] {
+        e.add_schema(schema.clone()).unwrap();
+        store_tgd_mapping(e, "loop", "Loop", "Loop", tgds.clone());
+        let err = e.chase_general("loop", "Loop", &db).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Exec(ExecError::Diverged { rounds: r }) if r == rounds),
+            "{err:?}"
+        );
+    }
+
+    // 257^2 = 66 049 clauses: the default trips at clause 65 537
+    let (_, _, _, m12, m23) = faults::exponential_compose(257, 2);
+    store_tgd_mapping(&defaults, "m12", "S1", "S2", m12);
+    store_tgd_mapping(&defaults, "m23", "S2", "S3", m23);
+    let err = defaults.compose_tgd_mappings("m12", "m23", "m13").map(|_| ()).unwrap_err();
     assert!(
         matches!(
             err,
-            EngineError::Compose(ComposeError::Exec(ExecError::BudgetExhausted {
+            EngineError::Exec(ExecError::BudgetExhausted {
                 resource: Resource::Clauses,
-                ..
-            }))
+                consumed: 65_537,
+                limit: 65_536,
+            })
         ),
         "{err:?}"
     );
+
+    // 16 383 + 16 384 * 3 = 65 535 nodes fit the default; 131 071 do not
+    for (name, depth1) in [("fits", 1), ("over", 2)] {
+        let (v1, v2) = union_chain(depth1, 14);
+        for e in [&defaults, &explicit] {
+            e.add_viewset(&format!("{name}1"), v1.clone()).unwrap();
+            e.add_viewset(&format!("{name}2"), v2.clone()).unwrap();
+        }
+    }
+    let composed = defaults.compose("fits1", "fits2", "fits12").unwrap();
+    assert_eq!(composed.views[0].expr.size(), 65_535);
+    let err = defaults.compose("over1", "over2", "over12").unwrap_err();
+    assert!(
+        matches!(
+            err,
+            EngineError::Exec(ExecError::BudgetExhausted {
+                resource: Resource::Clauses,
+                consumed: 131_071,
+                limit: 65_536,
+            })
+        ),
+        "{err:?}"
+    );
+    let composed = explicit.compose("over1", "over2", "over12").unwrap();
+    assert_eq!(composed.views[0].expr.size(), 131_071);
 }
 
 /// A feasible composition stores the deskolemized first-order mapping.
@@ -316,9 +442,8 @@ fn ivm_degradation_is_recorded_and_correct() {
 #[test]
 fn engine_operator_surface_is_total() {
     let engine = Engine::with_config(EngineConfig {
-        chase_max_rounds: 8,
-        compose_clause_bound: 64,
         budget: ExecBudget::unbounded()
+            .with_rounds(8)
             .with_steps(200_000)
             .with_rows(100_000)
             .with_clauses(64)

@@ -379,7 +379,6 @@ fn recovery_evaluates_no_view_and_the_first_commit_seeds_them() {
     let recovered = Engine::with_config(EngineConfig {
         durability: Durability::Durable {
             storage: MemStorage::from_files(mem.dump()),
-            options: DurableOptions::default(),
         },
         telemetry: tel.clone(),
         ..EngineConfig::default()

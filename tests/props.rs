@@ -255,7 +255,7 @@ proptest! {
         let (chased, _, _) = transport_via(&s2, &m12, &s3, &m23, &d1).expect("transport");
         let mut gov = Governor::new(&ExecBudget::unbounded());
         let ctx = &mut ExecCtx::new(&mut gov);
-        let so = compose_st_tgds(&m12, &m23, 1 << 12, ctx).expect("compose");
+        let so = compose_st_tgds(&m12, &m23, ctx).expect("compose");
         let direct = apply_sotgd(&so, &d1, &s3, &mut gov).expect("apply");
         prop_assert!(hom_equivalent(&chased, &direct));
     }
@@ -273,7 +273,7 @@ proptest! {
         let m23 = copy_tgds("B", "C", 2);
         let mut gov = Governor::new(&ExecBudget::unbounded());
         let ctx = &mut ExecCtx::new(&mut gov);
-        let so = compose_st_tgds(&m12, &m23, 1 << 12, ctx).expect("compose");
+        let so = compose_st_tgds(&m12, &m23, ctx).expect("compose");
         let tgds =
             try_deskolemize(&so, &mut gov).expect("unbounded").expect("full tgds deskolemize");
         let mut d1 = Database::empty_of(&s1);

@@ -628,7 +628,6 @@ fn shutdown_drains_inflight_refuses_new_and_checkpoints() {
     let engine = Engine::with_config(EngineConfig {
         durability: Durability::Durable {
             storage: storage.clone(),
-            options: DurableOptions::default(),
         },
         telemetry: tel.clone(),
         ..Default::default()

@@ -1,6 +1,6 @@
 //! The public surface is what something outside a crate links.
 //!
-//! Two ratchets over the workspace source, read from disk:
+//! Three ratchets over the workspace source, read from disk:
 //!
 //! * `pub fn` per crate must equal its line in `tests/surface_ceilings.txt`.
 //!   A count above the ceiling means a PR widened a crate's API; one
@@ -9,6 +9,11 @@
 //!   The count is the number of lines under `crates/<crate>/src` whose
 //!   trimmed text starts with `pub fn `, up to each file's first
 //!   `#[cfg(test)]` line.
+//! * The `pub` fields of each options struct (`EngineConfig`,
+//!   `PropagateConfig`, `DurableOptions`, `ServerConfig`, `ExecCtx`) must
+//!   equal their `fields <Struct> <count>` line in the same file, by the
+//!   same rule: every settable option doubles the configurations a test
+//!   has to cover, so a new knob is a deliberate ceiling edit.
 //! * Every name the separate `benchmark/` package links below the
 //!   `Engine` facade is still declared `pub` where the benchmark finds
 //!   it. The root build does not compile `benchmark/`, so without this a
@@ -72,47 +77,107 @@ fn pub_fn_counts() -> BTreeMap<String, usize> {
     counts
 }
 
-fn ceilings() -> BTreeMap<String, usize> {
-    let text = fs::read_to_string(root().join(CEILINGS)).expect("read the ceiling file");
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (name, n) = l.split_once(char::is_whitespace).unwrap_or_else(|| {
-                panic!("{CEILINGS}: expected `<crate> <count>`, got {l:?}")
-            });
-            let n = n.trim().parse().unwrap_or_else(|e| panic!("{CEILINGS}: {l:?}: {e}"));
-            (name.to_owned(), n)
-        })
-        .collect()
+/// The options structs whose `pub` fields are ratcheted, with the file
+/// (under `crates/`) that declares each.
+const OPTION_STRUCTS: &[(&str, &str)] = &[
+    ("core/src/engine.rs", "EngineConfig"),
+    ("propagate/src/propagator.rs", "PropagateConfig"),
+    ("repository/src/store.rs", "DurableOptions"),
+    ("server/src/server.rs", "ServerConfig"),
+    ("guard/src/ctx.rs", "ExecCtx"),
+];
+
+/// The ceiling file's two kinds of line: `<crate> <count>` (`pub fn`
+/// per crate) and `fields <Struct> <count>` (`pub` fields per options
+/// struct).
+struct Ceilings {
+    pub_fns: BTreeMap<String, usize>,
+    fields: BTreeMap<String, usize>,
 }
 
-#[test]
-fn pub_fn_counts_match_their_ceilings() {
-    let counts = pub_fn_counts();
-    let ceilings = ceilings();
+fn ceilings() -> Ceilings {
+    let text = fs::read_to_string(root().join(CEILINGS)).expect("read the ceiling file");
+    let mut out = Ceilings { pub_fns: BTreeMap::new(), fields: BTreeMap::new() };
+    for l in text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let words: Vec<&str> = l.split_whitespace().collect();
+        let (map, name, n) = match words[..] {
+            [name, n] => (&mut out.pub_fns, name, n),
+            ["fields", name, n] => (&mut out.fields, name, n),
+            _ => panic!("{CEILINGS}: expected `<crate> <count>` or `fields <Struct> <count>`, got {l:?}"),
+        };
+        let n = n.parse().unwrap_or_else(|e| panic!("{CEILINGS}: {l:?}: {e}"));
+        map.insert(name.to_owned(), n);
+    }
+    out
+}
+
+/// Every way `counts` and `ceilings` disagree, one line each.
+fn mismatches(
+    what: &str,
+    counts: &BTreeMap<String, usize>,
+    ceilings: &BTreeMap<String, usize>,
+) -> Vec<String> {
     let mut problems = Vec::new();
-    for (name, &n) in &counts {
+    for (name, &n) in counts {
         match ceilings.get(name) {
-            None => problems.push(format!("{name}: {n} pub fn, no ceiling line")),
+            None => problems.push(format!("{name}: {n} {what}, no ceiling line")),
             Some(&c) if n > c => {
-                problems.push(format!("{name}: {n} pub fn, above its ceiling of {c}"))
+                problems.push(format!("{name}: {n} {what}, above its ceiling of {c}"))
             }
             Some(&c) if n < c => problems.push(format!(
-                "{name}: {n} pub fn, below its ceiling of {c}: lower the ceiling to lock the gain in"
+                "{name}: {n} {what}, below its ceiling of {c}: lower the ceiling to lock the gain in"
             )),
             Some(_) => {}
         }
     }
     for name in ceilings.keys().filter(|k| !counts.contains_key(*k)) {
-        problems.push(format!("{name}: ceiling line for a crate that does not exist"));
+        problems.push(format!("{name}: ceiling line for something that does not exist"));
     }
+    problems
+}
+
+fn assert_no_mismatches(problems: Vec<String>) {
     assert!(
         problems.is_empty(),
         "the public surface moved:\n  {}\nEdit {CEILINGS} to the new counts and give the reason \
          in CHANGES.md.",
         problems.join("\n  ")
     );
+}
+
+#[test]
+fn pub_fn_counts_match_their_ceilings() {
+    assert_no_mismatches(mismatches("pub fn", &pub_fn_counts(), &ceilings().pub_fns));
+}
+
+/// `pub` fields of each options struct: the lines of its `pub struct`
+/// block that start with `pub ` (a unit or `{}` struct has none).
+fn pub_field_counts() -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for (file, ty) in OPTION_STRUCTS {
+        let lines = non_test_lines(&root().join("crates").join(file));
+        let open = format!("pub struct {ty}");
+        let decl = lines
+            .iter()
+            .position(|l| declares(l, &open))
+            .unwrap_or_else(|| panic!("crates/{file}: no `{open}`"));
+        let n = if lines[decl].trim_end().ends_with(';') || lines[decl].trim_end().ends_with("{}") {
+            0
+        } else {
+            blocks(&lines[decl..], |l| declares(l, &open))[0]
+                .iter()
+                .skip(1)
+                .filter(|l| l.trim_start().starts_with("pub "))
+                .count()
+        };
+        counts.insert((*ty).to_owned(), n);
+    }
+    counts
+}
+
+#[test]
+fn pub_field_counts_match_their_ceilings() {
+    assert_no_mismatches(mismatches("pub fields", &pub_field_counts(), &ceilings().fields));
 }
 
 /// Where a name the benchmark links is declared.

@@ -350,7 +350,6 @@ fn durable_engine_meters_wal_checkpoint_and_recovery() {
         let engine = Engine::with_config(EngineConfig {
             durability: Durability::Durable {
                 storage: storage.clone(),
-                options: DurableOptions::default(),
             },
             telemetry: tel.clone(),
             ..Default::default()
@@ -373,7 +372,7 @@ fn durable_engine_meters_wal_checkpoint_and_recovery() {
     let ring = RingCollector::with_capacity(256);
     let tel = Telemetry::new(ring.clone());
     let engine = Engine::with_config(EngineConfig {
-        durability: Durability::Durable { storage, options: DurableOptions::default() },
+        durability: Durability::Durable { storage },
         telemetry: tel.clone(),
         ..Default::default()
     })
